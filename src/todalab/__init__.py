@@ -21,10 +21,10 @@ from .rootdata import (
     compact_dual_info,
     positive_roots,
 )
+from .exact import UniPoly
 from .weyl import WeylGroup, WeylElement
 from .signflow import parse_signs, format_signs, reflect_sign, act_word, eta, eta_table
 from .blowup_poly import (
-    IntPolynomial,
     FactoredForm,
     p_epsilon,
     closed_form_p,

@@ -20,7 +20,9 @@ from .errors import (
     NonReducedWordError,
     ValidationError,
 )
+from .exact import format_poly, solve
 from .rootdata import LieType, extended_cartan
+from .signflow import eta, propagate
 
 DEFAULT_LMAX_CAP = 40
 
@@ -99,6 +101,8 @@ class AffineWeylGroup:
         self._lmax_done = 0
 
     def extend_to(self, lmax: int, cap: int = DEFAULT_LMAX_CAP):
+        if lmax < 0:
+            raise ValidationError(f"lmax must be >= 0, got {lmax}")
         if lmax > cap:
             raise CapExceededError(f"affine enumeration capped at Lmax<={cap}")
         while self._lmax_done < lmax and self._frontier:
@@ -177,8 +181,6 @@ class AffineWeylGroup:
 def affine_eta(C_hat, word_or_element, eps, group: AffineWeylGroup | None = None,
                verify_reduced: bool = False) -> int:
     """Blow-up count along a reduced affine word, extended-Cartan sign rule."""
-    from .signflow import reflect_sign
-
     if isinstance(word_or_element, AffineElement):
         word = word_or_element.word
     else:
@@ -189,13 +191,7 @@ def affine_eta(C_hat, word_or_element, eps, group: AffineWeylGroup | None = None
             win = group.evaluate_word(word)
             if length_by_inversions(win) != len(word):
                 raise NonReducedWordError(f"affine word {word} is not reduced")
-    count = 0
-    cur = tuple(eps)
-    for i in word:
-        if cur[i] < 0:
-            count += 1
-            cur = reflect_sign(C_hat, i, cur)
-    return count
+    return eta(C_hat, word, eps)
 
 
 @dataclass(frozen=True)
@@ -246,28 +242,12 @@ def p_series(t: LieType, eps, lmax: int, group: AffineWeylGroup | None = None,
     if len(eps) != group.n:
         raise ValidationError(f"affine sign vector must have length {group.n}")
     group.extend_to(lmax, cap=cap)
-    C_hat = group.cartan
-    from .signflow import reflect_sign
-
-    n_el = len(group.windows)
-    etas = [0] * n_el
-    signs = [eps] * n_el
-    for eid in range(1, n_el):
-        par, i = group.parents[eid], group.letters[eid]
-        sig = signs[par]
-        if sig[i] < 0:
-            etas[eid] = etas[par] + 1
-            signs[eid] = reflect_sign(C_hat, i, sig)
-        else:
-            etas[eid] = etas[par]
-            signs[eid] = sig
+    etas, _ = propagate(group.cartan, group.parents, group.letters, eps)
     coeffs = {}
     last = {}
-    for eid in range(n_el):
-        ln = group.lengths[eid]
+    for ln, e in zip(group.lengths, etas):
         if ln > lmax:
             continue
-        e = etas[eid]
         coeffs[e] = coeffs.get(e, 0) + (-1 if ln % 2 else 1)
         last[e] = max(last.get(e, 0), ln)
     top = max(coeffs) if coeffs else 0
@@ -294,8 +274,6 @@ class RationalFunction:
         return out
 
     def __str__(self):
-        from .blowup_poly import format_poly
-
         return f"({format_poly(self.num, 'q')}) / ({format_poly(self.den, 'q')})"
 
 
@@ -340,7 +318,7 @@ def _fit_rational(target, dp, dq):
             row[dq + k] = Fraction(-1)
         rows.append(row)
         rhs.append(-target[k])
-    sol = _solve_exact(rows, rhs)
+    sol = solve(rows, rhs)
     if sol is None:
         return None
     den = [Fraction(1)] + sol[:dq]
@@ -359,36 +337,3 @@ def _int_coeffs(fracs):
     if any(f.denominator != 1 for f in fracs):
         return None  # keep den(0)=1 and integer coefficients
     return tuple(int(f) for f in fracs)
-
-
-def _solve_exact(rows, rhs):
-    """Least-structure exact solve of possibly overdetermined rows * x = rhs."""
-    m = len(rows)
-    if m == 0:
-        return None
-    ncol = len(rows[0])
-    aug = [list(r) + [b] for r, b in zip(rows, rhs)]
-    pivots = []
-    r = 0
-    for c in range(ncol):
-        piv = next((i for i in range(r, m) if aug[i][c] != 0), None)
-        if piv is None:
-            continue
-        aug[r], aug[piv] = aug[piv], aug[r]
-        inv = Fraction(1) / aug[r][c]
-        aug[r] = [x * inv for x in aug[r]]
-        for i in range(m):
-            if i != r and aug[i][c] != 0:
-                f = aug[i][c]
-                aug[i] = [a - f * b for a, b in zip(aug[i], aug[r])]
-        pivots.append(c)
-        r += 1
-        if r == m:
-            break
-    for i in range(r, m):
-        if aug[i][ncol] != 0:
-            return None  # inconsistent
-    sol = [Fraction(0)] * ncol
-    for i, c in enumerate(pivots):
-        sol[c] = aug[i][ncol]
-    return sol

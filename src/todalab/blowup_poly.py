@@ -13,91 +13,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AssumptionViolatedError, CapExceededError, InvalidQError
+from .exact import UniPoly
 from .rootdata import LieType, compact_dual_info
-from .signflow import eta_table
+from .signflow import EtaTable, eta_table
 from .weyl import WeylGroup
-
-
-class IntPolynomial:
-    """Integer polynomial in one variable, coefficients low to high."""
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs=()):
-        c = list(coeffs)
-        while c and c[-1] == 0:
-            c.pop()
-        self.coeffs = tuple(int(x) for x in c)
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1  # -1 for the zero polynomial
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def __call__(self, x: int) -> int:
-        acc = 0
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
-
-    def __eq__(self, other):
-        return isinstance(other, IntPolynomial) and self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash(self.coeffs)
-
-    def __add__(self, other):
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return IntPolynomial(out)
-
-    def __neg__(self):
-        return IntPolynomial([-c for c in self.coeffs])
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __mul__(self, other):
-        if not self.coeffs or not other.coeffs:
-            return IntPolynomial()
-        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            for j, b in enumerate(other.coeffs):
-                out[i + j] += a * b
-        return IntPolynomial(out)
-
-    def __str__(self):
-        return format_poly(self.coeffs, "q")
-
-    def __repr__(self):
-        return f"IntPolynomial({list(self.coeffs)})"
-
-
-def format_poly(coeffs, var: str) -> str:
-    if not coeffs:
-        return "0"
-    parts = []
-    for k in range(len(coeffs) - 1, -1, -1):
-        c = coeffs[k]
-        if c == 0:
-            continue
-        mag = abs(c)
-        if k == 0:
-            term = str(mag)
-        else:
-            base = var if k == 1 else f"{var}^{k}"
-            term = base if mag == 1 else f"{mag}*{base}"
-        if not parts:
-            parts.append(term if c > 0 else f"-{term}")
-        else:
-            parts.append(f"+ {term}" if c > 0 else f"- {term}")
-    return " ".join(parts)
 
 
 @dataclass(frozen=True)
@@ -106,10 +25,10 @@ class FactoredForm:
 
     exponents: tuple[int, ...]
 
-    def expand(self) -> IntPolynomial:
-        acc = IntPolynomial([1])
+    def expand(self) -> UniPoly:
+        acc = UniPoly([1])
         for d in self.exponents:
-            acc = acc * IntPolynomial([-1] + [0] * (d - 1) + [1])
+            acc = acc * UniPoly([-1] + [0] * (d - 1) + [1])
         return acc
 
     def __str__(self):
@@ -121,15 +40,19 @@ class FactoredForm:
         return "".join(out) if out else "1"
 
 
-def p_epsilon(group_or_type, eps, cap=None) -> IntPolynomial:
+def p_epsilon(group_or_type, eps, cap=None) -> UniPoly:
     """Exact alternating sum of q^eta over the whole Weyl group."""
-    group = _as_group(group_or_type, cap)
-    table = eta_table(group, eps)
-    lw = max(group.lengths)
+    return alternating_eta_sum(eta_table(_as_group(group_or_type, cap), eps))
+
+
+def alternating_eta_sum(table: EtaTable) -> UniPoly:
+    """(-1)^{l(w*)} sum_w (-1)^{l(w)} q^{eta(w, eps)} over the table's group."""
+    lengths = table.group.lengths
+    lw = max(lengths)
     coeffs = [0] * (max(table.values) + 1)
     for eid, e in enumerate(table.values):
-        coeffs[e] += -1 if (lw - group.lengths[eid]) % 2 else 1
-    return IntPolynomial(coeffs)
+        coeffs[e] += -1 if (lw - lengths[eid]) % 2 else 1
+    return UniPoly(coeffs)
 
 
 def _as_group(group_or_type, cap):
@@ -251,9 +174,9 @@ def _so3_enumerate(q: int) -> int:
     return total
 
 
-def poincare_polynomial_k(t: LieType) -> IntPolynomial:
+def poincare_polynomial_k(t: LieType) -> UniPoly:
     """Rational Poincare polynomial of K: prod (1 + x^{2 d_i - 1})."""
-    acc = IntPolynomial([1])
+    acc = UniPoly([1])
     for d in compact_dual_info(t).degrees:
-        acc = acc * IntPolynomial([1] + [0] * (2 * d - 2) + [1])
+        acc = acc * UniPoly([1] + [0] * (2 * d - 2) + [1])
     return acc

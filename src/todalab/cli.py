@@ -50,8 +50,8 @@ def _sign_vector(args, rank: int):
         return all_minus(rank)
     eps = parse_signs(args.sign)
     if len(eps) != rank:
-        raise ValidationError(
-            f"sign vector {args.sign!r} has length {len(eps)}, expected {rank}"
+        raise ValidationError(  # strip the space _glue_sign_values may add
+            f"sign vector {args.sign.strip()!r} has length {len(eps)}, expected {rank}"
         )
     return eps
 
@@ -194,10 +194,20 @@ def cmd_affine(args):
     return 0
 
 
+def _floats(text: str, flag: str) -> list[float]:
+    out = []
+    for token in text.split(","):
+        try:
+            out.append(float(token))
+        except ValueError:
+            raise ValidationError(f"{flag}: {token!r} is not a number") from None
+    return out
+
+
 def cmd_ode(args):
     t = LieType.parse(args.type)
-    a0 = [float(x) for x in args.a.split(",")]
-    b0 = [float(x) for x in args.b.split(",")]
+    a0 = _floats(args.a, "--a")
+    b0 = _floats(args.b, "--b")
     if len(a0) != t.rank or len(b0) != t.rank:
         raise ValidationError(f"need {t.rank} comma-separated values for --a and --b")
     traj = numtoda.ode_integrate(t, a0, b0, (args.t0, args.t1))
@@ -312,9 +322,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--cache-dir", help="Weyl group cache directory "
                                            "(default: $TODA_CACHE_DIR)")
         p.add_argument("--cap", type=int, help="group-size cap override")
-        p.add_argument("--threads", type=int, default=0,
-                       help="max worker threads (reserved; computation is "
-                            "deterministic regardless)")
 
     p = sub.add_parser("pq", help="blow-up polynomial p_eps(q)")
     common(p)

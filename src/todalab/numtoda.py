@@ -257,9 +257,7 @@ def dual_symmetrizer(t: LieType) -> tuple[int, ...]:
     quadratic form below a constant of motion.
     """
     d = symmetrizer(t)
-    lcm = 1
-    for x in d:
-        lcm = lcm * x // math.gcd(lcm, x)
+    lcm = math.lcm(*d)
     return tuple(lcm // x for x in d)
 
 
@@ -302,6 +300,12 @@ def ode_integrate(t: LieType, a0, b0, t_span=(0.0, 10.0), rtol=1e-10, atol=1e-10
     l = t.rank
     if a0.shape != (l,) or b0.shape != (l,):
         raise ValidationError(f"need rank-{l} initial data")
+    if not (np.all(np.isfinite(a0)) and np.all(np.isfinite(b0))):
+        raise ValidationError(
+            f"initial data must be finite, got a={a0.tolist()} b={b0.tolist()}")
+    t0, t1 = t_span
+    if not (math.isfinite(t0) and math.isfinite(t1)) or t0 == t1:
+        raise ValidationError(f"time span must be finite with t0 != t1, got ({t0}, {t1})")
     threshold = 1.0 / delta
 
     def divergence(_t, y):

@@ -18,10 +18,12 @@ Everything in this module is exact: integer matrices, Fraction inverses.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import UnsupportedTypeError, ValidationError
+from .exact import inverse
 
 SERIES_MIN_RANK = {"A": 1, "B": 2, "C": 2, "D": 3, "E": 6, "F": 4, "G": 2}
 SERIES_MAX_RANK = {"E": 8, "F": 4, "G": 2}
@@ -144,27 +146,8 @@ def langlands_dual(t: LieType) -> LieType:
     return t
 
 
-def _invert_exact(mat) -> tuple[tuple[Fraction, ...], ...]:
-    """Gauss-Jordan over Fraction; raises on singular input."""
-    n = len(mat)
-    aug = [[Fraction(mat[i][j]) for j in range(n)] + [Fraction(int(i == j)) for j in range(n)]
-           for i in range(n)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if aug[r][col] != 0), None)
-        if piv is None:
-            raise ValidationError("singular matrix")
-        aug[col], aug[piv] = aug[piv], aug[col]
-        inv = Fraction(1) / aug[col][col]
-        aug[col] = [x * inv for x in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col] != 0:
-                f = aug[r][col]
-                aug[r] = [a - f * b for a, b in zip(aug[r], aug[col])]
-    return tuple(tuple(row[n:]) for row in aug)
-
-
 def inverse_cartan(t: LieType) -> tuple[tuple[Fraction, ...], ...]:
-    return _invert_exact(cartan_matrix(t))
+    return inverse(cartan_matrix(t))
 
 
 def tau_multiplicities(t: LieType) -> tuple[int, ...]:
@@ -214,13 +197,9 @@ def symmetrizer(t: LieType) -> tuple[int, ...]:
             if C[i][j] != 0 and i != j and d[j] is None:
                 d[j] = d[i] * Fraction(C[j][i], C[i][j])
                 todo.append(j)
-    denom = 1
-    for x in d:
-        denom = denom * x.denominator // __import__("math").gcd(denom, x.denominator)
+    denom = math.lcm(*(x.denominator for x in d))
     scaled = [int(x * denom) for x in d]
-    g = 0
-    for x in scaled:
-        g = __import__("math").gcd(g, x)
+    g = math.gcd(*scaled)
     return tuple(x // g for x in scaled)
 
 
@@ -301,26 +280,26 @@ class RootSystem:
         return len(self.positive)
 
 
+def reflect_root(C, beta, i: int) -> tuple[int, ...]:
+    """s_i(beta) in simple-root coordinates: beta - (sum_j beta_j C[j][i]) alpha_i."""
+    out = list(beta)
+    out[i] -= sum(b * C[j][i] for j, b in enumerate(beta))
+    return tuple(out)
+
+
 def positive_roots(t: LieType) -> RootSystem:
     """All positive roots by closure of the simples under simple reflections."""
     _require_finite(t)
     C = cartan_matrix(t)
     l = t.rank
     simple = tuple(tuple(int(i == j) for j in range(l)) for i in range(l))
-
-    def reflect(beta, i):
-        coeff = sum(beta[j] * C[j][i] for j in range(l))
-        out = list(beta)
-        out[i] -= coeff
-        return tuple(out)
-
     seen = set(simple)
     frontier = list(simple)
     while frontier:
         nxt = []
         for beta in frontier:
             for i in range(l):
-                img = reflect(beta, i)
+                img = reflect_root(C, beta, i)
                 if img not in seen:
                     seen.add(img)
                     nxt.append(img)

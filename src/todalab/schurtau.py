@@ -24,7 +24,8 @@ from .errors import (
     ValidationError,
     ZeroPolynomialError,
 )
-from .rootdata import LieType, cartan_matrix
+from .exact import UniPoly
+from .rootdata import LieType, cartan_matrix, compact_dual_info, tau_multiplicities
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -254,80 +255,7 @@ class ExactPoly:
     __repr__ = __str__
 
 
-# -- univariate exact polynomials (for Sturm counting) -----------------------
-
-
-class UniPoly:
-    """Univariate polynomial over Fraction, low-to-high coefficients."""
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs=()):
-        c = [Fraction(x) for x in coeffs]
-        while c and c[-1] == 0:
-            c.pop()
-        self.coeffs = tuple(c)
-
-    @classmethod
-    def from_dict(cls, d):
-        if not d:
-            return cls()
-        out = [ZERO] * (max(d) + 1)
-        for k, v in d.items():
-            out[k] = v
-        return cls(out)
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def __call__(self, x):
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
-
-    def __eq__(self, other):
-        return isinstance(other, UniPoly) and self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash(self.coeffs)
-
-    def __mul__(self, other):
-        if not self.coeffs or not other.coeffs:
-            return UniPoly()
-        out = [ZERO] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            for j, b in enumerate(other.coeffs):
-                out[i + j] += a * b
-        return UniPoly(out)
-
-    def derivative(self) -> "UniPoly":
-        return UniPoly([c * k for k, c in enumerate(self.coeffs)][1:])
-
-    def rem(self, other) -> "UniPoly":
-        if other.is_zero():
-            raise ZeroDivisionError("polynomial remainder by zero")
-        r = list(self.coeffs)
-        d = other.degree
-        lead = other.coeffs[-1]
-        while len(r) - 1 >= d and r:
-            f = r[-1] / lead
-            shift = len(r) - 1 - d
-            for i, c in enumerate(other.coeffs):
-                r[shift + i] -= f * c
-            while r and r[-1] == 0:
-                r.pop()
-        return UniPoly(r)
-
-    def monic(self) -> "UniPoly":
-        if self.is_zero():
-            return self
-        lead = self.coeffs[-1]
-        return UniPoly([c / lead for c in self.coeffs])
+# -- Sturm counting ------------------------------------------------------------
 
 
 def uni_gcd(a: UniPoly, b: UniPoly) -> UniPoly:
@@ -342,21 +270,10 @@ def square_free_part(f: UniPoly) -> UniPoly:
     g = uni_gcd(f, f.derivative())
     if g.degree == 0:
         return f.monic()
-    # exact division f / g via remainder-free long division
-    num = list(f.coeffs)
-    den = g.coeffs
-    out = [ZERO] * (len(num) - len(den) + 1)
-    while len(num) >= len(den) and num:
-        k = len(num) - len(den)
-        c = num[-1] / den[-1]
-        out[k] = c
-        for i, dc in enumerate(den):
-            num[k + i] -= c * dc
-        while num and num[-1] == 0:
-            num.pop()
-    if num:
+    quotient, remainder = f.quo_rem(g)
+    if not remainder.is_zero():
         raise ValidationError("inexact division in square-free reduction")
-    return UniPoly(out).monic()
+    return quotient.monic()
 
 
 def sturm_real_roots(f) -> int:
@@ -366,7 +283,7 @@ def sturm_real_roots(f) -> int:
     count once (the square-free part is taken first).
     """
     if not isinstance(f, UniPoly):
-        f = UniPoly(f)
+        f = UniPoly(map(Fraction, f))
     if f.is_zero():
         raise ZeroPolynomialError("root count of the zero polynomial")
     f = square_free_part(f)
@@ -377,7 +294,7 @@ def sturm_real_roots(f) -> int:
         r = chain[-2].rem(chain[-1])
         if r.is_zero():
             break
-        chain.append(UniPoly([-c for c in r.coeffs]))
+        chain.append(-r)
 
     def variations(signs):
         signs = [s for s in signs if s != 0]
@@ -702,8 +619,6 @@ def nu_degrees(t_or_system) -> tuple[int, ...]:
 
 def nu_check(t_or_system) -> tuple[bool, ...]:
     """Per-tau flags: does the t1-axis vanishing order equal 2*rowsum(C^-1)?"""
-    from .rootdata import tau_multiplicities
-
     system = t_or_system if isinstance(t_or_system, TauSystem) else tau_functions(t_or_system)
     return tuple(a == b for a, b in
                  zip(nu_degrees(system), tau_multiplicities(system.lie_type)))
@@ -786,8 +701,6 @@ def random_nonzero_rational(rng: random.Random, bound: int = 20) -> Fraction:
 
 def real_root_count_experiment(t: LieType, samples: int = 20, seed: int = 0) -> RealRootReport:
     """Sturm-count the real t1 roots of prod tau_j on random generic slices."""
-    from .rootdata import compact_dual_info
-
     if samples < 1:
         raise ValidationError("need at least one sample")
     system = tau_functions(t)

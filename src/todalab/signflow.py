@@ -127,19 +127,19 @@ class EtaTable:
             }
 
 
-def eta_table(group: WeylGroup, eps) -> EtaTable:
-    """eta for every element in one pass over the BFS tree (no word replay)."""
-    eps = tuple(eps)
-    C = cartan_matrix(group.lie_type)
-    if len(eps) != len(C):
-        raise ValidationError(f"sign vector length {len(eps)} != rank {len(C)}")
+def propagate(C, parents, letters, eps):
+    """eta and the transported sign for every node of a BFS tree of words.
+
+    Node k > 0 is node ``parents[k]`` followed by the letter ``letters[k]``;
+    parents precede their children.  Returns (values, transported) as lists.
+    """
     flips = _flip_sets(C)
-    n = len(group)
+    n = len(parents)
     values = [0] * n
     transported = [eps] * n
     for eid in range(1, n):
-        par = group.parents[eid]
-        i = group.letters[eid]
+        par = parents[eid]
+        i = letters[eid]
         sig = transported[par]
         if sig[i] < 0:
             fs = flips[i]
@@ -148,4 +148,14 @@ def eta_table(group: WeylGroup, eps) -> EtaTable:
         else:
             values[eid] = values[par]
             transported[eid] = sig
+    return values, transported
+
+
+def eta_table(group: WeylGroup, eps) -> EtaTable:
+    """eta for every element in one pass over the BFS tree (no word replay)."""
+    eps = tuple(eps)
+    C = cartan_matrix(group.lie_type)
+    if len(eps) != len(C):
+        raise ValidationError(f"sign vector length {len(eps)} != rank {len(C)}")
+    values, transported = propagate(C, group.parents, group.letters, eps)
     return EtaTable(group, eps, tuple(values), tuple(transported))

@@ -11,7 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .blowup_poly import IntPolynomial
+from .blowup_poly import alternating_eta_sum
+from .exact import UniPoly
 from .signflow import EtaTable, eta_table, format_signs
 from .weyl import WeylGroup
 
@@ -68,13 +69,9 @@ def vertex_rows(graph: BlowupGraph) -> list[dict]:
     return list(graph.table.as_rows())
 
 
-def alternating_sum(graph: BlowupGraph) -> IntPolynomial:
+def alternating_sum(graph: BlowupGraph) -> UniPoly:
     """(-1)^{l(w*)} sum over vertices of (-1)^{l(w)} q^{eta(w)}; must equal p_eps."""
-    lw = max(graph.group.lengths)
-    coeffs = [0] * (max(graph.table.values) + 1)
-    for eid, e in enumerate(graph.table.values):
-        coeffs[e] += -1 if (lw - graph.group.lengths[eid]) % 2 else 1
-    return IntPolynomial(coeffs)
+    return alternating_eta_sum(graph.table)
 
 
 def to_dot(graph: BlowupGraph) -> str:
@@ -129,10 +126,10 @@ class MatchingReport:
     betti: tuple[int, ...] | None
     offending: tuple[int, ...]  # vertex ids with degree >= 2
 
-    def betti_polynomial(self) -> IntPolynomial:
+    def betti_polynomial(self) -> UniPoly:
         if self.betti is None:
             raise ValueError("no Betti numbers: edge set is not a matching")
-        return IntPolynomial(self.betti)
+        return UniPoly(self.betti)
 
 
 def matching_report(graph: BlowupGraph) -> MatchingReport:

@@ -18,7 +18,6 @@ import numpy as np
 
 from .affine import AffineWeylGroup, affine_eta, p_series, rational_guess
 from .blowup_poly import (
-    IntPolynomial,
     brute_force_so_order,
     chevalley_order,
     closed_form_p,
@@ -34,7 +33,14 @@ from .schurtau import (
     ring_for,
     tau_functions,
 )
-from .signflow import all_minus, eta, eta_table, format_signs
+from .signflow import (
+    all_minus,
+    eta,
+    eta_table,
+    format_signs,
+    reflect_sign,
+    reflect_sign_by_exponent,
+)
 from .todagraph import alternating_sum, build_graph, components, matching_report
 from .weyl import WeylGroup
 from . import numtoda
@@ -359,8 +365,6 @@ def check_numerics(groups, scope):
 
 
 def check_property_suites(groups, scope):
-    from .signflow import reflect_sign, reflect_sign_by_exponent
-
     bad = []
     # involution and braid relations, exhaustive through rank 4
     names = ["A1", "A2", "A3", "A4", "B2", "B3", "B4", "C3", "C4", "D3", "D4", "F4", "G2"]
@@ -413,7 +417,7 @@ def check_property_suites(groups, scope):
         report = matching_report(graph)
         if report.is_matching:
             matched.append(name)
-            if IntPolynomial(report.betti) != poincare_polynomial_k(t):
+            if report.betti_polynomial() != poincare_polynomial_k(t):
                 bad.append(f"{name}: Betti {report.betti} != Poincare")
     return not bad, (f"involution/braid rank<=4, eta increments, graph/p consistency; "
                      f"matching holds for {matched}") if not bad else "; ".join(bad[:5])

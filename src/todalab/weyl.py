@@ -13,11 +13,10 @@ import json
 import logging
 import os
 from dataclasses import dataclass
-from fractions import Fraction
 from pathlib import Path
 
 from .errors import CacheError, CapExceededError
-from .rootdata import LieType, cartan_matrix, positive_roots, symmetrizer
+from .rootdata import LieType, cartan_matrix, positive_roots, reflect_root
 
 log = logging.getLogger(__name__)
 
@@ -101,15 +100,8 @@ class WeylGroup:
         if len(roots) > 255:
             raise CapExceededError(f"{lie_type}: root system too large for byte keys")
         where = {b: i for i, b in enumerate(roots)}
-
-        def reflect(beta, i):
-            coeff = sum(beta[j] * C[j][i] for j in range(l))
-            out = list(beta)
-            out[i] -= coeff
-            return tuple(out)
-
         simple_perms = [
-            pad_table(bytes(where[reflect(b, i)] for b in roots)) for i in range(l)
+            pad_table(bytes(where[reflect_root(C, b, i)] for b in roots)) for i in range(l)
         ]
         # simple root alpha_i sits at index i (positives sorted by height).
         assert all(roots[i] == rs.simple[i] for i in range(l))
@@ -239,30 +231,25 @@ class WeylGroup:
     # -- Bruhat covers ---------------------------------------------------------
 
     def reflections(self) -> list[bytes]:
-        """Permutations of the reflections r_beta, one per positive root."""
+        """Permutations of the reflections r_beta, one per positive root.
+
+        Built by conjugation, r_{s_i beta} = s_i r_beta s_i, walking up from
+        the simple roots through positive roots.
+        """
         if self._reflections is not None:
             return self._reflections
-        l = self.lie_type.rank
-        d = symmetrizer(self.lie_type)
-        C = cartan_matrix(self.lie_type)
-        # (alpha_i, alpha_j) = d_j * C[i][j]; bilinear extension to all roots.
-        B = [[Fraction(d[j] * C[i][j]) for j in range(l)] for i in range(l)]
-
-        def form(x, y):
-            return sum(B[i][j] * x[i] * y[j] for i in range(l) for j in range(l))
-
-        pos = self.roots[: self.num_positive]
-        where = {b: i for i, b in enumerate(self.roots)}
-        refl = []
-        for beta in pos:
-            bb = form(beta, beta)
-            imgs = bytearray()
-            for gamma in self.roots:
-                pairing = 2 * form(gamma, beta) / bb
-                img = tuple(g - pairing * b for g, b in zip(gamma, beta))
-                assert all(c.denominator == 1 for c in map(Fraction, img))
-                imgs.append(where[tuple(int(c) for c in img)])
-            refl.append(pad_table(bytes(imgs)))
+        npos = self.num_positive
+        refl = list(self.simple_perms) + [None] * (npos - len(self.simple_perms))
+        frontier = list(range(len(self.simple_perms)))
+        while frontier:
+            nxt = []
+            for k in frontier:
+                for s in self.simple_perms:
+                    j = s[k]  # index of s_i(beta_k)
+                    if j < npos and refl[j] is None:
+                        refl[j] = s.translate(refl[k].translate(s))
+                        nxt.append(j)
+            frontier = nxt
         self._reflections = refl
         return refl
 

@@ -5,7 +5,6 @@ from hypothesis import given, strategies as st
 
 from todalab.blowup_poly import (
     FactoredForm,
-    IntPolynomial,
     brute_force_so_order,
     chevalley_order,
     closed_form_p,
@@ -14,6 +13,7 @@ from todalab.blowup_poly import (
     poincare_polynomial_k,
 )
 from todalab.errors import AssumptionViolatedError, CapExceededError, InvalidQError
+from todalab.exact import UniPoly as IntPolynomial
 from todalab.rootdata import LieType, compact_dual_info
 from todalab.signflow import all_minus
 

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from todalab.cli import main
 
 
@@ -156,6 +158,24 @@ class TestErrorsAndPlumbing:
 
     def test_missing_subcommand_exit_1(self, capsys):
         assert run(capsys, )[0] == 1
+
+    @pytest.mark.parametrize("argv, quoted", [
+        (("ode", "--type", "A1", "--a", "nan", "--b", "0"), None),
+        (("ode", "--type", "A1", "--a", "inf", "--b", "0"), None),
+        (("ode", "--type", "A1", "--a", "abc", "--b", "0"), "'abc'"),
+        (("ode", "--type", "A1", "--a", "1", "--b", "0", "--t1", "0"), None),
+        (("ode", "--type", "A1", "--a", "1", "--b", "0", "--t1", "nan"), None),
+        (("affine", "--rank", "1", "--lmax", "-1"), None),
+        (("pq", "--type", "A2", "--sign", "+-+"), "sign vector '+-+'"),
+    ])
+    def test_bad_input_is_validation_error(self, capsys, argv, quoted):
+        code, out, err = run(capsys, *argv)
+        assert code == 1
+        assert err.startswith("error [validation]: ")
+        assert "Traceback" not in err
+        assert out == ""
+        if quoted is not None:
+            assert quoted in err
 
     def test_deterministic_bytes(self, capsys):
         _, out1, _ = run(capsys, "graph", "--type", "B2", "--format", "dot")

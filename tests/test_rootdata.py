@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 
 from todalab.errors import UnsupportedTypeError, ValidationError
+from todalab.exact import inverse as _invert_exact
 from todalab.rootdata import (
     LieType,
     affine_marks,
@@ -17,7 +18,6 @@ from todalab.rootdata import (
     symmetrizer,
     tau_multiplicities,
     two_rho_height,
-    _invert_exact,
 )
 
 ALL_SMALL = ["A1", "A2", "A3", "A4", "A5", "A6", "B2", "B3", "B4", "B5", "B6",

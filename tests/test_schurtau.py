@@ -11,11 +11,11 @@ from todalab.errors import (
     ValidationError,
     ZeroPolynomialError,
 )
+from todalab.exact import UniPoly
 from todalab.rootdata import LieType, tau_multiplicities, two_rho_height
 from todalab.schurtau import (
     ExactPoly,
     TauSystem,
-    UniPoly,
     exact_divide,
     hirota_residual,
     hk,
@@ -390,6 +390,18 @@ class TestSturm:
             for _ in range(rng.randint(0, 2)):
                 f = f * UniPoly([rng.randint(1, 9), 0, 1])  # no real roots
             assert sturm_real_roots(f) == len(set(roots))
+
+    def test_int_inputs_never_go_float(self):
+        # int / int is a float in Python; every division must go through Fraction
+        f = UniPoly([3, 0, -7, 2])
+        g = UniPoly([5, 2])
+        for p in (f.rem(g), f.monic(), f.derivative(), *f.quo_rem(g)):
+            assert not any(isinstance(c, float) for c in p.coeffs)
+        q, r = f.quo_rem(g)
+        assert q * g + r == f
+        # roots 1 and 1 + 10^-30 collapse in floating point
+        n = 10 ** 30
+        assert sturm_real_roots(UniPoly([-1, 1]) * UniPoly([-n - 1, n])) == 2
 
 
 class TestExperiment:

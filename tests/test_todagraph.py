@@ -2,7 +2,8 @@ from itertools import product
 
 import pytest
 
-from todalab.blowup_poly import IntPolynomial, p_epsilon, poincare_polynomial_k
+from todalab.blowup_poly import p_epsilon, poincare_polynomial_k
+from todalab.exact import UniPoly as IntPolynomial
 from todalab.rootdata import LieType, cartan_matrix
 from todalab.signflow import act_word, all_minus, eta
 from todalab.todagraph import (

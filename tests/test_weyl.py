@@ -4,7 +4,7 @@ import math
 import pytest
 
 from todalab.errors import CapExceededError
-from todalab.rootdata import LieType, positive_roots
+from todalab.rootdata import LieType, cartan_matrix, positive_roots, symmetrizer
 from todalab.weyl import WeylGroup, cache_clear, cache_entries
 
 CLOSED_ORDERS = {
@@ -149,6 +149,29 @@ class TestBruhatCovers:
                 if g.lengths[hi] == g.lengths[lo] + 1 and bruhat_leq_by_subwords(g, lo, hi):
                     want.add((lo, hi))
         assert got == want
+
+    @pytest.mark.parametrize("name", ["B3", "C3", "D4", "F4", "G2", "E6"])
+    def test_reflections_match_symmetrized_form(self, name, group):
+        # r_beta(gamma) = gamma - <gamma, beta^v> beta, with the form
+        # (alpha_i, alpha_j) = d_j C[i][j] from the symmetrizer
+        g = group(name)
+        C = cartan_matrix(g.lie_type)
+        d = symmetrizer(g.lie_type)
+        l = len(C)
+
+        def form(x, y):
+            return sum(d[j] * C[i][j] * x[i] * y[j] for i in range(l) for j in range(l))
+
+        where = {b: i for i, b in enumerate(g.roots)}
+        refl = g.reflections()
+        assert len(refl) == g.num_positive
+        for k, beta in enumerate(g.roots[: g.num_positive]):
+            bb = form(beta, beta)
+            for gamma_id, gamma in enumerate(g.roots):
+                pairing, rest = divmod(2 * form(gamma, beta), bb)
+                assert rest == 0
+                img = tuple(c - pairing * b for c, b in zip(gamma, beta))
+                assert refl[k][gamma_id] == where[img]
 
     def test_pinned_a2(self, group):
         g = group("A2")
