@@ -25,6 +25,7 @@ from .rootdata import LieType, extended_cartan
 from .signflow import eta, propagate
 
 DEFAULT_LMAX_CAP = 40
+MAX_ELEMENTS = 100_000  # refuse enumerations through lmax with more elements
 
 
 @dataclass(frozen=True)
@@ -82,6 +83,21 @@ def _apply_right(window, k):
     return tuple(w)
 
 
+def element_count(rank: int, lmax: int) -> int:
+    """Number of elements of length <= lmax in the affine Weyl group of
+    A(1)_rank, from Bott's formula
+    W_aff(q) = prod_{i=1}^{l} (1 - q^{i+1}) / ((1 - q)(1 - q^i))."""
+    c = [1] + [0] * lmax
+    for i in range(1, rank + 1):
+        for k in range(lmax, i, -1):      # * (1 - q^{i+1})
+            c[k] -= c[k - i - 1]
+        for k in range(1, lmax + 1):      # / (1 - q)
+            c[k] += c[k - 1]
+        for k in range(i, lmax + 1):      # / (1 - q^i)
+            c[k] += c[k - i]
+    return sum(c)
+
+
 class AffineWeylGroup:
     """Length-graded enumeration of the affine Weyl group of A(1)_l."""
 
@@ -105,6 +121,11 @@ class AffineWeylGroup:
             raise ValidationError(f"lmax must be >= 0, got {lmax}")
         if lmax > cap:
             raise CapExceededError(f"affine enumeration capped at Lmax<={cap}")
+        count = element_count(self.rank, lmax)
+        if count > MAX_ELEMENTS:
+            raise CapExceededError(
+                f"{self.lie_type} has {count} elements of length <= {lmax}, "
+                f"over the cap {MAX_ELEMENTS}")
         while self._lmax_done < lmax and self._frontier:
             new = {}
             for eid in self._frontier:

@@ -40,9 +40,9 @@ class FactoredForm:
         return "".join(out) if out else "1"
 
 
-def p_epsilon(group_or_type, eps, cap=None) -> UniPoly:
+def p_epsilon(group: WeylGroup, eps) -> UniPoly:
     """Exact alternating sum of q^eta over the whole Weyl group."""
-    return alternating_eta_sum(eta_table(_as_group(group_or_type, cap), eps))
+    return alternating_eta_sum(eta_table(group, eps))
 
 
 def alternating_eta_sum(table: EtaTable) -> UniPoly:
@@ -53,13 +53,6 @@ def alternating_eta_sum(table: EtaTable) -> UniPoly:
     for eid, e in enumerate(table.values):
         coeffs[e] += -1 if (lw - lengths[eid]) % 2 else 1
     return UniPoly(coeffs)
-
-
-def _as_group(group_or_type, cap):
-    if isinstance(group_or_type, WeylGroup):
-        return group_or_type
-    kwargs = {} if cap is None else {"cap": cap}
-    return WeylGroup.generate(group_or_type, **kwargs)
 
 
 def closed_form_p(t: LieType) -> FactoredForm:

@@ -1,6 +1,7 @@
 """Command-line front end.
 
-Subcommands: pq, eta, graph, schur, affine, ode, chevalley, verify, cache.
+Subcommands: pq, eta, graph, schur, affine, ode, chevalley, verify,
+conventions.
 Outputs are deterministic for a fixed seed and version: JSON with sorted
 keys, RFC-4180-style CSV, or DOT.  Exit codes: 0 success, 1 validation
 error, 2 computational error.
@@ -33,7 +34,7 @@ from .schurtau import (
 )
 from .signflow import all_minus, eta_table, format_signs, parse_signs
 from .todagraph import build_graph, graph_to_dict, matching_report, to_dot
-from .weyl import WeylGroup, cache_clear, cache_entries, resolve_cache_dir
+from .weyl import DEFAULT_CAP, WeylGroup
 from . import verify as verify_mod
 
 SCHEMA_VERSION = 1
@@ -78,20 +79,13 @@ def _emit_csv(rows, header, args):
     _emit(buf.getvalue(), args)
 
 
-def _group(args, t: LieType) -> WeylGroup:
-    kwargs = {"cache_dir": args.cache_dir}
-    if args.cap is not None:
-        kwargs["cap"] = args.cap
-    return WeylGroup.generate(t, **kwargs)
-
-
 # -- subcommand handlers -------------------------------------------------------
 
 
 def cmd_pq(args):
     t = LieType.parse(args.type)
     eps = _sign_vector(args, t.rank)
-    poly = p_epsilon(_group(args, t), eps)
+    poly = p_epsilon(WeylGroup.generate(t, args.cap), eps)
     payload = {
         "type": str(t),
         "sign": format_signs(eps),
@@ -113,7 +107,7 @@ def cmd_pq(args):
 def cmd_eta(args):
     t = LieType.parse(args.type)
     eps = _sign_vector(args, t.rank)
-    table = eta_table(_group(args, t), eps)
+    table = eta_table(WeylGroup.generate(t, args.cap), eps)
     rows = list(table.as_rows())
     if args.format == "csv":
         _emit_csv([(r["word"], r["length"], r["eta"], r["sign"]) for r in rows],
@@ -131,7 +125,7 @@ def cmd_eta(args):
 def cmd_graph(args):
     t = LieType.parse(args.type)
     eps = _sign_vector(args, t.rank)
-    graph = build_graph(_group(args, t), eps)
+    graph = build_graph(WeylGroup.generate(t, args.cap), eps)
     if args.format == "dot":
         _emit(to_dot(graph), args)
     else:
@@ -290,17 +284,6 @@ def cmd_verify(args):
     return 0  # criterion failures are data, not command errors
 
 
-def cmd_cache(args):
-    d = resolve_cache_dir(args.cache_dir)
-    if args.action == "list":
-        entries = cache_entries(args.cache_dir)
-        _emit_json({"cache_dir": str(d) if d else None, "entries": entries}, args)
-        return 0
-    removed = cache_clear(args.cache_dir)
-    _emit_json({"cache_dir": str(d) if d else None, "removed": removed}, args)
-    return 0
-
-
 def cmd_conventions(args):
     _emit_json(conventions_table(), args)
     return 0
@@ -314,29 +297,25 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"todalab {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, fmt=("json", "text"), typed=True):
+    def common(p, fmt=None, typed=True):
         if typed:
             p.add_argument("--type", required=True, help="Lie type, e.g. B3")
-        p.add_argument("--format", choices=fmt, default=fmt[0])
+        if fmt:
+            p.add_argument("--format", choices=fmt, default=fmt[0])
         p.add_argument("--out", help="write output to this file instead of stdout")
-        p.add_argument("--cache-dir", help="Weyl group cache directory "
-                                           "(default: $TODA_CACHE_DIR)")
-        p.add_argument("--cap", type=int, help="group-size cap override")
 
-    p = sub.add_parser("pq", help="blow-up polynomial p_eps(q)")
-    common(p)
-    p.add_argument("--sign", help="sign vector like '--+' (default all minus)")
-    p.set_defaults(fn=cmd_pq)
+    def group_command(name, summary, fmt, fn):  # the commands that enumerate W
+        p = sub.add_parser(name, help=summary)
+        common(p, fmt)
+        p.add_argument("--cap", type=int, default=DEFAULT_CAP,
+                       help="refuse groups of more elements (default %(default)s)")
+        p.add_argument("--sign", help="sign vector like '--+' (default all minus)")
+        p.set_defaults(fn=fn)
 
-    p = sub.add_parser("eta", help="eta table for one sign vector")
-    common(p, fmt=("json", "csv", "text"))
-    p.add_argument("--sign")
-    p.set_defaults(fn=cmd_eta)
-
-    p = sub.add_parser("graph", help="blow-up graph, components, matching report")
-    common(p, fmt=("json", "dot"))
-    p.add_argument("--sign")
-    p.set_defaults(fn=cmd_graph)
+    group_command("pq", "blow-up polynomial p_eps(q)", ("json", "text"), cmd_pq)
+    group_command("eta", "eta table for one sign vector", ("json", "csv", "text"), cmd_eta)
+    group_command("graph", "blow-up graph, components, matching report", ("json", "dot"),
+                  cmd_graph)
 
     p = sub.add_parser("schur", help="tau functions, degrees, Hirota fit, experiments")
     common(p)
@@ -355,7 +334,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_affine)
 
     p = sub.add_parser("ode", help="integrate the flow; CSV trajectory dumps")
-    common(p, fmt=("json", "csv"))
+    common(p, ("json", "csv"))
     p.add_argument("--a", required=True, help="comma-separated a_i(0)")
     p.add_argument("--b", required=True, help="comma-separated b_i(0)")
     p.add_argument("--t0", type=float, default=0.0)
@@ -375,12 +354,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="opt in to the full E7 enumeration (~30 s, ~2 GB)")
     p.add_argument("--out", help="write a JSON report here instead of the table")
     p.set_defaults(fn=cmd_verify)
-
-    p = sub.add_parser("cache", help="cache admin")
-    p.add_argument("action", choices=["list", "clear"])
-    p.add_argument("--cache-dir")
-    p.add_argument("--out")
-    p.set_defaults(fn=cmd_cache)
 
     p = sub.add_parser("conventions", help="dump the node-numbering conventions table")
     p.add_argument("--out")

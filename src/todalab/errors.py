@@ -65,7 +65,3 @@ class GridUnstableError(TodaLabError):
 
 class StepCollapseError(TodaLabError):
     code = "step-collapse-without-divergence"
-
-
-class CacheError(TodaLabError):
-    code = "io-error"

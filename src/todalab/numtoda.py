@@ -19,6 +19,7 @@ from scipy.integrate import solve_ivp
 from scipy.linalg import expm
 
 from .errors import (
+    CapExceededError,
     DegenerateSpectrumError,
     GridUnstableError,
     StepCollapseError,
@@ -31,6 +32,7 @@ log = logging.getLogger(__name__)
 EIGEN_GAP = 1e-6
 DIVERGENCE_DELTA = 1e-8  # blow-up when |a_i| exceeds 1/delta
 BISECT_TOL = 1e-10
+MAX_TIME_SPAN = 1e3  # |t1 - t0| above this is refused before integrating
 
 
 def lax_matrix(b, a) -> np.ndarray:
@@ -293,7 +295,8 @@ def ode_integrate(t: LieType, a0, b0, t_span=(0.0, 10.0), rtol=1e-10, atol=1e-10
 
     Integration stops (status 'blow-up') when any |a_i| reaches 1/delta.  A
     solver failure without divergence raises StepCollapseError (suspected
-    stiff region).
+    stiff region).  Spans longer than MAX_TIME_SPAN raise CapExceededError
+    before integrating.
     """
     a0 = np.asarray(a0, dtype=float)
     b0 = np.asarray(b0, dtype=float)
@@ -306,6 +309,9 @@ def ode_integrate(t: LieType, a0, b0, t_span=(0.0, 10.0), rtol=1e-10, atol=1e-10
     t0, t1 = t_span
     if not (math.isfinite(t0) and math.isfinite(t1)) or t0 == t1:
         raise ValidationError(f"time span must be finite with t0 != t1, got ({t0}, {t1})")
+    if abs(t1 - t0) > MAX_TIME_SPAN:
+        raise CapExceededError(
+            f"time span |t1 - t0| = {abs(t1 - t0):g} exceeds the cap {MAX_TIME_SPAN:g}")
     threshold = 1.0 / delta
 
     def divergence(_t, y):
@@ -315,9 +321,11 @@ def ode_integrate(t: LieType, a0, b0, t_span=(0.0, 10.0), rtol=1e-10, atol=1e-10
     divergence.direction = 1
     y0 = np.concatenate([b0, a0])
     t_eval = np.linspace(t_span[0], t_span[1], max_points)
-    sol = solve_ivp(toda_rhs(cartan_matrix(t)), t_span, y0, method="RK45",
-                    rtol=rtol, atol=atol, events=[divergence], t_eval=t_eval,
-                    dense_output=False)
+    # overflow inside a collapsing step is reported as StepCollapseError below
+    with np.errstate(over="ignore", invalid="ignore"):
+        sol = solve_ivp(toda_rhs(cartan_matrix(t)), t_span, y0, method="RK45",
+                        rtol=rtol, atol=atol, events=[divergence], t_eval=t_eval,
+                        dense_output=False)
     if sol.status == -1:
         raise StepCollapseError(
             f"integrator failed at t={sol.t[-1] if len(sol.t) else t_span[0]}: {sol.message}"

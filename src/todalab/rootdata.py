@@ -269,6 +269,20 @@ def compact_dual_info(t: LieType) -> CompactDual:
     return info
 
 
+def weyl_order(t: LieType) -> int:
+    """|W|, the product of the Weyl-group invariant degrees (not the
+    compact-dual degrees of ``compact_dual_info``)."""
+    _require_finite(t)
+    s, l = t.series, t.rank
+    if s == "A":
+        return math.factorial(l + 1)
+    if s in ("B", "C"):
+        return 2 ** l * math.factorial(l)
+    if s == "D":
+        return 2 ** (l - 1) * math.factorial(l)
+    return {"E6": 51840, "E7": 2903040, "E8": 696729600, "F4": 1152, "G2": 12}[str(t)]
+
+
 @dataclass(frozen=True)
 class RootSystem:
     """Positive roots (coordinates in the simple-root basis), simples first."""

@@ -29,12 +29,8 @@ class BlowupGraph:
         return len(self.group)
 
 
-def build_graph(group_or_type, eps, cap=None) -> BlowupGraph:
+def build_graph(group: WeylGroup, eps) -> BlowupGraph:
     """Edges = Bruhat covers with equal eta and equal transported sign."""
-    group = group_or_type
-    if not isinstance(group, WeylGroup):
-        kwargs = {} if cap is None else {"cap": cap}
-        group = WeylGroup.generate(group, **kwargs)
     table = eta_table(group, eps)
     edges = [
         (lo, hi)

@@ -9,19 +9,12 @@ BFS tree also hands every element a witness reduced word for free.
 
 from __future__ import annotations
 
-import json
-import logging
-import os
 from dataclasses import dataclass
-from pathlib import Path
 
-from .errors import CacheError, CapExceededError
-from .rootdata import LieType, cartan_matrix, positive_roots, reflect_root
-
-log = logging.getLogger(__name__)
+from .errors import CapExceededError
+from .rootdata import LieType, cartan_matrix, positive_roots, reflect_root, weyl_order
 
 DEFAULT_CAP = 1_000_000
-CACHE_FORMAT = 1
 
 _PAD = bytes(range(256))
 
@@ -79,18 +72,18 @@ class WeylGroup:
     # -- construction ------------------------------------------------------
 
     @classmethod
-    def generate(cls, lie_type: LieType, cap: int = DEFAULT_CAP,
-                 cache_dir=None) -> "WeylGroup":
+    def generate(cls, lie_type: LieType, cap: int = DEFAULT_CAP) -> "WeylGroup":
         """BFS closure over the simple reflections acting on the roots.
 
-        Refuses to enumerate past ``cap`` elements.  E7 is opt-in by raising
-        the cap (cap=3_000_000): its 2.9e6 elements take about 30 s and
-        1.8 GB of padded permutation tables; E8 at 7e8 elements is out of
-        desk scale.
+        Refuses up front, from the closed-form order, a group of more than
+        ``cap`` elements; the per-level check in the BFS stays as a backstop.
+        E7 is opt-in by raising the cap (cap=3_000_000): its 2.9e6 elements
+        take about 30 s and 1.8 GB of padded permutation tables; E8 at 7e8
+        elements is out of desk scale.
         """
-        cached = _cache_load(lie_type, cache_dir)
-        if cached is not None:
-            return cached
+        order = weyl_order(lie_type)
+        if order > cap:
+            raise CapExceededError(f"{lie_type}: group of order {order} exceeds cap={cap}")
 
         rs = positive_roots(lie_type)
         l = lie_type.rank
@@ -137,10 +130,8 @@ class WeylGroup:
                 parents.append(par)
                 letters.append(i)
 
-        group = cls(lie_type, tuple(roots), simple_perms, perms, lengths,
-                    parents, letters)
-        _cache_store(group, cache_dir)
-        return group
+        return cls(lie_type, tuple(roots), simple_perms, perms, lengths,
+                   parents, letters)
 
     # -- basic queries -------------------------------------------------------
 
@@ -264,94 +255,3 @@ class WeylGroup:
                     covers.append((eid, vid))
         covers.sort()
         return covers
-
-
-# -- group cache ------------------------------------------------------------
-
-
-def resolve_cache_dir(cache_dir=None):
-    if cache_dir is not None:
-        return Path(cache_dir)
-    env = os.environ.get("TODA_CACHE_DIR")
-    return Path(env) if env else None
-
-
-def _cache_path(lie_type, cache_dir):
-    d = resolve_cache_dir(cache_dir)
-    if d is None:
-        return None
-    return d / f"weyl_{lie_type}_v{CACHE_FORMAT}.json"
-
-
-def _cache_load(lie_type, cache_dir):
-    path = _cache_path(lie_type, cache_dir)
-    if path is None or not path.exists():
-        return None
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-        if data["format"] != CACHE_FORMAT or data["type"] != str(lie_type):
-            raise ValueError("cache key mismatch")
-        roots = tuple(tuple(r) for r in data["roots"])
-        simple_perms = [pad_table(bytes(p)) for p in data["simple_perms"]]
-        parents = data["parents"]
-        letters = data["letters"]
-        perms = [_PAD]
-        lengths = [0]
-        for k in range(1, len(parents)):
-            perms.append(simple_perms[letters[k]].translate(perms[parents[k]]))
-            lengths.append(lengths[parents[k]] + 1)
-        return WeylGroup(lie_type, roots, simple_perms, perms, lengths, parents, letters)
-    except (OSError, ValueError, KeyError, TypeError, IndexError) as exc:
-        log.warning("discarding corrupted Weyl cache %s (%s); regenerating", path, exc)
-        try:
-            path.unlink()
-        except OSError:
-            pass
-        return None
-
-
-def _cache_store(group, cache_dir):
-    path = _cache_path(group.lie_type, cache_dir)
-    if path is None:
-        return
-    try:
-        path.parent.mkdir(parents=True, exist_ok=True)
-        payload = {
-            "format": CACHE_FORMAT,
-            "type": str(group.lie_type),
-            "roots": [list(r) for r in group.roots],
-            "simple_perms": [list(p[: len(group.roots)]) for p in group.simple_perms],
-            "parents": group.parents,
-            "letters": group.letters,
-        }
-        tmp = path.with_suffix(".tmp")
-        with open(tmp, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh)
-        tmp.replace(path)
-    except OSError as exc:
-        log.warning("cannot write Weyl cache %s (%s); continuing uncached", path, exc)
-
-
-def cache_entries(cache_dir=None) -> list[dict]:
-    d = resolve_cache_dir(cache_dir)
-    if d is None or not d.exists():
-        return []
-    out = []
-    for p in sorted(d.glob("weyl_*.json")):
-        out.append({"file": p.name, "bytes": p.stat().st_size})
-    return out
-
-
-def cache_clear(cache_dir=None) -> int:
-    d = resolve_cache_dir(cache_dir)
-    if d is None or not d.exists():
-        return 0
-    n = 0
-    for p in sorted(d.glob("weyl_*.json")):
-        try:
-            p.unlink()
-            n += 1
-        except OSError as exc:
-            raise CacheError(f"cannot remove cache file {p}: {exc}") from exc
-    return n

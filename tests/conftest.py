@@ -1,9 +1,4 @@
-import os
-
 import pytest
-
-# never let a user-level cache directory leak into the tests
-os.environ.pop("TODA_CACHE_DIR", None)
 
 from todalab.rootdata import LieType
 from todalab.weyl import WeylGroup

@@ -7,6 +7,7 @@ from todalab.affine import (
     RationalFunction,
     TruncatedSeries,
     affine_eta,
+    element_count,
     length_by_inversions,
     p_series,
     rational_guess,
@@ -79,6 +80,18 @@ class TestEnumeration:
     def test_cap(self):
         with pytest.raises(CapExceededError):
             AffineWeylGroup(A(1)).extend_to(100)
+
+    @pytest.mark.parametrize("rank", [1, 2, 3, 4])
+    def test_element_count_matches_enumeration(self, rank):
+        g = AffineWeylGroup(A(rank))
+        for lmax in range(8):
+            assert element_count(rank, lmax) == sum(g.count_per_length(lmax))
+
+    def test_element_cap_refuses_before_enumerating(self):
+        g = AffineWeylGroup(A(40))
+        with pytest.raises(CapExceededError):
+            g.extend_to(5)
+        assert len(g.windows) == 1
 
     def test_requires_affine_type(self):
         with pytest.raises(ValidationError):

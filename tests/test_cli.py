@@ -156,6 +156,37 @@ class TestErrorsAndPlumbing:
         assert code == 2
         assert "cap-exceeded" in err
 
+    @pytest.mark.parametrize("argv", [
+        ("pq", "--type", "E8"),
+        ("ode", "--type", "A1", "--a", "1", "--b", "0", "--t1", "1e12"),
+        ("affine", "--rank", "40", "--lmax", "5"),
+    ])
+    def test_oversize_input_refused_exit_2(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert err.startswith("error [cap-exceeded]: ")
+        assert "Traceback" not in err
+        assert out == ""
+
+    @pytest.mark.parametrize("argv", [
+        ("cache", "list"),
+        ("schur", "--type", "A2", "--cap", "5"),
+        ("affine", "--rank", "1", "--cache-dir", "x"),
+        ("chevalley", "--type", "A2", "--format", "text"),
+    ])
+    def test_removed_flags_are_validation_errors(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 1
+        assert "error [validation]: " in err
+        assert out == ""
+
+    def test_integrator_failure_is_one_stderr_line(self, capsys):
+        code, out, err = run(capsys, "ode", "--type", "A1", "--a", "1e308", "--b", "1e308")
+        assert code == 2
+        assert err.startswith("error [step-collapse-without-divergence]: ")
+        assert err.count("\n") == 1
+        assert out == ""
+
     def test_missing_subcommand_exit_1(self, capsys):
         assert run(capsys, )[0] == 1
 
@@ -199,25 +230,6 @@ class TestErrorsAndPlumbing:
     def test_conventions(self, capsys):
         doc = run_json(capsys, "conventions")
         assert doc["types"]["G2"]["cartan"] == [[2, -1], [-3, 2]]
-
-
-class TestCache:
-    def test_list_and_clear(self, tmp_path, capsys):
-        run_json(capsys, "pq", "--type", "B2", "--cache-dir", str(tmp_path))
-        doc = run_json(capsys, "cache", "list", "--cache-dir", str(tmp_path))
-        assert len(doc["entries"]) == 1
-        assert doc["entries"][0]["file"].startswith("weyl_B2")
-        doc = run_json(capsys, "cache", "clear", "--cache-dir", str(tmp_path))
-        assert doc["removed"] == 1
-        doc = run_json(capsys, "cache", "clear", "--cache-dir", str(tmp_path))
-        assert doc["removed"] == 0
-
-    def test_corrupted_entry_recovered(self, tmp_path, capsys):
-        run_json(capsys, "pq", "--type", "A2", "--cache-dir", str(tmp_path))
-        victim = next(tmp_path.glob("weyl_*.json"))
-        victim.write_text("not json at all")
-        doc = run_json(capsys, "pq", "--type", "A2", "--cache-dir", str(tmp_path))
-        assert doc["matches_closed_form"] is True
 
 
 def test_verify_rejects_bad_scope(capsys):

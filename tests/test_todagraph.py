@@ -110,15 +110,6 @@ class TestMatching:
         assert report.betti == (0, 0, 0, 0)
 
 
-class TestCapPropagation:
-    def test_cap_exceeded_propagates(self):
-        from todalab.errors import CapExceededError
-        from todalab.rootdata import LieType
-
-        with pytest.raises(CapExceededError):
-            build_graph(LieType.parse("A3"), (-1, -1, -1), cap=5)
-
-
 class TestExports:
     def test_dot_a1(self, group):
         dot = to_dot(build_graph(group("A1"), (-1,)))

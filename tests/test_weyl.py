@@ -1,11 +1,10 @@
-import json
 import math
 
 import pytest
 
 from todalab.errors import CapExceededError
-from todalab.rootdata import LieType, cartan_matrix, positive_roots, symmetrizer
-from todalab.weyl import WeylGroup, cache_clear, cache_entries
+from todalab.rootdata import LieType, cartan_matrix, positive_roots, symmetrizer, weyl_order
+from todalab.weyl import WeylGroup
 
 CLOSED_ORDERS = {
     "A1": 2, "A2": 6, "A3": 24, "A4": 120, "A5": 720, "A6": 5040,
@@ -31,6 +30,7 @@ def closed_order(name):
 def test_orders_match_closed_forms(name, group):
     g = group(name)
     assert len(g) == CLOSED_ORDERS[name] == closed_order(name)
+    assert weyl_order(LieType.parse(name)) == len(g)
 
 
 @pytest.mark.parametrize("name", ["A2", "A3", "B3", "C3", "G2", "D4"])
@@ -209,35 +209,3 @@ class TestCapsAndDeterminism:
         assert a.lengths == b.lengths
         assert a.parents == b.parents
 
-
-class TestCache:
-    def test_roundtrip(self, tmp_path):
-        fresh = WeylGroup.generate(LieType.parse("B3"), cache_dir=tmp_path)
-        assert len(cache_entries(tmp_path)) == 1
-        loaded = WeylGroup.generate(LieType.parse("B3"), cache_dir=tmp_path)
-        assert loaded.perms == fresh.perms
-        assert loaded.lengths == fresh.lengths
-        assert [loaded.word(i) for i in range(len(loaded))] == \
-               [fresh.word(i) for i in range(len(fresh))]
-
-    def test_corrupted_entry_regenerates(self, tmp_path, caplog):
-        WeylGroup.generate(LieType.parse("A2"), cache_dir=tmp_path)
-        path = next(tmp_path.glob("weyl_*.json"))
-        path.write_text("{ this is not json")
-        with caplog.at_level("WARNING"):
-            g = WeylGroup.generate(LieType.parse("A2"), cache_dir=tmp_path)
-        assert len(g) == 6
-        assert any("corrupted" in rec.message for rec in caplog.records)
-        # the cache entry is rebuilt and valid again
-        assert json.loads(next(tmp_path.glob("weyl_*.json")).read_text())["type"] == "A2"
-
-    def test_clear_idempotent(self, tmp_path):
-        WeylGroup.generate(LieType.parse("A2"), cache_dir=tmp_path)
-        assert cache_clear(tmp_path) == 1
-        assert cache_clear(tmp_path) == 0
-        assert cache_entries(tmp_path) == []
-
-    def test_env_var_resolution(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("TODA_CACHE_DIR", str(tmp_path))
-        WeylGroup.generate(LieType.parse("A1"))
-        assert len(cache_entries()) == 1
