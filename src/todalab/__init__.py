@@ -49,7 +49,7 @@ from .schurtau import (
     sturm_real_roots,
     real_root_count_experiment,
 )
-from .affine import AffineWeylGroup, affine_eta, p_series, rational_guess
+from .affine import AffineWeylGroup, p_series, rational_guess
 from . import numtoda
 
 __version__ = "0.1.0"

@@ -2,30 +2,29 @@
 
 Elements are affine permutations: bijections w of Z with w(i+n) = w(i)+n
 (n = l+1) and sum(w(1..n)) = sum(1..n).  The window (w(1),...,w(n)) is a
-canonical key; breadth-first search over the generators enumerates the
-group by length and hands every element a witness reduced word.  The sign
-action uses the extended Cartan matrix with the same word rule as the
-finite case, and the alternating sum of q^eta becomes a power series whose
-low coefficients stabilize as the length cutoff grows.
+canonical key; the breadth-first word tree shared with the finite groups
+(``weyl.WordTree``) enumerates the group by length and hands every element
+a witness reduced word.  The sign action uses the extended Cartan matrix
+with the same word rule as the finite case, and the alternating sum of
+q^eta becomes a power series whose low coefficients stabilize as the
+length cutoff grows.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
-from .errors import (
-    CapExceededError,
-    InsufficientDataError,
-    NonReducedWordError,
-    ValidationError,
-)
+from .errors import CapExceededError, InsufficientDataError, ValidationError
 from .exact import format_poly, solve
 from .rootdata import LieType, extended_cartan
-from .signflow import eta, propagate
+from .signflow import format_signs, propagate
+from .weyl import WordTree
 
 DEFAULT_LMAX_CAP = 40
 MAX_ELEMENTS = 100_000  # refuse enumerations through lmax with more elements
+MAX_RANK = 20  # rank 20 through lmax 5: 65,780 elements
 
 
 @dataclass(frozen=True)
@@ -98,7 +97,7 @@ def element_count(rank: int, lmax: int) -> int:
     return sum(c)
 
 
-class AffineWeylGroup:
+class AffineWeylGroup(WordTree):
     """Length-graded enumeration of the affine Weyl group of A(1)_l."""
 
     def __init__(self, lie_type: LieType):
@@ -107,18 +106,26 @@ class AffineWeylGroup:
         self.lie_type = lie_type
         self.rank = lie_type.rank
         self.n = lie_type.rank + 1
-        self.cartan = extended_cartan(lie_type)
-        self.windows = [tuple(range(1, self.n + 1))]
-        self.lengths = [0]
-        self.parents = [-1]
-        self.letters = [-1]
-        self.index = {self.windows[0]: 0}
-        self._frontier = [0]
-        self._lmax_done = 0
+        super().__init__(tuple(range(1, self.n + 1)), self.n)
+        self.windows = self.keys
+
+    @cached_property
+    def cartan(self):
+        return extended_cartan(self.lie_type)
+
+    def _mul(self, win, k):
+        return _apply_right(win, k)
+
+    def _descent(self, win, k):
+        # w(k) > w(k+1), with w(0) = w(n) - n (Bjorner-Brenti 8.3)
+        return (win[k - 1] if k else win[-1] - self.n) > win[k]
 
     def extend_to(self, lmax: int, cap: int = DEFAULT_LMAX_CAP):
         if lmax < 0:
             raise ValidationError(f"lmax must be >= 0, got {lmax}")
+        if self.rank > MAX_RANK:
+            raise CapExceededError(
+                f"{self.lie_type}: affine rank {self.rank} exceeds the cap {MAX_RANK}")
         if lmax > cap:
             raise CapExceededError(f"affine enumeration capped at Lmax<={cap}")
         count = element_count(self.rank, lmax)
@@ -126,27 +133,12 @@ class AffineWeylGroup:
             raise CapExceededError(
                 f"{self.lie_type} has {count} elements of length <= {lmax}, "
                 f"over the cap {MAX_ELEMENTS}")
-        while self._lmax_done < lmax and self._frontier:
-            new = {}
-            for eid in self._frontier:
-                win = self.windows[eid]
-                for k in range(self.n):
-                    img = _apply_right(win, k)
-                    if img not in self.index and img not in new:
-                        new[img] = (eid, k)
-            frontier = []
-            for win in sorted(new):
-                par, k = new[win]
+        while self.lengths[-1] < lmax:
+            start = len(self.windows)
+            self.grow()
+            for eid in range(start, len(self.windows)):
                 # BFS depth must agree with the affine inversion formula
-                assert self.lengths[par] + 1 == length_by_inversions(win)
-                self.index[win] = len(self.windows)
-                frontier.append(len(self.windows))
-                self.windows.append(win)
-                self.lengths.append(self.lengths[par] + 1)
-                self.parents.append(par)
-                self.letters.append(k)
-            self._frontier = frontier
-            self._lmax_done += 1
+                assert self.lengths[eid] == length_by_inversions(self.windows[eid])
         return self
 
     def elements_by_length(self, lmax: int) -> list[AffineElement]:
@@ -162,57 +154,13 @@ class AffineWeylGroup:
                 out[ln] += 1
         return out
 
-    def word(self, eid: int) -> tuple[int, ...]:
-        out = []
-        while eid > 0:
-            out.append(self.letters[eid])
-            eid = self.parents[eid]
-        return tuple(reversed(out))
-
     def element(self, eid: int) -> AffineElement:
         win = self.windows[eid]
         perm, trans = _decompose(win)
         return AffineElement(win, perm, trans, self.lengths[eid], self.word(eid))
 
     def evaluate_word(self, word) -> tuple[int, ...]:
-        win = self.windows[0]
-        for k in word:
-            if not 0 <= k < self.n:
-                raise ValidationError(f"letter {k} out of range 0..{self.rank}")
-            win = _apply_right(win, k)
-        return win
-
-    def iter_reduced_words(self, eid: int):
-        """All reduced words of element eid (DFS over length-dropping letters)."""
-
-        def rec(win, ln, suffix):
-            if ln == 0:
-                yield tuple(suffix[::-1])
-                return
-            for k in range(self.n):
-                down = _apply_right(win, k)
-                if length_by_inversions(down) == ln - 1:
-                    suffix.append(k)
-                    yield from rec(down, ln - 1, suffix)
-                    suffix.pop()
-
-        yield from rec(self.windows[eid], self.lengths[eid], [])
-
-
-def affine_eta(C_hat, word_or_element, eps, group: AffineWeylGroup | None = None,
-               verify_reduced: bool = False) -> int:
-    """Blow-up count along a reduced affine word, extended-Cartan sign rule."""
-    if isinstance(word_or_element, AffineElement):
-        word = word_or_element.word
-    else:
-        word = tuple(word_or_element)
-        if verify_reduced:
-            if group is None:
-                raise ValidationError("verify_reduced requires the group")
-            win = group.evaluate_word(word)
-            if length_by_inversions(win) != len(word):
-                raise NonReducedWordError(f"affine word {word} is not reduced")
-    return eta(C_hat, word, eps)
+        return self.key_of_word(word)
 
 
 @dataclass(frozen=True)
@@ -246,7 +194,7 @@ class TruncatedSeries:
     def as_dict(self) -> dict:
         return {
             "type": str(self.lie_type),
-            "sign": "".join("+" if e > 0 else "-" for e in self.eps),
+            "sign": format_signs(self.eps),
             "lmax": self.lmax,
             "coeffs": list(self.coeffs),
             "stable": list(self.stable()),

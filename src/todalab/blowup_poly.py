@@ -8,6 +8,7 @@ group, with the explicit per-type factorization prod (q^{d_i} - 1).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -87,10 +88,20 @@ def check_odd_prime_power(q: int):
         raise InvalidQError(f"q={q} is not a prime power")
 
 
+MAX_Q = 10**12  # trial division in is_prime_power stays under ~0.1 s
+MAX_ORDER_DIGITS = 4000  # under Python's int-to-str limit; A130 at q=3 takes 0.7 s
+
+
 def chevalley_order(t: LieType, q: int) -> int:
     """|K(F_q)| = q^r * p(q) with r = dim(K) - deg p(q)."""
+    if q > MAX_Q:
+        raise CapExceededError(f"q={q} exceeds the cap {MAX_Q}")
     check_odd_prime_power(q)
     info = compact_dual_info(t)
+    if info.dim * math.log10(q) > MAX_ORDER_DIGITS:  # |K(F_q)| < q^dim
+        raise CapExceededError(
+            f"|K(F_{q})| of {t} may have {info.dim * math.log10(q):.0f} digits, "
+            f"over the cap {MAX_ORDER_DIGITS}")
     return q ** info.r * closed_form_p(t).expand()(q)
 
 

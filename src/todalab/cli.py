@@ -264,7 +264,7 @@ def cmd_chevalley(args):
 
 
 def cmd_verify(args):
-    results = verify_mod.run(args.scope, include_e7=args.include_e7)
+    results = verify_mod.run(args.scope)
     n_fail = sum(1 for r in results if not r.passed)
     if args.out:
         payload = {
@@ -350,8 +350,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run the self-verification matrix")
     p.add_argument("--scope", choices=["fast", "full"], default="fast")
-    p.add_argument("--include-e7", action="store_true",
-                   help="opt in to the full E7 enumeration (~30 s, ~2 GB)")
     p.add_argument("--out", help="write a JSON report here instead of the table")
     p.set_defaults(fn=cmd_verify)
 

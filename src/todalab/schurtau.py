@@ -18,6 +18,7 @@ from fractions import Fraction
 from math import isqrt
 
 from .errors import (
+    CapExceededError,
     NoConstantFitsError,
     NotAPerfectSquareError,
     UnsupportedTypeError,
@@ -29,6 +30,13 @@ from .rootdata import LieType, cartan_matrix, compact_dual_info, tau_multiplicit
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
+
+# Refusal thresholds on the height of 2rho.  Measured cold CLI runs: tau
+# systems A9 (165) 3.3 s, D7 (182) 3.4 s, A10 (220) 15 s, B7 (252) 14 s;
+# real-root samples A4 (20) 0.04 s, D4 (28) 0.39 s, A5 (35) 3.4 s each.
+MAX_TAU_HEIGHT = 200
+MAX_STURM_HEIGHT = 28
+MAX_SAMPLES = 50
 
 
 class PolyRing:
@@ -381,13 +389,15 @@ def _det(entries) -> ExactPoly:
 
 
 def schur_wronskian(indices, ring: PolyRing) -> ExactPoly:
-    """S_(i1<...<ik) = det(h_{i_a - b + 1}) over the ring's active times."""
+    """S_(i1<...<ik) = det(h_{i_a - b + 1}) over the ring's active times.
+
+    That matrix is the transpose of the t1-Wronskian of h_{i_1}, ..., h_{i_k},
+    because dh_n/dt1 = h_{n-1}.
+    """
     idx = list(indices)
     if any(a >= b for a, b in zip(idx, idx[1:])) or not idx:
         raise ValidationError(f"indices must be strictly increasing, got {indices}")
-    k = len(idx)
-    entries = [[hk(idx[a] - b, ring) for b in range(k)] for a in range(k)]
-    return _det(entries)
+    return wronskian(hk(i, ring) for i in idx)
 
 
 def wronskian(fns) -> ExactPoly:
@@ -518,11 +528,24 @@ class TauSystem:
         return acc
 
 
+def _refuse_height(t: LieType, ring: PolyRing, limit: int, work: str):
+    """Refuse ``work`` when the height of 2rho exceeds ``limit``.
+
+    The ring weights are the exponents m_i of W, and the height of 2rho is
+    sum m_i (m_i + 1) / 2 (Kostant), so no Cartan inverse is formed.
+    """
+    height = sum(m * (m + 1) // 2 for m in ring.weights)
+    if height > limit:
+        raise CapExceededError(
+            f"{t}: {work} refused, height of 2rho {height} exceeds {limit}")
+
+
 def tau_functions(t: LieType) -> TauSystem:
     """The nilpotent tau polynomials (types A, B, C, D, G2)."""
     if t.affine:
         raise UnsupportedTypeError("tau systems are for finite types")
     ring = ring_for(t)
+    _refuse_height(t, ring, MAX_TAU_HEIGHT, "tau system")
     s, l = t.series, t.rank
     notes = []
     if s == "A":
@@ -703,6 +726,9 @@ def real_root_count_experiment(t: LieType, samples: int = 20, seed: int = 0) -> 
     """Sturm-count the real t1 roots of prod tau_j on random generic slices."""
     if samples < 1:
         raise ValidationError("need at least one sample")
+    if samples > MAX_SAMPLES:
+        raise CapExceededError(f"{samples} samples exceed the cap {MAX_SAMPLES}")
+    _refuse_height(t, ring_for(t), MAX_STURM_HEIGHT, "real-root experiment")
     system = tau_functions(t)
     rng = random.Random(seed)
     others = [n for n in system.ring.names if n != "t1"]

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from .errors import NonReducedWordError, ValidationError
 from .rootdata import cartan_matrix
-from .weyl import WeylElement, WeylGroup
+from .weyl import WeylGroup, WordTree
 
 
 def parse_signs(text: str) -> tuple[int, ...]:
@@ -73,23 +73,22 @@ def act_word(C, word, eps) -> tuple[int, ...]:
     return cur
 
 
-def eta(C, word_or_element, eps, group: WeylGroup | None = None,
+def eta(C, word_or_element, eps, group: WordTree | None = None,
         verify_reduced: bool = False) -> int:
     """Number of blow-up steps along a reduced word starting from eps.
 
-    Accepts a word (iterable of node indices) or a WeylElement, whose witness
-    word is used.  With ``verify_reduced`` and a group, a plain word is
-    checked to be reduced first (eta is only reduced-word independent on
-    reduced words).
+    Accepts a word (iterable of node indices) or an element of a finite or
+    affine Weyl group, whose witness word is used.  With ``verify_reduced``
+    and a group, a plain word is checked to be reduced first (eta is only
+    reduced-word independent on reduced words).
     """
-    if isinstance(word_or_element, WeylElement):
-        word = word_or_element.word
-    else:
+    word = getattr(word_or_element, "word", None)
+    if word is None:
         word = tuple(word_or_element)
         if verify_reduced:
             if group is None:
                 raise ValidationError("verify_reduced requires the group")
-            if group.act_on_word(word).length != len(word):
+            if not group.is_reduced(word):
                 raise NonReducedWordError(f"word {word} is not reduced")
     count = 0
     cur = tuple(eps)

@@ -3,15 +3,17 @@
 Elements are keyed by their permutation of the root list (stored as
 ``bytes``: root index -> root index), which makes equality canonical
 and lets ``bytes.translate`` do permutation composition at C speed.
-Generation is a breadth-first closure over the simple reflections; the
-BFS tree also hands every element a witness reduced word for free.
+Generation is a breadth-first closure over the simple reflections
+(``WordTree``, shared with the affine group); the BFS tree also hands every
+element a witness reduced word for free.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
-from .errors import CapExceededError
+from .errors import CapExceededError, ValidationError
 from .rootdata import LieType, cartan_matrix, positive_roots, reflect_root, weyl_order
 
 DEFAULT_CAP = 1_000_000
@@ -52,22 +54,117 @@ def invert(p: bytes) -> bytes:
     return bytes(out)
 
 
-class WeylGroup:
-    """Fully enumerated Weyl group of a finite type."""
+class WordTree:
+    """Breadth-first tree of reduced words over the simple generators.
 
-    def __init__(self, lie_type: LieType, roots, simple_perms, perms, lengths,
-                 parents, letters):
+    Element ids run in (length, key) order; node k > 0 is node
+    ``parents[k]`` followed by the letter ``letters[k]``, so the tree hands
+    every element a witness reduced word.  A subclass supplies the identity
+    key, the generator count, a ``lie_type`` and two primitives:
+    ``_mul(key, i)``, the key of w * s_i, and ``_descent(key, i)``, whether
+    l(w * s_i) < l(w).
+    """
+
+    def __init__(self, identity, generators: int):
+        self.generators = generators
+        self.keys = [identity]
+        self.lengths = [0]
+        self.parents = [-1]
+        self.letters = [-1]
+        self.index = {identity: 0}
+        self._top = 0  # first id of the longest level
+        self._words_memo = {0: frozenset({()})}
+
+    def __len__(self):
+        return len(self.keys)
+
+    def grow(self, cap=None) -> bool:
+        """Add the next length level; False once the group is exhausted.
+
+        Within a level new keys are sorted, and the first (parent, letter)
+        found in frontier x generator order becomes the tree edge.
+        """
+        mul, descent = self._mul, self._descent
+        new = {}
+        for eid in range(self._top, len(self.keys)):
+            key = self.keys[eid]
+            for i in range(self.generators):
+                if descent(key, i):
+                    continue
+                q = mul(key, i)
+                if q not in new:
+                    new[q] = (eid, i)
+        if cap is not None and len(self.keys) + len(new) > cap:
+            raise CapExceededError(f"{self.lie_type}: group exceeds cap={cap} during generation")
+        self._top = len(self.keys)
+        for q in sorted(new):
+            par, i = new[q]
+            self.index[q] = len(self.keys)
+            self.keys.append(q)
+            self.lengths.append(self.lengths[par] + 1)
+            self.parents.append(par)
+            self.letters.append(i)
+        return bool(new)
+
+    def word(self, eid: int) -> tuple[int, ...]:
+        out = []
+        while eid > 0:
+            out.append(self.letters[eid])
+            eid = self.parents[eid]
+        return tuple(reversed(out))
+
+    def _check_letter(self, i):
+        if not 0 <= i < self.generators:
+            raise ValidationError(f"letter {i} out of range 0..{self.generators - 1}")
+
+    def key_of_word(self, word):
+        key = self.keys[0]
+        for i in word:
+            self._check_letter(i)
+            key = self._mul(key, i)
+        return key
+
+    def is_reduced(self, word) -> bool:
+        """A word is reduced iff each letter is an ascent of the prefix before it."""
+        key = self.keys[0]
+        for i in word:
+            self._check_letter(i)
+            if self._descent(key, i):
+                return False
+            key = self._mul(key, i)
+        return True
+
+    def all_reduced_words(self, eid: int) -> frozenset:
+        """Exhaustive set of reduced words of element ``eid`` (memoized)."""
+        memo = self._words_memo
+        got = memo.get(eid)
+        if got is None:
+            key = self.keys[eid]
+            got = memo[eid] = frozenset(
+                wd + (i,)
+                for i in range(self.generators) if self._descent(key, i)
+                for wd in self.all_reduced_words(self.index[self._mul(key, i)])
+            )
+        return got
+
+
+class WeylGroup(WordTree):
+    """Fully enumerated Weyl group of a finite type, keyed by root permutations."""
+
+    def __init__(self, lie_type: LieType, roots, simple_perms):
+        super().__init__(_PAD, len(simple_perms))
         self.lie_type = lie_type
         self.roots = roots                  # positives then negatives, same order
         self.num_positive = len(roots) // 2
         self.simple_perms = simple_perms
-        self.perms = perms                  # list[bytes], id order = (length, perm)
-        self.lengths = lengths
-        self.parents = parents              # BFS tree: parents[id], letters[id]
-        self.letters = letters
-        self.index = {p: i for i, p in enumerate(perms)}
-        self._words_memo = None
+        self.perms = self.keys              # list[bytes], id order = (length, perm)
         self._reflections = None
+
+    def _mul(self, p: bytes, i: int) -> bytes:
+        return self.simple_perms[i].translate(p)
+
+    def _descent(self, p: bytes, i: int) -> bool:
+        return p[i] >= self.num_positive     # w(alpha_i) < 0
 
     # -- construction ------------------------------------------------------
 
@@ -76,14 +173,16 @@ class WeylGroup:
         """BFS closure over the simple reflections acting on the roots.
 
         Refuses up front, from the closed-form order, a group of more than
-        ``cap`` elements; the per-level check in the BFS stays as a backstop.
+        ``cap`` elements; the per-level check in ``grow`` stays as a backstop.
         E7 is opt-in by raising the cap (cap=3_000_000): its 2.9e6 elements
         take about 30 s and 1.8 GB of padded permutation tables; E8 at 7e8
         elements is out of desk scale.
         """
         order = weyl_order(lie_type)
         if order > cap:
-            raise CapExceededError(f"{lie_type}: group of order {order} exceeds cap={cap}")
+            # |W(A2000)| has 5,700 digits, past the int-to-str limit
+            shown = order if order < 10**18 else f"above 10^{int(math.log10(order))}"
+            raise CapExceededError(f"{lie_type}: group of order {shown} exceeds cap={cap}")
 
         rs = positive_roots(lie_type)
         l = lie_type.rank
@@ -99,51 +198,12 @@ class WeylGroup:
         # simple root alpha_i sits at index i (positives sorted by height).
         assert all(roots[i] == rs.simple[i] for i in range(l))
 
-        ident = _PAD
-        perms = [ident]
-        lengths = [0]
-        parents = [-1]
-        letters = [-1]
-        index = {ident: 0}
-        frontier = [0]
-        while frontier:
-            new = {}
-            for eid in frontier:
-                p = perms[eid]
-                for i, s in enumerate(simple_perms):
-                    if p[i] >= len(pos):      # w(alpha_i) < 0: length goes down
-                        continue
-                    q = s.translate(p)        # w * s_i
-                    if q not in index and q not in new:
-                        new[q] = (eid, i)
-            if len(perms) + len(new) > cap:
-                raise CapExceededError(
-                    f"{lie_type}: group exceeds cap={cap} during generation"
-                )
-            frontier = []
-            for q in sorted(new):
-                par, i = new[q]
-                index[q] = len(perms)
-                frontier.append(len(perms))
-                perms.append(q)
-                lengths.append(lengths[par] + 1)
-                parents.append(par)
-                letters.append(i)
-
-        return cls(lie_type, tuple(roots), simple_perms, perms, lengths,
-                   parents, letters)
+        group = cls(lie_type, tuple(roots), simple_perms)
+        while group.grow(cap):
+            pass
+        return group
 
     # -- basic queries -------------------------------------------------------
-
-    def __len__(self):
-        return len(self.perms)
-
-    def word(self, eid: int) -> tuple[int, ...]:
-        out = []
-        while eid > 0:
-            out.append(self.letters[eid])
-            eid = self.parents[eid]
-        return tuple(reversed(out))
 
     def element(self, eid: int) -> WeylElement:
         return WeylElement(self.perms[eid], self.lengths[eid], self.word(eid))
@@ -164,60 +224,13 @@ class WeylGroup:
         return self.element(self.index[compose(w1.perm, w2.perm)])
 
     def act_on_word(self, word) -> WeylElement:
-        p = self.perms[0]
-        for i in word:
-            p = self.simple_perms[i].translate(p)
-        return self.element(self.index[p])
+        return self.element(self.index[self.key_of_word(word)])
 
     def inverse(self, w: WeylElement) -> WeylElement:
         return self.element(self.index[invert(w.perm)])
 
-    def right_descents(self, eid: int):
-        p = self.perms[eid]
-        return [i for i in range(self.lie_type.rank) if p[i] >= self.num_positive]
-
-    # -- reduced words -------------------------------------------------------
-
-    def iter_reduced_words(self, el):
-        """Lazy enumeration of all reduced words of ``el`` (DFS on descents)."""
-        eid = el if isinstance(el, int) else self.id_of(el)
-
-        def rec(eid, suffix):
-            if eid == 0:
-                yield tuple(suffix[::-1])
-                return
-            p = self.perms[eid]
-            for i in range(self.lie_type.rank):
-                if p[i] >= self.num_positive:
-                    down = self.index[self.simple_perms[i].translate(p)]
-                    suffix.append(i)
-                    yield from rec(down, suffix)
-                    suffix.pop()
-
-        yield from rec(eid, [])
-
     def all_reduced_words(self, el) -> frozenset:
-        """Exhaustive set of reduced words (memoized over the whole group)."""
-        eid = el if isinstance(el, int) else self.id_of(el)
-        if self._words_memo is None:
-            self._words_memo = {0: frozenset({()})}
-        memo = self._words_memo
-
-        def rec(eid):
-            got = memo.get(eid)
-            if got is not None:
-                return got
-            p = self.perms[eid]
-            acc = set()
-            for i in range(self.lie_type.rank):
-                if p[i] >= self.num_positive:
-                    down = self.index[self.simple_perms[i].translate(p)]
-                    for wd in rec(down):
-                        acc.add(wd + (i,))
-            memo[eid] = frozenset(acc)
-            return memo[eid]
-
-        return rec(eid)
+        return super().all_reduced_words(el if isinstance(el, int) else self.id_of(el))
 
     # -- Bruhat covers ---------------------------------------------------------
 

@@ -6,7 +6,6 @@ from todalab.affine import (
     AffineWeylGroup,
     RationalFunction,
     TruncatedSeries,
-    affine_eta,
     element_count,
     length_by_inversions,
     p_series,
@@ -19,7 +18,7 @@ from todalab.errors import (
     ValidationError,
 )
 from todalab.rootdata import LieType
-from todalab.signflow import reflect_sign
+from todalab.signflow import eta, reflect_sign
 
 
 def A(l):
@@ -53,7 +52,11 @@ class TestEnumeration:
 
     def test_length_formula_is_bfs_depth(self, aff2):
         for eid in range(len(aff2.windows)):
-            assert length_by_inversions(aff2.windows[eid]) == aff2.lengths[eid]
+            win = aff2.windows[eid]
+            assert length_by_inversions(win) == aff2.lengths[eid]
+            for k in range(aff2.n):
+                down = length_by_inversions(aff2._mul(win, k))
+                assert aff2._descent(win, k) == (down < aff2.lengths[eid])
 
     def test_decomposition_roundtrip(self, aff2):
         n = aff2.n
@@ -102,22 +105,22 @@ class TestAffineEta:
     def test_eta_equals_length_a1(self, aff1):
         for eid in range(len(aff1.windows)):
             el = aff1.element(eid)
-            assert affine_eta(aff1.cartan, el, (-1, -1)) == el.length
+            assert eta(aff1.cartan, el, (-1, -1)) == el.length
 
     def test_identity(self, aff1):
-        assert affine_eta(aff1.cartan, (), (-1, -1)) == 0
+        assert eta(aff1.cartan, (), (-1, -1)) == 0
 
     def test_word_independence_exhaustive_to_length_8(self, aff2):
         eps = (-1, -1, 1)
         for eid in range(len(aff2.windows)):
             if aff2.lengths[eid] <= 8:
-                vals = {affine_eta(aff2.cartan, w, eps)
-                        for w in aff2.iter_reduced_words(eid)}
+                vals = {eta(aff2.cartan, w, eps)
+                        for w in aff2.all_reduced_words(eid)}
                 assert len(vals) == 1
 
     def test_verify_reduced(self, aff1):
         with pytest.raises(NonReducedWordError):
-            affine_eta(aff1.cartan, (0, 0), (-1, -1), group=aff1, verify_reduced=True)
+            eta(aff1.cartan, (0, 0), (-1, -1), group=aff1, verify_reduced=True)
 
     def test_sign_braid_relations(self, aff2):
         C = aff2.cartan

@@ -1,6 +1,10 @@
+import io
 import json
+import time
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from todalab.cli import main
 
@@ -158,8 +162,15 @@ class TestErrorsAndPlumbing:
 
     @pytest.mark.parametrize("argv", [
         ("pq", "--type", "E8"),
+        ("pq", "--type", "A2000"),
         ("ode", "--type", "A1", "--a", "1", "--b", "0", "--t1", "1e12"),
         ("affine", "--rank", "40", "--lmax", "5"),
+        ("affine", "--rank", "2000", "--lmax", "1"),
+        ("schur", "--type", "A11"),
+        ("schur", "--type", "A5", "--experiment", "real-roots"),
+        ("schur", "--type", "G2", "--experiment", "real-roots", "--samples", "100000"),
+        ("chevalley", "--type", "A2000", "--q", "3"),
+        ("chevalley", "--type", "A1", "--q", "1000000000000000003"),
     ])
     def test_oversize_input_refused_exit_2(self, capsys, argv):
         code, out, err = run(capsys, *argv)
@@ -173,6 +184,7 @@ class TestErrorsAndPlumbing:
         ("schur", "--type", "A2", "--cap", "5"),
         ("affine", "--rank", "1", "--cache-dir", "x"),
         ("chevalley", "--type", "A2", "--format", "text"),
+        ("verify", "--include-e7"),
     ])
     def test_removed_flags_are_validation_errors(self, capsys, argv):
         code, out, err = run(capsys, *argv)
@@ -252,3 +264,72 @@ def test_verify_out_file_is_json_only(tmp_path, capsys):
     assert out == ""  # stdout is used only when --out is absent
     doc = json.loads(target.read_text())
     assert doc["failed"] == 0 and doc["passed"] == 13
+
+
+# -- CLI contract: every argv gives a result or a stable error, quickly --------
+
+TYPES = ["A1", "A2", "A3", "A4", "A5", "B2", "B3", "C3", "D5", "G2", "F4", "E6", "E7",
+         "E8", "A12", "A40", "A2000", "A2(1)", "Q9", "A0", ""]
+SIGNS = ["-", "+", "--", "-+", "+-+", "---", "----", "-++-+-", "", "+x"]
+NUMBERS = ["1", "0", "-1", "1,1", "-1,-1", "1e308", "nan", "abc", ""]
+JUNK = ["--bogus", "junk", "--", "-x", "--cap=abc"]
+
+
+def _tokens(spec):
+    """Each option absent or present with a drawn value (a switch has none)."""
+    parts = []
+    for flag, values in spec.items():
+        present = (st.just([flag]) if values is None
+                   else st.sampled_from(values).map(lambda v, f=flag: [f, v]))
+        parts.append(st.one_of(st.just([]), present))
+    return st.tuples(*parts).map(lambda ps: [tok for p in ps for tok in p])
+
+
+def _group_command(name, formats):
+    return st.tuples(
+        st.just([name, "--type"]), st.sampled_from(TYPES).map(lambda t: [t]),
+        st.integers(-5, 2000).map(lambda c: ["--cap", str(c)]),
+        _tokens({"--sign": SIGNS, "--format": formats}),
+    )
+
+
+COMMANDS = st.one_of(
+    _group_command("pq", ["json", "text", "csv"]),
+    _group_command("eta", ["json", "csv", "text", "dot"]),
+    _group_command("graph", ["json", "dot", "text"]),
+    st.tuples(st.just(["schur", "--type"]), st.sampled_from(TYPES).map(lambda t: [t]),
+              _tokens({"--experiment": ["real-roots", "x"],
+                       "--samples": ["-1", "0", "1", "3", "100000", "x"],
+                       "--seed": ["0", "7", "-2"], "--hirota": None})),
+    st.tuples(st.just(["affine", "--rank"]),
+              st.sampled_from(["-1", "0", "1", "2", "3", "12", "40", "2000", "x"]).map(
+                  lambda r: [r]),
+              _tokens({"--lmax": ["-1", "0", "3", "8", "41", "x"],
+                       "--sign": SIGNS, "--guess": None})),
+    st.tuples(st.just(["ode", "--type"]), st.sampled_from(TYPES).map(lambda t: [t]),
+              st.tuples(st.sampled_from(NUMBERS), st.sampled_from(NUMBERS)).map(
+                  lambda ab: ["--a", ab[0], "--b", ab[1]]),
+              _tokens({"--t0": ["0", "-3", "nan"], "--t1": ["5", "-3", "0", "1e12", "x"],
+                       "--format": ["json", "csv", "dot"]})),
+    st.tuples(st.just(["chevalley", "--type"]), st.sampled_from(TYPES).map(lambda t: [t]),
+              _tokens({"--q": ["-3", "0", "1", "2", "3", "5", "9", "25",
+                               "1000000000000000003", "x"],
+                       "--brute": None})),
+    st.tuples(st.just(["verify"]), _tokens({"--scope": ["fast", "x"]})),
+    st.tuples(st.just(["conventions"]), _tokens({"--bogus": None})),
+).map(lambda parts: [tok for p in parts for tok in p])
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(argv=COMMANDS, junk=st.lists(st.sampled_from(JUNK), max_size=1))
+def test_cli_contract(argv, junk):
+    argv = argv + junk
+    start = time.perf_counter()
+    with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()) as err:
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # only argparse's own exits may escape
+            code = exc.code
+    assert code in (0, 1, 2), (argv, code, err.getvalue())
+    assert "Traceback" not in err.getvalue()
+    assert time.perf_counter() - start < 5, argv
