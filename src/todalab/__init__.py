@@ -7,6 +7,8 @@ affine sign dynamics for the A(1) family, and a numerical verification
 layer for the type-A flow.
 """
 
+import importlib
+
 from .rootdata import (
     LieType,
     CompactDual,
@@ -50,6 +52,12 @@ from .schurtau import (
     real_root_count_experiment,
 )
 from .affine import AffineWeylGroup, p_series, rational_guess
-from . import numtoda
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name):
+    """Import ``numtoda`` (and with it numpy and scipy) on first access only."""
+    if name == "numtoda":
+        return importlib.import_module(f"{__name__}.numtoda")
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -11,8 +11,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import AssumptionViolatedError, CapExceededError, InvalidQError
 from .exact import UniPoly
 from .rootdata import LieType, compact_dual_info
@@ -118,6 +116,8 @@ def brute_force_so_order(n: int, q: int) -> int:
     as in the circle example); n=3 checks A^T A = I and det A = 1 over all
     q^9 matrices.
     """
+    import numpy as np  # the exact commands never load numpy
+
     check_odd_prime_power(q)
     if n == 2:
         if q > SO2_CAP:
@@ -141,6 +141,8 @@ def brute_force_so_order(n: int, q: int) -> int:
 
 def _so3_enumerate(q: int) -> int:
     """Walk all q^9 matrices over F_q in vectorized batches."""
+    import numpy as np
+
     eye = np.eye(3, dtype=np.int64)
     total = 0
     batch = q ** 6

@@ -15,7 +15,7 @@ import io
 import json
 import sys
 
-from . import __version__, numtoda
+from . import __version__
 from .affine import AffineWeylGroup, p_series, rational_guess
 from .blowup_poly import (
     brute_force_so_order,
@@ -35,7 +35,6 @@ from .schurtau import (
 from .signflow import all_minus, eta_table, format_signs, parse_signs
 from .todagraph import build_graph, graph_to_dict, matching_report, to_dot
 from .weyl import DEFAULT_CAP, WeylGroup
-from . import verify as verify_mod
 
 SCHEMA_VERSION = 1
 
@@ -199,6 +198,8 @@ def _floats(text: str, flag: str) -> list[float]:
 
 
 def cmd_ode(args):
+    from . import numtoda  # numpy and scipy load for this command only
+
     t = LieType.parse(args.type)
     a0 = _floats(args.a, "--a")
     b0 = _floats(args.b, "--b")
@@ -264,7 +265,9 @@ def cmd_chevalley(args):
 
 
 def cmd_verify(args):
-    results = verify_mod.run(args.scope)
+    from . import verify  # imports numtoda, hence numpy and scipy
+
+    results = verify.run(args.scope)
     n_fail = sum(1 for r in results if not r.passed)
     if args.out:
         payload = {

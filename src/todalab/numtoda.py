@@ -33,6 +33,9 @@ EIGEN_GAP = 1e-6
 DIVERGENCE_DELTA = 1e-8  # blow-up when |a_i| exceeds 1/delta
 BISECT_TOL = 1e-10
 MAX_TIME_SPAN = 1e3  # |t1 - t0| above this is refused before integrating
+# rank above this is refused before any work: type A sums 2^(l+1) Cauchy-Binet
+# terms for the tau minors (A12 0.6 s, A14 1.4 s, A16 4.3 s in-process)
+MAX_RANK = 14
 
 
 def lax_matrix(b, a) -> np.ndarray:
@@ -295,9 +298,11 @@ def ode_integrate(t: LieType, a0, b0, t_span=(0.0, 10.0), rtol=1e-10, atol=1e-10
 
     Integration stops (status 'blow-up') when any |a_i| reaches 1/delta.  A
     solver failure without divergence raises StepCollapseError (suspected
-    stiff region).  Spans longer than MAX_TIME_SPAN raise CapExceededError
-    before integrating.
+    stiff region).  Ranks above MAX_RANK and spans longer than MAX_TIME_SPAN
+    raise CapExceededError before integrating.
     """
+    if t.rank > MAX_RANK:
+        raise CapExceededError(f"{t}: rank {t.rank} exceeds the cap {MAX_RANK}")
     a0 = np.asarray(a0, dtype=float)
     b0 = np.asarray(b0, dtype=float)
     l = t.rank

@@ -283,6 +283,18 @@ def weyl_order(t: LieType) -> int:
     return {"E6": 51840, "E7": 2903040, "E8": 696729600, "F4": 1152, "G2": 12}[str(t)]
 
 
+def weyl_order_log10(t: LieType) -> float:
+    """log10 |W| from ``math.lgamma``, without forming |W| (for A1000000
+    the exact factorial has 5.6 million digits)."""
+    _require_finite(t)
+    s, l = t.series, t.rank
+    if s == "A":
+        return math.lgamma(l + 2) / math.log(10)
+    if s in ("B", "C", "D"):
+        return (l - (s == "D")) * math.log10(2) + math.lgamma(l + 1) / math.log(10)
+    return math.log10(weyl_order(t))
+
+
 @dataclass(frozen=True)
 class RootSystem:
     """Positive roots (coordinates in the simple-root basis), simples first."""

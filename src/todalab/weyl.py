@@ -14,7 +14,14 @@ import math
 from dataclasses import dataclass
 
 from .errors import CapExceededError, ValidationError
-from .rootdata import LieType, cartan_matrix, positive_roots, reflect_root, weyl_order
+from .rootdata import (
+    LieType,
+    cartan_matrix,
+    positive_roots,
+    reflect_root,
+    weyl_order,
+    weyl_order_log10,
+)
 
 DEFAULT_CAP = 1_000_000
 
@@ -178,11 +185,15 @@ class WeylGroup(WordTree):
         take about 30 s and 1.8 GB of padded permutation tables; E8 at 7e8
         elements is out of desk scale.
         """
+        log_order = weyl_order_log10(lie_type)
+        if log_order >= 18:  # A19+, B16+, C16+, D17+: over 255 roots; |W| is not formed
+            if log_order > math.log10(max(cap, 1)):
+                raise CapExceededError(
+                    f"{lie_type}: group of order above 10^{int(log_order)} exceeds cap={cap}")
+            raise CapExceededError(f"{lie_type}: root system too large for byte keys")
         order = weyl_order(lie_type)
         if order > cap:
-            # |W(A2000)| has 5,700 digits, past the int-to-str limit
-            shown = order if order < 10**18 else f"above 10^{int(math.log10(order))}"
-            raise CapExceededError(f"{lie_type}: group of order {shown} exceeds cap={cap}")
+            raise CapExceededError(f"{lie_type}: group of order {order} exceeds cap={cap}")
 
         rs = positive_roots(lie_type)
         l = lie_type.rank

@@ -1,11 +1,17 @@
+import importlib
 import io
 import json
+import os
+import subprocess
+import sys
 import time
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import todalab
 from todalab.cli import main
 
 
@@ -171,9 +177,16 @@ class TestErrorsAndPlumbing:
         ("schur", "--type", "G2", "--experiment", "real-roots", "--samples", "100000"),
         ("chevalley", "--type", "A2000", "--q", "3"),
         ("chevalley", "--type", "A1", "--q", "1000000000000000003"),
+        ("pq", "--type", "A1000000"),
+        ("ode", "--type", "A15", "--a", ",".join(["1"] * 15), "--b", ",".join(["0"] * 15)),
+        ("ode", "--type", "A2000", "--a", ",".join(["1"] * 2000),
+         "--b", ",".join(["0"] * 2000)),
     ])
     def test_oversize_input_refused_exit_2(self, capsys, argv):
+        importlib.import_module("todalab.numtoda")  # time the refusal, not scipy's import
+        start = time.perf_counter()
         code, out, err = run(capsys, *argv)
+        assert time.perf_counter() - start < 1.0
         assert code == 2
         assert err.startswith("error [cap-exceeded]: ")
         assert "Traceback" not in err
@@ -242,6 +255,56 @@ class TestErrorsAndPlumbing:
     def test_conventions(self, capsys):
         doc = run_json(capsys, "conventions")
         assert doc["types"]["G2"]["cartan"] == [[2, -1], [-3, 2]]
+
+
+# Exact commands, successful and refused; none may load numpy or scipy.
+EXACT_COMMANDS = [
+    ["pq", "--type", "A2"],
+    ["pq", "--type", "E7"],
+    ["eta", "--type", "G2", "--format", "csv"],
+    ["graph", "--type", "A3", "--format", "dot"],
+    ["schur", "--type", "B2", "--hirota"],
+    ["schur", "--type", "G2", "--experiment", "real-roots", "--samples", "3"],
+    ["affine", "--rank", "1", "--lmax", "6", "--guess"],
+    ["chevalley", "--type", "A2", "--q", "5"],
+    ["conventions"],
+]
+
+IMPORT_BOUNDARY = """
+import contextlib, io, json, sys
+import todalab, todalab.cli
+
+def run(argv):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        return todalab.cli.main(argv)
+
+def heavy():
+    return sorted(m for m in sys.modules if m.partition(".")[0] in ("numpy", "scipy"))
+
+print(json.dumps([run(argv) for argv in json.loads(sys.argv[1])]))
+print(json.dumps(heavy()))
+print(callable(todalab.numtoda.ode_integrate))
+print(run(["ode", "--type", "A1", "--a", "1", "--b", "0"]),
+      run(["chevalley", "--type", "A1", "--q", "5", "--brute"]), bool(heavy()))
+"""
+
+
+def test_numpy_and_scipy_load_only_for_numerical_commands():
+    src = str(Path(todalab.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-c", IMPORT_BOUNDARY, json.dumps(EXACT_COMMANDS)],
+                          capture_output=True, text=True, timeout=120,
+                          env={**os.environ, "PYTHONPATH": src})
+    assert proc.returncode == 0, proc.stderr
+    codes, loaded, resolves, numeric = proc.stdout.splitlines()
+    assert json.loads(codes) == [0, 2, 0, 0, 0, 0, 0, 0, 0]
+    assert json.loads(loaded) == []
+    assert resolves == "True"
+    assert numeric == "0 0 True"
+
+
+def test_package_getattr_rejects_unknown_names():
+    with pytest.raises(AttributeError, match="no_such_module"):
+        todalab.no_such_module
 
 
 def test_verify_rejects_bad_scope(capsys):

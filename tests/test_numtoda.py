@@ -5,7 +5,12 @@ import pytest
 from scipy.linalg import expm
 
 from todalab import numtoda
-from todalab.errors import DegenerateSpectrumError, GridUnstableError, ValidationError
+from todalab.errors import (
+    CapExceededError,
+    DegenerateSpectrumError,
+    GridUnstableError,
+    ValidationError,
+)
 from todalab.rootdata import LieType
 
 
@@ -170,6 +175,12 @@ class TestOde:
     def test_validates_shapes(self):
         with pytest.raises(ValidationError):
             numtoda.ode_integrate(LieType("A", 2), [1.0], [0.0], (0.0, 1.0))
+
+    @pytest.mark.parametrize("series", "ABD")
+    def test_rank_cap_refuses_before_integrating(self, series):
+        l = numtoda.MAX_RANK + 1
+        with pytest.raises(CapExceededError, match=f"rank {l} exceeds the cap"):
+            numtoda.ode_integrate(LieType(series, l), [1.0] * l, [0.0] * l, (0.0, 1.0))
 
 
 class TestTauOdeConsistency:

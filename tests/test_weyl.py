@@ -3,7 +3,14 @@ import math
 import pytest
 
 from todalab.errors import CapExceededError
-from todalab.rootdata import LieType, cartan_matrix, positive_roots, symmetrizer, weyl_order
+from todalab.rootdata import (
+    LieType,
+    cartan_matrix,
+    positive_roots,
+    symmetrizer,
+    weyl_order,
+    weyl_order_log10,
+)
 from todalab.weyl import WeylGroup
 
 CLOSED_ORDERS = {
@@ -196,6 +203,20 @@ class TestCapsAndDeterminism:
     def test_tiny_cap(self):
         with pytest.raises(CapExceededError):
             WeylGroup.generate(LieType.parse("A3"), cap=10)
+
+    def test_order_log10_gives_the_digit_count(self):
+        types = [LieType(s, l) for s, lo in (("A", 1), ("B", 2), ("C", 2), ("D", 3))
+                 for l in range(lo, 400)]
+        types += [LieType.parse(name) for name in ("E6", "E7", "E8", "F4", "G2")]
+        for t in types:
+            assert int(weyl_order_log10(t)) == len(str(weyl_order(t))) - 1, t
+
+    def test_huge_groups_refused_from_the_log_order(self):
+        with pytest.raises(CapExceededError, match=r"above 10\^5565714 exceeds cap"):
+            WeylGroup.generate(LieType("A", 10**6))
+        # a cap above |W| still cannot build a root system of over 255 roots
+        with pytest.raises(CapExceededError, match="byte keys"):
+            WeylGroup.generate(LieType("A", 20), cap=10**30)
 
     def test_regeneration_is_deterministic(self):
         a = WeylGroup.generate(LieType.parse("B3"))
