@@ -3,8 +3,8 @@
 The package computes blow-up counts from Weyl-group sign dynamics, the
 blow-up polynomial p(q) and its finite-Chevalley-group factorization,
 blow-up graphs, Wronskian Schur tau functions with real-root experiments,
-affine sign dynamics for the A(1) family, and a numerical verification
-layer for the type-A flow.
+affine sign dynamics for the untwisted affine types, and a numerical
+verification layer for the type-A flow.
 """
 
 import importlib

@@ -1,13 +1,14 @@
-"""Affine Weyl group sign dynamics for the untwisted A series.
+"""Affine Weyl group sign dynamics for the untwisted affine types X_l(1).
 
-Elements are affine permutations: bijections w of Z with w(i+n) = w(i)+n
-(n = l+1) and sum(w(1..n)) = sum(1..n).  The window (w(1),...,w(n)) is a
-canonical key; the breadth-first word tree shared with the finite groups
-(``weyl.WordTree``) enumerates the group by length and hands every element
-a witness reduced word.  The sign action uses the extended Cartan matrix
-with the same word rule as the finite case, and the alternating sum of
-q^eta becomes a power series whose low coefficients stabilize as the
-length cutoff grows.
+An element w is keyed by the Dynkin labels m of w^{-1} rho (the numbers
+game, Bjorner-Brenti ch. 4): the identity is (1, ..., 1), w * s_i has
+m_j - m_i * C[i][j] with C the extended Cartan matrix, and s_i is a right
+descent of w exactly when m_i < 0.  The breadth-first word tree shared with
+the finite groups (``weyl.WordTree``) enumerates the group by length and
+hands every element a witness reduced word; every level is checked against
+Bott's formula.  The sign action uses the extended Cartan matrix with the
+same word rule as the finite case, and the alternating sum of q^eta becomes
+a power series whose low coefficients stabilize as the length cutoff grows.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from functools import cached_property
 
 from .errors import CapExceededError, InsufficientDataError, ValidationError
 from .exact import format_poly, solve
-from .rootdata import LieType, extended_cartan
+from .rootdata import LieType, extended_cartan, weyl_degrees
 from .signflow import format_signs, propagate
 from .weyl import WordTree
 
@@ -29,13 +30,11 @@ MAX_RANK = 20  # rank 20 through lmax 5: 65,780 elements
 
 @dataclass(frozen=True)
 class AffineElement:
-    """An affine permutation with its semidirect-product coordinates."""
+    """A group element: its Dynkin-label key plus length data."""
 
-    window: tuple[int, ...]       # (w(1), ..., w(n)); canonical key
-    perm: tuple[int, ...]         # finite part: w(i) mod n, ranked to 1..n
-    translation: tuple[int, ...]  # (w(i) - perm(i)) / n; sums to zero
+    labels: tuple[int, ...]  # Dynkin labels of w^{-1} rho; canonical key
     length: int
-    word: tuple[int, ...]         # witness reduced word over 0..l
+    word: tuple[int, ...]    # witness reduced word over 0..l
 
     def __str__(self):
         if not self.word:
@@ -45,80 +44,48 @@ class AffineElement:
         return "".join(str(i) for i in self.word)
 
 
-def _decompose(window):
-    n = len(window)
-    perm = []
-    trans = []
-    for v in window:
-        m = v % n
-        residue = n if m == 0 else m
-        perm.append(residue)
-        trans.append((v - residue) // n)
-    return tuple(perm), tuple(trans)
-
-
-def length_by_inversions(window) -> int:
-    """Coxeter length from the affine inversion formula (independent oracle).
-
-    l(w) = sum over 1 <= i < j <= n of |floor((w(j) - w(i)) / n)|.
-    """
-    n = len(window)
-    total = 0
-    for i in range(n):
-        for j in range(i + 1, n):
-            total += abs((window[j] - window[i]) // n)
-    return total
-
-
-def _apply_right(window, k):
-    """Window of w * s_k (generators k = 0..l)."""
-    n = len(window)
-    w = list(window)
-    if k == 0:
-        # s_0 swaps positions 0 <-> 1 modulo n-periodicity
-        w[0], w[n - 1] = w[n - 1] - n, w[0] + n
-    else:
-        w[k - 1], w[k] = w[k], w[k - 1]
-    return tuple(w)
-
-
-def element_count(rank: int, lmax: int) -> int:
-    """Number of elements of length <= lmax in the affine Weyl group of
-    A(1)_rank, from Bott's formula
-    W_aff(q) = prod_{i=1}^{l} (1 - q^{i+1}) / ((1 - q)(1 - q^i))."""
+def bott_counts(lie_type: LieType, lmax: int) -> list[int]:
+    """Number of elements of each length 0..lmax in the affine Weyl group of
+    X_l(1), X_l the finite part of ``lie_type``, from Bott's formula
+    W_aff(q) = prod_i (1 - q^{d_i}) / ((1 - q)(1 - q^{d_i - 1})) over the
+    degrees d_i of W(X_l)."""
     c = [1] + [0] * lmax
-    for i in range(1, rank + 1):
-        for k in range(lmax, i, -1):      # * (1 - q^{i+1})
-            c[k] -= c[k - i - 1]
+    for d in weyl_degrees(LieType(lie_type.series, lie_type.rank)):
+        for k in range(lmax, d - 1, -1):  # * (1 - q^d)
+            c[k] -= c[k - d]
         for k in range(1, lmax + 1):      # / (1 - q)
             c[k] += c[k - 1]
-        for k in range(i, lmax + 1):      # / (1 - q^i)
-            c[k] += c[k - i]
-    return sum(c)
+        for k in range(d - 1, lmax + 1):  # / (1 - q^{d-1})
+            c[k] += c[k - d + 1]
+    return c
+
+
+def element_count(lie_type: LieType, lmax: int) -> int:
+    """Number of elements of length <= lmax (Bott's formula)."""
+    return sum(bott_counts(lie_type, lmax))
 
 
 class AffineWeylGroup(WordTree):
-    """Length-graded enumeration of the affine Weyl group of A(1)_l."""
+    """Length-graded enumeration of an untwisted affine Weyl group."""
 
     def __init__(self, lie_type: LieType):
-        if not (lie_type.affine and lie_type.series == "A"):
-            raise ValidationError(f"expected an affine A type, got {lie_type}")
+        if not lie_type.affine:
+            raise ValidationError(f"expected an affine type, got {lie_type}")
         self.lie_type = lie_type
         self.rank = lie_type.rank
-        self.n = lie_type.rank + 1
-        super().__init__(tuple(range(1, self.n + 1)), self.n)
-        self.windows = self.keys
+        super().__init__((1,) * (lie_type.rank + 1), lie_type.rank + 1)
+        self.windows = self.keys  # perfbench/tracing.py counts elements by this name
 
     @cached_property
     def cartan(self):
         return extended_cartan(self.lie_type)
 
-    def _mul(self, win, k):
-        return _apply_right(win, k)
+    def _mul(self, m, i):
+        mi = m[i]
+        return tuple(mj - mi * c for mj, c in zip(m, self.cartan[i]))
 
-    def _descent(self, win, k):
-        # w(k) > w(k+1), with w(0) = w(n) - n (Bjorner-Brenti 8.3)
-        return (win[k - 1] if k else win[-1] - self.n) > win[k]
+    def _descent(self, m, i):
+        return m[i] < 0
 
     def extend_to(self, lmax: int, cap: int = DEFAULT_LMAX_CAP):
         if lmax < 0:
@@ -128,22 +95,21 @@ class AffineWeylGroup(WordTree):
                 f"{self.lie_type}: affine rank {self.rank} exceeds the cap {MAX_RANK}")
         if lmax > cap:
             raise CapExceededError(f"affine enumeration capped at Lmax<={cap}")
-        count = element_count(self.rank, lmax)
-        if count > MAX_ELEMENTS:
+        counts = bott_counts(self.lie_type, lmax)
+        if sum(counts) > MAX_ELEMENTS:
             raise CapExceededError(
-                f"{self.lie_type} has {count} elements of length <= {lmax}, "
+                f"{self.lie_type} has {sum(counts)} elements of length <= {lmax}, "
                 f"over the cap {MAX_ELEMENTS}")
         while self.lengths[-1] < lmax:
-            start = len(self.windows)
+            start = len(self.keys)
             self.grow()
-            for eid in range(start, len(self.windows)):
-                # BFS depth must agree with the affine inversion formula
-                assert self.lengths[eid] == length_by_inversions(self.windows[eid])
+            # each level must have the size Bott's formula gives
+            assert len(self.keys) - start == counts[self.lengths[-1]]
         return self
 
     def elements_by_length(self, lmax: int) -> list[AffineElement]:
         self.extend_to(lmax)
-        return [self.element(i) for i in range(len(self.windows))
+        return [self.element(i) for i in range(len(self.keys))
                 if self.lengths[i] <= lmax]
 
     def count_per_length(self, lmax: int) -> list[int]:
@@ -155,12 +121,7 @@ class AffineWeylGroup(WordTree):
         return out
 
     def element(self, eid: int) -> AffineElement:
-        win = self.windows[eid]
-        perm, trans = _decompose(win)
-        return AffineElement(win, perm, trans, self.lengths[eid], self.word(eid))
-
-    def evaluate_word(self, word) -> tuple[int, ...]:
-        return self.key_of_word(word)
+        return AffineElement(self.keys[eid], self.lengths[eid], self.word(eid))
 
 
 @dataclass(frozen=True)
@@ -208,8 +169,8 @@ def p_series(t: LieType, eps, lmax: int, group: AffineWeylGroup | None = None,
     eps = tuple(eps)
     if group is None:
         group = AffineWeylGroup(t)
-    if len(eps) != group.n:
-        raise ValidationError(f"affine sign vector must have length {group.n}")
+    if len(eps) != group.generators:
+        raise ValidationError(f"affine sign vector must have length {group.generators}")
     group.extend_to(lmax, cap=cap)
     etas, _ = propagate(group.cartan, group.parents, group.letters, eps)
     coeffs = {}

@@ -15,8 +15,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import solve_ivp
-from scipy.linalg import expm
 
 from .errors import (
     CapExceededError,
@@ -148,6 +146,8 @@ class TauMinors:
                 for k, tk in enumerate(higher_times, start=2):
                     P = P @ self.L0
                     M = M + tk * P
+            from scipy.linalg import expm
+
             g = expm(M)
             return np.array([np.linalg.det(g[:j, :j]) for j in range(1, self.n)])
         if not higher_times:
@@ -303,6 +303,7 @@ def ode_integrate(t: LieType, a0, b0, t_span=(0.0, 10.0), rtol=1e-10, atol=1e-10
     """
     if t.rank > MAX_RANK:
         raise CapExceededError(f"{t}: rank {t.rank} exceeds the cap {MAX_RANK}")
+    C = cartan_matrix(t)
     a0 = np.asarray(a0, dtype=float)
     b0 = np.asarray(b0, dtype=float)
     l = t.rank
@@ -317,6 +318,8 @@ def ode_integrate(t: LieType, a0, b0, t_span=(0.0, 10.0), rtol=1e-10, atol=1e-10
     if abs(t1 - t0) > MAX_TIME_SPAN:
         raise CapExceededError(
             f"time span |t1 - t0| = {abs(t1 - t0):g} exceeds the cap {MAX_TIME_SPAN:g}")
+    from scipy.integrate import solve_ivp  # after the checks: a refusal costs no scipy import
+
     threshold = 1.0 / delta
 
     def divergence(_t, y):
@@ -328,7 +331,7 @@ def ode_integrate(t: LieType, a0, b0, t_span=(0.0, 10.0), rtol=1e-10, atol=1e-10
     t_eval = np.linspace(t_span[0], t_span[1], max_points)
     # overflow inside a collapsing step is reported as StepCollapseError below
     with np.errstate(over="ignore", invalid="ignore"):
-        sol = solve_ivp(toda_rhs(cartan_matrix(t)), t_span, y0, method="RK45",
+        sol = solve_ivp(toda_rhs(C), t_span, y0, method="RK45",
                         rtol=rtol, atol=atol, events=[divergence], t_eval=t_eval,
                         dense_output=False)
     if sol.status == -1:

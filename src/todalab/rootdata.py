@@ -11,7 +11,9 @@ Conventions (they matter: eta values and tau labels depend on the node order):
   fork nodes are l-1 and l, attached to node l-2.  In E_l node 2 hangs off
   node 4 of the chain 1-3-4-5-...-l.  F4 has C[2][3] = -2.  In G2 node 1 is
   short.
-* The only affine family carried here is untwisted A, written ``A1(1)`` etc.
+* Affine types are the untwisted X_l(1), written ``A2(1)``, ``G2(1)`` etc.
+  Their extended Cartan matrix puts node 0 first, alpha_0 = delta - theta
+  with theta the highest root; the other nodes keep the finite numbering.
 
 Everything in this module is exact: integer matrices, Fraction inverses.
 """
@@ -46,8 +48,6 @@ class LieType:
             raise ValidationError(
                 f"rank {self.rank} out of range [{lo},{hi}] for series {self.series}"
             )
-        if self.affine and self.series != "A":
-            raise UnsupportedTypeError("affine support is limited to the A series")
 
     @classmethod
     def parse(cls, text: str) -> "LieType":
@@ -114,26 +114,33 @@ def cartan_matrix(t: LieType) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(row) for row in C)
 
 
+def _highest_root(t: LieType):
+    """The finite Cartan matrix C, its symmetrizer d and the highest root
+    theta of an affine type.  theta is long, so (theta, theta) = 2 max(d)
+    in the form (alpha_i, alpha_j) = C[i][j] * d_j."""
+    if not t.affine:
+        raise UnsupportedTypeError(f"expected an untwisted affine type, got {t}")
+    finite = LieType(t.series, t.rank)
+    return cartan_matrix(finite), symmetrizer(finite), positive_roots(finite).positive[-1]
+
+
 def extended_cartan(t: LieType) -> tuple[tuple[int, ...], ...]:
-    """The (l+1) x (l+1) extended Cartan matrix of untwisted affine A_l."""
-    if not t.affine or t.series != "A":
-        raise UnsupportedTypeError(f"extended Cartan matrix only provided for A(1) types, got {t}")
-    l = t.rank
-    if l == 1:
-        return ((2, -2), (-2, 2))
-    n = l + 1
-    C = [[2 if i == j else 0 for j in range(n)] for i in range(n)]
-    for i in range(n):
-        C[i][(i + 1) % n] = -1
-        C[i][(i - 1) % n] = -1
-    return tuple(tuple(row) for row in C)
+    """The (l+1) x (l+1) extended Cartan matrix of the untwisted affine type t.
+
+    Row 0 is -<theta, alpha_j^vee>; column 0 is -<alpha_i, theta^vee>
+    = -2 (alpha_i, theta) / (theta, theta) = -(alpha_i, theta) / max(d).
+    """
+    C, d, theta = _highest_root(t)
+    row0 = (2,) + tuple(-sum(th * row[j] for th, row in zip(theta, C)) for j in range(t.rank))
+    col0 = (-sum(c * dj * th for c, dj, th in zip(row, d, theta)) // max(d) for row in C)
+    return (row0,) + tuple((c0,) + row for c0, row in zip(col0, C))
 
 
 def affine_marks(t: LieType) -> tuple[int, ...]:
-    """Null vector of the extended Cartan matrix (all ones for A(1))."""
-    if not t.affine or t.series != "A":
-        raise UnsupportedTypeError(f"marks only provided for A(1) types, got {t}")
-    return (1,) * (t.rank + 1)
+    """The comarks: the null vector m of the extended Cartan matrix (C m = 0)
+    with m_0 = 1, i.e. the coordinates of theta^vee in the simple coroots."""
+    _, d, theta = _highest_root(t)
+    return (1,) + tuple(th * dj // max(d) for th, dj in zip(theta, d))
 
 
 def langlands_dual(t: LieType) -> LieType:
@@ -269,18 +276,25 @@ def compact_dual_info(t: LieType) -> CompactDual:
     return info
 
 
-def weyl_order(t: LieType) -> int:
-    """|W|, the product of the Weyl-group invariant degrees (not the
-    compact-dual degrees of ``compact_dual_info``)."""
+def weyl_degrees(t: LieType) -> tuple[int, ...]:
+    """Degrees of the basic Weyl-group invariants, ascending (not the
+    compact-dual degrees of ``compact_dual_info``).  Their product is |W| and
+    the largest is the Coxeter number."""
     _require_finite(t)
     s, l = t.series, t.rank
     if s == "A":
-        return math.factorial(l + 1)
+        return tuple(range(2, l + 2))
     if s in ("B", "C"):
-        return 2 ** l * math.factorial(l)
+        return tuple(range(2, 2 * l + 1, 2))
     if s == "D":
-        return 2 ** (l - 1) * math.factorial(l)
-    return {"E6": 51840, "E7": 2903040, "E8": 696729600, "F4": 1152, "G2": 12}[str(t)]
+        return tuple(sorted([*range(2, 2 * l - 1, 2), l]))
+    return {"E6": (2, 5, 6, 8, 9, 12), "E7": (2, 6, 8, 10, 12, 14, 18),
+            "E8": (2, 8, 12, 14, 18, 20, 24, 30), "F4": (2, 6, 8, 12), "G2": (2, 6)}[str(t)]
+
+
+def weyl_order(t: LieType) -> int:
+    """|W|, the product of the Weyl-group degrees."""
+    return math.prod(weyl_degrees(t))
 
 
 def weyl_order_log10(t: LieType) -> float:

@@ -298,7 +298,7 @@ def check_affine(groups, scope):
     g = AffineWeylGroup(t)
     g.extend_to(12)
     bad = []
-    for eid in range(len(g.windows)):
+    for eid in range(len(g)):
         if g.lengths[eid] <= 12:
             el = g.element(eid)
             if eta(g.cartan, el, (-1, -1)) != el.length:

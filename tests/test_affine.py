@@ -6,8 +6,8 @@ from todalab.affine import (
     AffineWeylGroup,
     RationalFunction,
     TruncatedSeries,
+    bott_counts,
     element_count,
-    length_by_inversions,
     p_series,
     rational_guess,
 )
@@ -23,6 +23,50 @@ from todalab.signflow import eta, reflect_sign
 
 def A(l):
     return LieType("A", l, affine=True)
+
+
+# -- independent A(1) oracle: affine permutations --------------------------
+# An element of the affine Weyl group of A(1)_l is a bijection w of Z with
+# w(i+n) = w(i)+n (n = l+1) and sum(w(1..n)) = sum(1..n); the window
+# (w(1), ..., w(n)) determines it (Bjorner-Brenti 8.3).
+
+
+def window_times_generator(window, k):
+    """Window of w * s_k (generators k = 0..l)."""
+    n = len(window)
+    w = list(window)
+    if k == 0:
+        # s_0 swaps positions 0 <-> 1 modulo n-periodicity
+        w[0], w[n - 1] = w[n - 1] - n, w[0] + n
+    else:
+        w[k - 1], w[k] = w[k], w[k - 1]
+    return tuple(w)
+
+
+def length_by_inversions(window) -> int:
+    """Coxeter length from the affine inversion formula.
+
+    l(w) = sum over 1 <= i < j <= n of |floor((w(j) - w(i)) / n)|.
+    """
+    n = len(window)
+    total = 0
+    for i in range(n):
+        for j in range(i + 1, n):
+            total += abs((window[j] - window[i]) // n)
+    return total
+
+
+def window_of_word(word, n):
+    window = tuple(range(1, n + 1))
+    for k in word:
+        window = window_times_generator(window, k)
+    return window
+
+
+# Every untwisted type the enumeration is checked on, with its lmax.
+UNTWISTED = [("A1", 12), ("A2", 10), ("A3", 9), ("A4", 8), ("B2", 10), ("B3", 8),
+             ("B4", 7), ("C2", 10), ("C3", 8), ("C4", 7), ("D4", 7), ("D5", 6),
+             ("E6", 6), ("F4", 7), ("G2", 12)]
 
 
 @pytest.fixture(scope="module")
@@ -50,51 +94,58 @@ class TestEnumeration:
         # i.e. 3n elements of each positive length n
         assert aff2.count_per_length(6) == [1, 3, 6, 9, 12, 15, 18]
 
-    def test_length_formula_is_bfs_depth(self, aff2):
-        for eid in range(len(aff2.windows)):
-            win = aff2.windows[eid]
-            assert length_by_inversions(win) == aff2.lengths[eid]
-            for k in range(aff2.n):
-                down = length_by_inversions(aff2._mul(win, k))
-                assert aff2._descent(win, k) == (down < aff2.lengths[eid])
-
-    def test_decomposition_roundtrip(self, aff2):
-        n = aff2.n
-        for eid in range(0, len(aff2.windows), 7):
-            el = aff2.element(eid)
-            assert sum(el.translation) == 0
-            rebuilt = tuple(p + n * t for p, t in zip(el.perm, el.translation))
-            assert rebuilt == el.window
+    def test_length_formula_is_bfs_depth(self):
+        # replay each witness word through the window map: the inversion
+        # length is the BFS depth and the label descents are the window ones
+        for rank in (1, 2, 3, 4):
+            g = AffineWeylGroup(A(rank)).extend_to(8)
+            windows = set()
+            for eid in range(len(g)):
+                win = window_of_word(g.word(eid), g.generators)
+                windows.add(win)
+                assert length_by_inversions(win) == g.lengths[eid]
+                for k in range(g.generators):
+                    down = length_by_inversions(window_times_generator(win, k))
+                    assert g._descent(g.keys[eid], k) == (down < g.lengths[eid])
+            assert len(windows) == len(g)
 
     def test_words_are_reduced(self, aff2):
-        for eid in range(0, len(aff2.windows), 5):
+        for eid in range(0, len(aff2), 5):
             el = aff2.element(eid)
             assert len(el.word) == el.length
-            assert aff2.evaluate_word(el.word) == el.window
+            assert aff2.key_of_word(el.word) == el.labels
 
     def test_group_relations(self, aff2):
-        e = aff2.windows[0]
+        e = aff2.keys[0]
         for k in range(3):
-            assert aff2.evaluate_word((k, k)) == e
+            assert aff2.key_of_word((k, k)) == e
         for k in range(3):
             j = (k + 1) % 3
-            assert aff2.evaluate_word((k, j) * 3) == e
+            assert aff2.key_of_word((k, j) * 3) == e
 
     def test_cap(self):
         with pytest.raises(CapExceededError):
             AffineWeylGroup(A(1)).extend_to(100)
 
-    @pytest.mark.parametrize("rank", [1, 2, 3, 4])
-    def test_element_count_matches_enumeration(self, rank):
-        g = AffineWeylGroup(A(rank))
-        for lmax in range(8):
-            assert element_count(rank, lmax) == sum(g.count_per_length(lmax))
+    # ids: the rank for the A series, the type name otherwise
+    @pytest.mark.parametrize("name, lmax", UNTWISTED,
+                             ids=[n[1:] if n[0] == "A" else n for n, _ in UNTWISTED])
+    def test_element_count_matches_enumeration(self, name, lmax):
+        t = LieType.parse(name + "(1)")
+        g = AffineWeylGroup(t)
+        for cut in range(lmax + 1):
+            assert element_count(t, cut) == sum(g.count_per_length(cut))
+        assert len(set(g.keys)) == len(g)
+
+    def test_bott_counts_pinned(self):
+        # G2(1): (1 + q)(1 + q + ... + q^5) / ((1 - q)(1 - q^5))
+        assert bott_counts(LieType.parse("G2(1)"), 6) == [1, 3, 5, 7, 9, 12, 15]
 
     def test_element_cap_refuses_before_enumerating(self):
         g = AffineWeylGroup(A(40))
         with pytest.raises(CapExceededError):
             g.extend_to(5)
-        assert len(g.windows) == 1
+        assert len(g) == 1
 
     def test_requires_affine_type(self):
         with pytest.raises(ValidationError):
@@ -103,7 +154,7 @@ class TestEnumeration:
 
 class TestAffineEta:
     def test_eta_equals_length_a1(self, aff1):
-        for eid in range(len(aff1.windows)):
+        for eid in range(len(aff1)):
             el = aff1.element(eid)
             assert eta(aff1.cartan, el, (-1, -1)) == el.length
 
@@ -112,10 +163,20 @@ class TestAffineEta:
 
     def test_word_independence_exhaustive_to_length_8(self, aff2):
         eps = (-1, -1, 1)
-        for eid in range(len(aff2.windows)):
+        for eid in range(len(aff2)):
             if aff2.lengths[eid] <= 8:
                 vals = {eta(aff2.cartan, w, eps)
                         for w in aff2.all_reduced_words(eid)}
+                assert len(vals) == 1
+
+    @pytest.mark.parametrize("name", ["B2", "C2", "G2"])
+    def test_word_independence_beyond_a(self, name):
+        from itertools import product
+
+        g = AffineWeylGroup(LieType.parse(name + "(1)")).extend_to(8)
+        for eps in product((1, -1), repeat=g.generators):
+            for eid in range(len(g)):
+                vals = {eta(g.cartan, w, eps) for w in g.all_reduced_words(eid)}
                 assert len(vals) == 1
 
     def test_verify_reduced(self, aff1):

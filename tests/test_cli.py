@@ -193,6 +193,21 @@ class TestErrorsAndPlumbing:
         assert out == ""
 
     @pytest.mark.parametrize("argv", [
+        ("pq", "--type", "B2(1)"),
+        ("eta", "--type", "B2(1)"),
+        ("graph", "--type", "B2(1)"),
+        ("schur", "--type", "B2(1)"),
+        ("chevalley", "--type", "B2(1)", "--q", "5"),
+        ("ode", "--type", "B2(1)", "--a", "1,1", "--b", "0,0"),
+    ])
+    def test_affine_type_outside_affine_is_unsupported(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert err.startswith("error [unsupported-type]: ")
+        assert "Traceback" not in err
+        assert out == ""
+
+    @pytest.mark.parametrize("argv", [
         ("cache", "list"),
         ("schur", "--type", "A2", "--cap", "5"),
         ("affine", "--rank", "1", "--cache-dir", "x"),
@@ -283,6 +298,7 @@ def heavy():
 
 print(json.dumps([run(argv) for argv in json.loads(sys.argv[1])]))
 print(json.dumps(heavy()))
+print(run(["ode", "--type", "A1", "--a", "nan", "--b", "0"]), "scipy" in sys.modules)
 print(callable(todalab.numtoda.ode_integrate))
 print(run(["ode", "--type", "A1", "--a", "1", "--b", "0"]),
       run(["chevalley", "--type", "A1", "--q", "5", "--brute"]), bool(heavy()))
@@ -295,9 +311,10 @@ def test_numpy_and_scipy_load_only_for_numerical_commands():
                           capture_output=True, text=True, timeout=120,
                           env={**os.environ, "PYTHONPATH": src})
     assert proc.returncode == 0, proc.stderr
-    codes, loaded, resolves, numeric = proc.stdout.splitlines()
+    codes, loaded, rejected, resolves, numeric = proc.stdout.splitlines()
     assert json.loads(codes) == [0, 2, 0, 0, 0, 0, 0, 0, 0]
     assert json.loads(loaded) == []
+    assert rejected == "1 False"  # bad ode input is refused before scipy loads
     assert resolves == "True"
     assert numeric == "0 0 True"
 
@@ -332,7 +349,7 @@ def test_verify_out_file_is_json_only(tmp_path, capsys):
 # -- CLI contract: every argv gives a result or a stable error, quickly --------
 
 TYPES = ["A1", "A2", "A3", "A4", "A5", "B2", "B3", "C3", "D5", "G2", "F4", "E6", "E7",
-         "E8", "A12", "A40", "A2000", "A2(1)", "Q9", "A0", ""]
+         "E8", "A12", "A40", "A2000", "A2(1)", "B2(1)", "G2(1)", "Q9", "A0", ""]
 SIGNS = ["-", "+", "--", "-+", "+-+", "---", "----", "-++-+-", "", "+x"]
 NUMBERS = ["1", "0", "-1", "1,1", "-1,-1", "1e308", "nan", "abc", ""]
 JUNK = ["--bogus", "junk", "--", "-x", "--cap=abc"]

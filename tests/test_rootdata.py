@@ -18,6 +18,7 @@ from todalab.rootdata import (
     symmetrizer,
     tau_multiplicities,
     two_rho_height,
+    weyl_degrees,
 )
 
 ALL_SMALL = ["A1", "A2", "A3", "A4", "A5", "A6", "B2", "B3", "B4", "B5", "B6",
@@ -41,9 +42,11 @@ class TestLieType:
         with pytest.raises(ValidationError):
             LieType.parse(bad)
 
-    def test_affine_only_a(self):
-        with pytest.raises(UnsupportedTypeError):
-            LieType("B", 3, affine=True)
+    def test_affine_any_untwisted_type(self):
+        assert str(LieType("B", 3, affine=True)) == "B3(1)"
+        assert LieType.parse("g2(1)") == LieType("G", 2, affine=True)
+        with pytest.raises(ValidationError):
+            LieType.parse("E9(1)")
 
     def test_parse_garbage(self):
         for text in ["", "B", "Bx", "3B"]:
@@ -89,6 +92,32 @@ class TestCartan:
         marks = affine_marks(t)
         for row in C:
             assert sum(c * m for c, m in zip(row, marks)) == 0
+
+    @pytest.mark.parametrize("name, dual_coxeter", [
+        ("A1", 2), ("A2", 3), ("A3", 4), ("A4", 5), ("B2", 3), ("B3", 5), ("B4", 7),
+        ("C2", 3), ("C3", 4), ("C4", 5), ("D4", 6), ("D5", 8), ("E6", 12), ("E7", 18),
+        ("E8", 30), ("F4", 9), ("G2", 4)])
+    def test_extended_every_untwisted_type(self, name, dual_coxeter):
+        t = LieType.parse(name + "(1)")
+        C = extended_cartan(t)
+        # the finite Cartan matrix is the lower-right block; the whole is singular
+        assert tuple(row[1:] for row in C[1:]) == cartan_matrix(T(name))
+        with pytest.raises(ValidationError, match="singular"):
+            _invert_exact(C)
+        for i in range(len(C)):
+            assert C[i][i] == 2
+            for j in range(len(C)):
+                if i != j:
+                    assert C[i][j] <= 0 and (C[i][j] == 0) == (C[j][i] == 0)
+        # theta has height h - 1, h the Coxeter number (the largest degree)
+        theta = positive_roots(T(name)).positive[-1]
+        assert 1 + sum(theta) == max(weyl_degrees(T(name)))
+        # comarks: C m = 0, m_0 = 1, summing to the dual Coxeter number
+        marks = affine_marks(t)
+        assert marks[0] == 1 and all(m > 0 for m in marks)
+        for row in C:
+            assert sum(c * m for c, m in zip(row, marks)) == 0
+        assert sum(marks) == dual_coxeter
 
     def test_extended_rejects_finite(self):
         with pytest.raises(UnsupportedTypeError):

@@ -8,6 +8,7 @@ from todalab.rootdata import (
     cartan_matrix,
     positive_roots,
     symmetrizer,
+    weyl_degrees,
     weyl_order,
     weyl_order_log10,
 )
@@ -38,6 +39,7 @@ def test_orders_match_closed_forms(name, group):
     g = group(name)
     assert len(g) == CLOSED_ORDERS[name] == closed_order(name)
     assert weyl_order(LieType.parse(name)) == len(g)
+    assert math.prod(weyl_degrees(LieType.parse(name))) == len(g)
 
 
 @pytest.mark.parametrize("name", ["A2", "A3", "B3", "C3", "G2", "D4"])
