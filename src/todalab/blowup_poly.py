@@ -9,7 +9,9 @@ group, with the explicit per-type factorization prod (q^{d_i} - 1).
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
+from itertools import product
 
 from .errors import AssumptionViolatedError, CapExceededError, InvalidQError
 from .exact import UniPoly
@@ -110,73 +112,40 @@ SO3_CAP = 7
 
 
 def brute_force_so_order(n: int, q: int) -> int:
-    """|SO(n, F_q)| by raw enumeration; the independent check on q^r p(q).
+    """|SO(n, F_q)| for prime q by raw enumeration; the independent check on q^r p(q).
 
     n=2 counts the solutions of x^2 + y^2 = 1 (requires sqrt(-1) in F_q,
-    as in the circle example); n=3 checks A^T A = I and det A = 1 over all
-    q^9 matrices.
+    as in the circle example); n=3 counts the matrices whose rows are
+    pairwise orthogonal unit vectors (A A^T = I) with det A = 1.  The
+    arithmetic is mod q, so a prime power that is not prime is refused.
     """
-    import numpy as np  # the exact commands never load numpy
-
     check_odd_prime_power(q)
+    cap = {2: SO2_CAP, 3: SO3_CAP}.get(n)
+    if cap is None:
+        raise InvalidQError(f"brute-force SO order only implemented for n in (2, 3), got {n}")
+    if q > cap:
+        raise CapExceededError(f"SO({n}) enumeration capped at q<={cap}")
+    if smallest_prime_factor(q) != q:
+        raise InvalidQError(f"q={q} is not prime; Z/{q} is not the field F_{q}")
     if n == 2:
-        if q > SO2_CAP:
-            raise CapExceededError(f"SO(2) enumeration capped at q<={SO2_CAP}")
-        squares = np.zeros(q, dtype=bool)
-        squares[(np.arange(q, dtype=np.int64) ** 2) % q] = True
+        squares = Counter(x * x % q for x in range(q))
         if not squares[q - 1]:
             raise AssumptionViolatedError(
                 f"-1 is not a square in F_{q}; the q-1 count assumes sqrt(-1) exists"
             )
-        x = np.arange(q, dtype=np.int64)
-        rhs = (1 - x * x) % q
-        counts = np.bincount((np.arange(q, dtype=np.int64) ** 2) % q, minlength=q)
-        return int(counts[rhs].sum())
-    if n == 3:
-        if q > SO3_CAP:
-            raise CapExceededError(f"SO(3) enumeration capped at q<={SO3_CAP}")
-        return _so3_enumerate(q)
-    raise InvalidQError(f"brute-force SO order only implemented for n in (2, 3), got {n}")
+        return sum(squares[(1 - x * x) % q] for x in range(q))
 
+    def dot(u, v):
+        return (u[0] * v[0] + u[1] * v[1] + u[2] * v[2]) % q
 
-def _so3_enumerate(q: int) -> int:
-    """Walk all q^9 matrices over F_q in vectorized batches."""
-    import numpy as np
-
-    eye = np.eye(3, dtype=np.int64)
+    units = [v for v in product(range(q), repeat=3) if dot(v, v) == 1]
     total = 0
-    batch = q ** 6
-    digits_lo = np.empty((batch, 6), dtype=np.int64)
-    rem = np.arange(batch, dtype=np.int64)
-    for k in range(6):
-        digits_lo[:, k] = rem % q
-        rem //= q
-    for head in range(q ** 3):
-        h = []
-        rem_h = head
-        for _ in range(3):
-            h.append(rem_h % q)
-            rem_h //= q
-        if (h[0] * h[0] + h[1] * h[1] + h[2] * h[2]) % q != 1:
-            continue  # rows of an orthogonal matrix are unit vectors
-        mats = np.empty((batch, 3, 3), dtype=np.int64)
-        mats[:, 0, 0], mats[:, 0, 1], mats[:, 0, 2] = h[0], h[1], h[2]
-        mats[:, 1, 0] = digits_lo[:, 0]
-        mats[:, 1, 1] = digits_lo[:, 1]
-        mats[:, 1, 2] = digits_lo[:, 2]
-        mats[:, 2, 0] = digits_lo[:, 3]
-        mats[:, 2, 1] = digits_lo[:, 4]
-        mats[:, 2, 2] = digits_lo[:, 5]
-        gram = np.einsum("nij,nik->njk", mats, mats) % q
-        ok = (gram == eye).all(axis=(1, 2))
-        if ok.any():
-            m = mats[ok]
-            det = (
-                m[:, 0, 0] * (m[:, 1, 1] * m[:, 2, 2] - m[:, 1, 2] * m[:, 2, 1])
-                - m[:, 0, 1] * (m[:, 1, 0] * m[:, 2, 2] - m[:, 1, 2] * m[:, 2, 0])
-                + m[:, 0, 2] * (m[:, 1, 0] * m[:, 2, 1] - m[:, 1, 1] * m[:, 2, 0])
-            ) % q
-            total += int((det == 1).sum())
+    for r0 in units:
+        perp = [v for v in units if dot(r0, v) == 0]
+        for r1 in perp:  # det(r0, r1, r2) = (r0 x r1) . r2
+            cross = (r0[1] * r1[2] - r0[2] * r1[1], r0[2] * r1[0] - r0[0] * r1[2],
+                     r0[0] * r1[1] - r0[1] * r1[0])
+            total += sum(1 for r2 in perp if dot(r1, r2) == 0 and dot(cross, r2) == 1)
     return total
 
 

@@ -24,7 +24,7 @@ from .blowup_poly import (
     p_epsilon,
 )
 from .errors import TodaLabError, ValidationError
-from .rootdata import LieType, compact_dual_info, conventions_table
+from .rootdata import LieType, compact_dual_info, conventions_table, require_finite
 from .schurtau import (
     hirota_residual,
     minimal_degrees,
@@ -198,13 +198,14 @@ def _floats(text: str, flag: str) -> list[float]:
 
 
 def cmd_ode(args):
-    from . import numtoda  # numpy and scipy load for this command only
-
     t = LieType.parse(args.type)
+    require_finite(t)  # no value count fits an affine type
     a0 = _floats(args.a, "--a")
     b0 = _floats(args.b, "--b")
     if len(a0) != t.rank or len(b0) != t.rank:
         raise ValidationError(f"need {t.rank} comma-separated values for --a and --b")
+    from . import numtoda  # numpy and scipy load for this command only
+
     traj = numtoda.ode_integrate(t, a0, b0, (args.t0, args.t1))
     if args.format == "csv":
         header = (["t"] + [f"a{i+1}" for i in range(t.rank)]
@@ -265,7 +266,7 @@ def cmd_chevalley(args):
 
 
 def cmd_verify(args):
-    from . import verify  # imports numtoda, hence numpy and scipy
+    from . import verify  # loads numpy through numtoda; scipy only when criterion 12 runs
 
     results = verify.run(args.scope)
     n_fail = sum(1 for r in results if not r.passed)
@@ -348,7 +349,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--q", type=int, help="odd prime power")
     p.add_argument("--brute", action="store_true",
-                   help="cross-check against brute-force enumeration (A1/A2)")
+                   help="cross-check against brute-force enumeration (A1/A2, q prime)")
     p.set_defaults(fn=cmd_chevalley)
 
     p = sub.add_parser("verify", help="run the self-verification matrix")

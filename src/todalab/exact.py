@@ -98,12 +98,6 @@ class UniPoly:
     def rem(self, other) -> "UniPoly":
         return self.quo_rem(other)[1]
 
-    def monic(self) -> "UniPoly":
-        if self.is_zero():
-            return self
-        lead = self.coeffs[-1]
-        return UniPoly([Fraction(c) / lead for c in self.coeffs])
-
     def __str__(self):
         return format_poly(self.coeffs, "q")
 

@@ -72,14 +72,14 @@ class LieType:
         return f"{self.series}{self.rank}" + ("(1)" if self.affine else "")
 
 
-def _require_finite(t: LieType):
+def require_finite(t: LieType):
     if t.affine:
         raise UnsupportedTypeError(f"{t} is affine; use extended_cartan / the affine module")
 
 
 def cartan_matrix(t: LieType) -> tuple[tuple[int, ...], ...]:
     """The l x l Cartan matrix in the conventions spelled out above."""
-    _require_finite(t)
+    require_finite(t)
     l = t.rank
     C = [[2 if i == j else 0 for j in range(l)] for i in range(l)]
 
@@ -145,7 +145,7 @@ def affine_marks(t: LieType) -> tuple[int, ...]:
 
 def langlands_dual(t: LieType) -> LieType:
     """Transpose of the Cartan matrix as a type: swaps B and C, fixes the rest."""
-    _require_finite(t)
+    require_finite(t)
     if t.series == "B":
         return LieType("C", t.rank)
     if t.series == "C":
@@ -234,7 +234,7 @@ class CompactDual:
 
 
 def compact_dual_info(t: LieType) -> CompactDual:
-    _require_finite(t)
+    require_finite(t)
     s, l = t.series, t.rank
     if s == "A":
         name = f"SO({l + 1})"
@@ -280,7 +280,7 @@ def weyl_degrees(t: LieType) -> tuple[int, ...]:
     """Degrees of the basic Weyl-group invariants, ascending (not the
     compact-dual degrees of ``compact_dual_info``).  Their product is |W| and
     the largest is the Coxeter number."""
-    _require_finite(t)
+    require_finite(t)
     s, l = t.series, t.rank
     if s == "A":
         return tuple(range(2, l + 2))
@@ -300,7 +300,7 @@ def weyl_order(t: LieType) -> int:
 def weyl_order_log10(t: LieType) -> float:
     """log10 |W| from ``math.lgamma``, without forming |W| (for A1000000
     the exact factorial has 5.6 million digits)."""
-    _require_finite(t)
+    require_finite(t)
     s, l = t.series, t.rank
     if s == "A":
         return math.lgamma(l + 2) / math.log(10)
@@ -329,7 +329,7 @@ def reflect_root(C, beta, i: int) -> tuple[int, ...]:
 
 def positive_roots(t: LieType) -> RootSystem:
     """All positive roots by closure of the simples under simple reflections."""
-    _require_finite(t)
+    require_finite(t)
     C = cartan_matrix(t)
     l = t.rank
     simple = tuple(tuple(int(i == j) for j in range(l)) for i in range(l))

@@ -32,8 +32,9 @@ ZERO = Fraction(0)
 ONE = Fraction(1)
 
 # Refusal thresholds on the height of 2rho.  Measured cold CLI runs: tau
-# systems A9 (165) 3.3 s, D7 (182) 3.4 s, A10 (220) 15 s, B7 (252) 14 s;
-# real-root samples A4 (20) 0.04 s, D4 (28) 0.39 s, A5 (35) 3.4 s each.
+# systems A9 (165) 3.3 s, D7 (182) 3.4 s, A10 (220) 15 s, B7 (252) 14 s.
+# Sturm count per real-root sample, in-process on 2 CPUs: A4 (20) 0.016 s,
+# D4 (28) 0.15 s, A5 (35) 1.4 s.
 MAX_TAU_HEIGHT = 200
 MAX_STURM_HEIGHT = 28
 MAX_SAMPLES = 50
@@ -266,35 +267,17 @@ class ExactPoly:
 # -- Sturm counting ------------------------------------------------------------
 
 
-def uni_gcd(a: UniPoly, b: UniPoly) -> UniPoly:
-    while not b.is_zero():
-        a, b = b, a.rem(b)
-    return a.monic()
-
-
-def square_free_part(f: UniPoly) -> UniPoly:
-    if f.degree < 1:
-        return f.monic()
-    g = uni_gcd(f, f.derivative())
-    if g.degree == 0:
-        return f.monic()
-    quotient, remainder = f.quo_rem(g)
-    if not remainder.is_zero():
-        raise ValidationError("inexact division in square-free reduction")
-    return quotient.monic()
-
-
 def sturm_real_roots(f) -> int:
     """Exact count of distinct real roots via a Sturm chain.
 
-    Accepts a UniPoly or a low-to-high coefficient sequence.  Multiple roots
-    count once (the square-free part is taken first).
+    Accepts a UniPoly or a low-to-high coefficient sequence.  The chain is
+    the signed remainder sequence of f and f', which ends at gcd(f, f'), so
+    multiple roots count once without taking the square-free part first.
     """
     if not isinstance(f, UniPoly):
         f = UniPoly(map(Fraction, f))
     if f.is_zero():
         raise ZeroPolynomialError("root count of the zero polynomial")
-    f = square_free_part(f)
     if f.degree < 1:
         return 0
     chain = [f, f.derivative()]
@@ -305,15 +288,10 @@ def sturm_real_roots(f) -> int:
         chain.append(-r)
 
     def variations(signs):
-        signs = [s for s in signs if s != 0]
-        return sum(1 for a, b in zip(signs, signs[1:]) if a * b < 0)
+        return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
 
-    at_plus = [1 if p.coeffs[-1] > 0 else -1 for p in chain if not p.is_zero()]
-    at_minus = [
-        (1 if p.coeffs[-1] > 0 else -1) * (-1 if p.degree % 2 else 1)
-        for p in chain
-        if not p.is_zero()
-    ]
+    at_plus = [p.coeffs[-1] > 0 for p in chain]
+    at_minus = [pos == (p.degree % 2 == 0) for pos, p in zip(at_plus, chain)]
     return variations(at_minus) - variations(at_plus)
 
 

@@ -124,6 +124,12 @@ class TestBruteForce:
         with pytest.raises(CapExceededError):
             brute_force_so_order(2, 10007)
 
+    def test_prime_powers_refused(self):
+        # Z/q is the field F_q only for prime q; -1 is a square in F_9 and F_25
+        for q in (9, 25):
+            with pytest.raises(InvalidQError, match="not the field"):
+                brute_force_so_order(2, q)
+
     def test_bad_n(self):
         with pytest.raises(InvalidQError):
             brute_force_so_order(4, 5)
@@ -133,6 +139,7 @@ class TestBruteForce:
             assert brute_force_so_order(2, q) == chevalley_order(T("A1"), q)
         for q in (3, 5):
             assert brute_force_so_order(3, q) == chevalley_order(T("A2"), q)
+        assert brute_force_so_order(3, 7) == 336 == chevalley_order(T("A2"), 7)
 
 
 class TestPoincare:

@@ -199,11 +199,22 @@ class TestErrorsAndPlumbing:
         ("schur", "--type", "B2(1)"),
         ("chevalley", "--type", "B2(1)", "--q", "5"),
         ("ode", "--type", "B2(1)", "--a", "1,1", "--b", "0,0"),
+        ("ode", "--type", "A2(1)", "--a", "1,1,1", "--b", "0,0,0"),
+        ("ode", "--type", "A2(1)", "--a", "1,1", "--b", "0,0"),
     ])
     def test_affine_type_outside_affine_is_unsupported(self, capsys, argv):
         code, out, err = run(capsys, *argv)
         assert code == 2
         assert err.startswith("error [unsupported-type]: ")
+        assert "Traceback" not in err
+        assert out == ""
+
+    @pytest.mark.parametrize("q", ["25", "9", "49", "81"])
+    def test_brute_force_refuses_prime_powers(self, capsys, q):
+        # the enumeration works in Z/q, which is the field F_q only for prime q
+        code, out, err = run(capsys, "chevalley", "--type", "A1", "--q", q, "--brute")
+        assert code == 2
+        assert err.startswith("error [invalid-q]: ")
         assert "Traceback" not in err
         assert out == ""
 
@@ -282,6 +293,7 @@ EXACT_COMMANDS = [
     ["schur", "--type", "G2", "--experiment", "real-roots", "--samples", "3"],
     ["affine", "--rank", "1", "--lmax", "6", "--guess"],
     ["chevalley", "--type", "A2", "--q", "5"],
+    ["chevalley", "--type", "A2", "--q", "5", "--brute"],
     ["conventions"],
 ]
 
@@ -300,8 +312,7 @@ print(json.dumps([run(argv) for argv in json.loads(sys.argv[1])]))
 print(json.dumps(heavy()))
 print(run(["ode", "--type", "A1", "--a", "nan", "--b", "0"]), "scipy" in sys.modules)
 print(callable(todalab.numtoda.ode_integrate))
-print(run(["ode", "--type", "A1", "--a", "1", "--b", "0"]),
-      run(["chevalley", "--type", "A1", "--q", "5", "--brute"]), bool(heavy()))
+print(run(["ode", "--type", "A1", "--a", "1", "--b", "0"]), bool(heavy()))
 """
 
 
@@ -312,11 +323,11 @@ def test_numpy_and_scipy_load_only_for_numerical_commands():
                           env={**os.environ, "PYTHONPATH": src})
     assert proc.returncode == 0, proc.stderr
     codes, loaded, rejected, resolves, numeric = proc.stdout.splitlines()
-    assert json.loads(codes) == [0, 2, 0, 0, 0, 0, 0, 0, 0]
+    assert json.loads(codes) == [0, 2, 0, 0, 0, 0, 0, 0, 0, 0]
     assert json.loads(loaded) == []
     assert rejected == "1 False"  # bad ode input is refused before scipy loads
     assert resolves == "True"
-    assert numeric == "0 0 True"
+    assert numeric == "0 True"
 
 
 def test_package_getattr_rejects_unknown_names():
