@@ -58,8 +58,11 @@ def _sign_vector(args, rank: int):
 
 def _emit(text: str, args):
     if getattr(args, "out", None):
-        with open(args.out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w", encoding="utf-8", newline="") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ValidationError(f"cannot write --out {args.out!r}: {exc.strerror}") from exc
     else:
         sys.stdout.write(text)
 

@@ -115,15 +115,16 @@ class EtaTable:
     def max_value(self) -> int:
         return max(self.values)
 
+    def sign_labels(self) -> list[str]:
+        """The transported sign of every id as text, each distinct sign formatted once."""
+        text = {sig: format_signs(sig) for sig in set(self.transported)}
+        return [text[sig] for sig in self.transported]
+
     def as_rows(self):
-        for eid in range(len(self.group)):
-            el = self.group.element(eid)
-            yield {
-                "word": str(el),
-                "length": el.length,
-                "eta": self.values[eid],
-                "sign": format_signs(self.transported[eid]),
-            }
+        group = self.group
+        for word, length, value, sign in zip(group.word_labels(), group.lengths,
+                                             self.values, self.sign_labels()):
+            yield {"word": word, "length": length, "eta": value, "sign": sign}
 
 
 def propagate(C, parents, letters, eps):

@@ -32,13 +32,11 @@ class BlowupGraph:
 def build_graph(group: WeylGroup, eps) -> BlowupGraph:
     """Edges = Bruhat covers with equal eta and equal transported sign."""
     table = eta_table(group, eps)
-    edges = [
-        (lo, hi)
-        for lo, hi in group.bruhat_covers()
-        if table.values[lo] == table.values[hi]
-        and table.transported[lo] == table.transported[hi]
-    ]
-    return BlowupGraph(group, tuple(eps), table, tuple(sorted(edges)))
+    classes = {}  # (eta, transported sign) -> class id
+    cls = [classes.setdefault(key, len(classes)) for key in zip(table.values, table.transported)]
+    # the covers arrive sorted and the filter keeps their order
+    edges = tuple((lo, hi) for lo, hi in group.bruhat_covers() if cls[lo] == cls[hi])
+    return BlowupGraph(group, tuple(eps), table, edges)
 
 
 def components(graph: BlowupGraph) -> list[list[int]]:
@@ -81,15 +79,10 @@ def to_dot(graph: BlowupGraph) -> str:
         "  rankdir=TB;",
         '  node [shape=box, fontname="monospace"];',
     ]
-    for eid in range(graph.num_vertices):
-        el = graph.group.element(eid)
-        label = (
-            f"{el}|eta={graph.table.values[eid]}"
-            f"|{format_signs(graph.table.transported[eid])}"
-        )
-        lines.append(f'  n{eid} [label="{label}"];')
-    for a, b in graph.edges:
-        lines.append(f"  n{a} -> n{b};")
+    rows = zip(graph.group.word_labels(), graph.table.values, graph.table.sign_labels())
+    lines += [f'  n{eid} [label="{word}|eta={value}|{sign}"];'
+              for eid, (word, value, sign) in enumerate(rows)]
+    lines += [f"  n{a} -> n{b};" for a, b in graph.edges]
     lines.append("}")
     return "\n".join(lines) + "\n"
 

@@ -156,7 +156,8 @@ def check_components(groups, scope):
     out = []
     g = build_graph(groups("A2"), all_minus(2))
     comps = components(g)
-    words = [frozenset(str(g.group.element(v)) for v in comp) for comp in comps]
+    labels = g.group.word_labels()
+    words = [frozenset(labels[v] for v in comp) for comp in comps]
     expected = [frozenset({"e"}), frozenset({"1", "12"}), frozenset({"2", "21"}),
                 frozenset({"121"})]
     ok_a2 = sorted(words, key=sorted) == sorted(expected, key=sorted)

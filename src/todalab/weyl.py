@@ -6,6 +6,10 @@ and lets ``bytes.translate`` do permutation composition at C speed.
 Generation is a breadth-first closure over the simple reflections
 (``WordTree``, shared with the affine group); the BFS tree also hands every
 element a witness reduced word for free.
+
+Whole-group passes work on element ids, not keys: Bruhat covers come from
+one right-multiplication table of ids per reflection, and the witness-word
+labels from one walk over the tree's parents and letters.
 """
 
 from __future__ import annotations
@@ -166,6 +170,7 @@ class WeylGroup(WordTree):
         self.simple_perms = simple_perms
         self.perms = self.keys              # list[bytes], id order = (length, perm)
         self._reflections = None
+        self._labels = None
 
     def _mul(self, p: bytes, i: int) -> bytes:
         return self.simple_perms[i].translate(p)
@@ -219,6 +224,27 @@ class WeylGroup(WordTree):
     def element(self, eid: int) -> WeylElement:
         return WeylElement(self.perms[eid], self.lengths[eid], self.word(eid))
 
+    def word_labels(self) -> list[str]:
+        """``str(self.element(eid))`` for every id, in one pass over the tree.
+
+        A label is its parent's label plus one letter.  Once a word holds a
+        letter above 9 the whole label switches to the dotted form, as
+        ``WeylElement.__str__`` does.
+        """
+        if self._labels is not None:
+            return self._labels
+        digits = [str(i + 1) for i in range(self.generators)]
+        labels, dotted = [""], [False]
+        for par, i in zip(self.parents[1:], self.letters[1:]):
+            head, dot = labels[par], dotted[par] or i > 8
+            if dot and not dotted[par]:
+                head = ".".join(head)  # the parent's letters are single digits
+            labels.append(head + "." + digits[i] if dot and head else head + digits[i])
+            dotted.append(dot)
+        labels[0] = "e"
+        self._labels = labels
+        return labels
+
     def id_of(self, el) -> int:
         perm = el.perm if isinstance(el, WeylElement) else el
         return self.index[perm]
@@ -269,13 +295,31 @@ class WeylGroup(WordTree):
         return refl
 
     def bruhat_covers(self) -> list[tuple[int, int]]:
-        """All pairs (id(w), id(v)) with w -> v a Bruhat cover (l(v)=l(w)+1)."""
+        """All pairs (id(w), id(v)) with w -> v a Bruhat cover (l(v)=l(w)+1), sorted.
+
+        The covers of w are the w*t of length l(w)+1 over the reflections t
+        (Bjorner-Brenti, ch. 2).  Right multiplication by t is an id table:
+        R_i[w] = id(w*s_i) for the simple reflections, and the conjugation
+        walk of ``reflections()`` gives T_{s_i beta}[w] = R_i[T_beta[R_i[w]]].
+        Only the current frontier of tables is held.
+        """
+        index, lengths = self.index, self.lengths
+        ids = list(range(len(self)))  # one int object per id, shared by the pairs
+        up = [n + 1 for n in lengths]
+        right = [[index[s.translate(p)] for p in self.perms] for s in self.simple_perms]
+        npos = self.num_positive
+        done = [k < self.generators for k in range(npos)]
         covers = []
-        for eid, p in enumerate(self.perms):
-            lw = self.lengths[eid]
-            for t in self.reflections():
-                vid = self.index[t.translate(p)]
-                if self.lengths[vid] == lw + 1:
-                    covers.append((eid, vid))
+        frontier = list(enumerate(right))  # simple root alpha_i sits at index i
+        while frontier:
+            nxt = []
+            for k, table in frontier:
+                covers += [(w, v) for w, v, n in zip(ids, table, up) if lengths[v] == n]
+                for s, r in zip(self.simple_perms, right):
+                    j = s[k]  # index of s_i(beta_k)
+                    if j < npos and not done[j]:
+                        done[j] = True
+                        nxt.append((j, [r[table[x]] for x in r]))
+            frontier = nxt
         covers.sort()
         return covers

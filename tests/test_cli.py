@@ -259,6 +259,20 @@ class TestErrorsAndPlumbing:
         if quoted is not None:
             assert quoted in err
 
+    @pytest.mark.parametrize("argv, target", [
+        (("graph", "--type", "A3"), "missing/x.dot"),
+        (("eta", "--type", "A3"), ""),  # the directory itself
+        (("verify",), "missing/x.json"),
+        (("conventions",), "missing/x"),
+    ])
+    def test_unwritable_out_is_validation_error(self, tmp_path, capsys, argv, target):
+        path = str(tmp_path / target)
+        code, out, err = run(capsys, *argv, "--out", path)
+        assert code == 1
+        assert err.startswith(f"error [validation]: cannot write --out {path!r}: ")
+        assert "Traceback" not in err
+        assert out == ""
+
     def test_deterministic_bytes(self, capsys):
         _, out1, _ = run(capsys, "graph", "--type", "B2", "--format", "dot")
         _, out2, _ = run(capsys, "graph", "--type", "B2", "--format", "dot")

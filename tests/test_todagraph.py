@@ -49,6 +49,23 @@ class TestEdges:
                 assert act_word(C, wa, eps) == act_word(C, wb, eps)
 
 
+    @pytest.mark.parametrize("name", ["A3", "B3", "C3", "G2"])
+    def test_every_qualifying_cover_is_an_edge(self, name, group):
+        # the converse: each cover whose ends have equal eta and equal
+        # transported sign, by word replay, is an edge; edges come sorted
+        g = group(name)
+        C = cartan_matrix(g.lie_type)
+        covers = g.bruhat_covers()
+        for eps in product((1, -1), repeat=g.lie_type.rank):
+            graph = build_graph(g, eps)
+            key = [(eta(C, g.word(v), eps), act_word(C, g.word(v), eps))
+                   for v in range(len(g))]
+            edges = set(graph.edges)
+            for a, b in covers:
+                if key[a] == key[b]:
+                    assert (a, b) in edges
+            assert list(graph.edges) == sorted(graph.edges)
+
 class TestComponents:
     def test_a2_exact_partition(self, group):
         g = group("A2")

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import pytest
@@ -7,12 +8,13 @@ from todalab.rootdata import (
     LieType,
     cartan_matrix,
     positive_roots,
+    reflect_root,
     symmetrizer,
     weyl_degrees,
     weyl_order,
     weyl_order_log10,
 )
-from todalab.weyl import WeylGroup
+from todalab.weyl import WeylGroup, pad_table
 
 CLOSED_ORDERS = {
     "A1": 2, "A2": 6, "A3": 24, "A4": 120, "A5": 720, "A6": 5040,
@@ -142,6 +144,19 @@ def bruhat_leq_by_subwords(g, lo, hi):
     return any(contains(b, s) for b in hi_words for s in lo_words)
 
 
+def covers_by_translate(g):
+    """Independent cover oracle, the definition before the id tables: look
+    w * r_beta up by its permutation for every element and reflection."""
+    covers = []
+    for eid, p in enumerate(g.perms):
+        for t in g.reflections():
+            vid = g.index[t.translate(p)]
+            if g.lengths[vid] == g.lengths[eid] + 1:
+                covers.append((eid, vid))
+    covers.sort()
+    return covers
+
+
 class TestBruhatCovers:
     @pytest.mark.parametrize("name", ["A2", "B2", "G2", "A3"])
     def test_covers_match_subword_oracle(self, name, group):
@@ -153,6 +168,18 @@ class TestBruhatCovers:
                 if g.lengths[hi] == g.lengths[lo] + 1 and bruhat_leq_by_subwords(g, lo, hi):
                     want.add((lo, hi))
         assert got == want
+
+    @pytest.mark.parametrize("name", ["B3", "C4", "D5", "F4"])
+    def test_covers_match_translate_oracle(self, name, group):
+        g = group(name)
+        assert g.bruhat_covers() == covers_by_translate(g)
+
+    def test_e6_pinned(self, group):
+        # count and digest recorded from the translate-and-lookup loop
+        covers = group("E6").bruhat_covers()
+        assert len(covers) == 459588
+        assert hashlib.sha256(str(covers).encode()).hexdigest() == (
+            "70811fe4e91c3ce0c131a7e3ee14e7a27e7a95df971b7c6a26b263d0ac562036")
 
     @pytest.mark.parametrize("name", ["B3", "C3", "D4", "F4", "G2", "E6"])
     def test_reflections_match_symmetrized_form(self, name, group):
@@ -191,6 +218,33 @@ class TestBruhatCovers:
         g = group("B3")
         for lo, hi in g.bruhat_covers():
             assert g.lengths[hi] == g.lengths[lo] + 1
+
+
+class TestWordLabels:
+    @pytest.mark.parametrize("name", ["A1", "A2", "A3", "A4", "B2", "B3", "B4", "C3",
+                                      "C4", "D4", "D5", "F4", "G2", "E6"])
+    def test_match_element_str(self, name, group):
+        g = group(name)
+        assert g.word_labels() == [str(g.element(e)) for e in range(len(g))]
+        assert g.word_labels() is g.word_labels()
+
+    def test_dotted_letters_on_partial_a10(self):
+        # built as generate builds it, grown to length 3 (|W(A10)| is 11!)
+        t = LieType.parse("A10")
+        C = cartan_matrix(t)
+        pos = list(positive_roots(t).positive)
+        roots = pos + [tuple(-c for c in b) for b in pos]
+        where = {b: i for i, b in enumerate(roots)}
+        simple = [pad_table(bytes(where[reflect_root(C, b, i)] for b in roots))
+                  for i in range(t.rank)]
+        g = WeylGroup(t, tuple(roots), simple)
+        for _ in range(3):
+            assert g.grow()
+        labels = g.word_labels()
+        assert labels == [str(g.element(e)) for e in range(len(g))]
+        assert {"9.10", "10.9", "10", "9", "123"} <= set(labels)
+        for eid, label in enumerate(labels):
+            assert ("." in label) == (max(g.word(eid), default=0) > 8 and g.lengths[eid] > 1)
 
 
 class TestCapsAndDeterminism:
