@@ -141,9 +141,16 @@ def cmd_graph(args):
 
 
 def cmd_schur(args):
+    if args.experiment and args.hirota:
+        raise ValidationError("--hirota does not apply to --experiment")
+    for flag in ("samples", "seed"):
+        if not args.experiment and getattr(args, flag) is not None:
+            raise ValidationError(f"--{flag} needs --experiment")
     t = LieType.parse(args.type)
     if args.experiment == "real-roots":
-        rep = real_root_count_experiment(t, samples=args.samples, seed=args.seed)
+        rep = real_root_count_experiment(
+            t, samples=20 if args.samples is None else args.samples,
+            seed=0 if args.seed is None else args.seed)
         _emit_json(rep.as_dict(), args)
         return 0
     system = tau_functions(t)
@@ -327,8 +334,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("schur", help="tau functions, degrees, Hirota fit, experiments")
     common(p)
     p.add_argument("--experiment", choices=["real-roots"])
-    p.add_argument("--samples", type=int, default=20)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--samples", type=int, help="experiment samples (default 20)")
+    p.add_argument("--seed", type=int, help="experiment seed (default 0)")
     p.add_argument("--hirota", action="store_true", help="include Hirota constants")
     p.set_defaults(fn=cmd_schur)
 

@@ -1,8 +1,9 @@
 """Exact univariate polynomials and Fraction Gauss-Jordan elimination.
 
 Coefficients are ints or Fractions, low to high.  Integer polynomials stay
-integer under +, - and *; every division goes through Fraction, so int or
-Fraction inputs never produce a float.
+integer under +, -, * and differentiation, and the class has no division,
+so int or Fraction inputs never produce a float.  Gauss-Jordan divides in
+Fraction.
 """
 
 from __future__ import annotations
@@ -76,27 +77,6 @@ class UniPoly:
 
     def derivative(self) -> "UniPoly":
         return UniPoly([c * k for k, c in enumerate(self.coeffs)][1:])
-
-    def quo_rem(self, other) -> tuple["UniPoly", "UniPoly"]:
-        """Quotient and remainder of long division by ``other``."""
-        if other.is_zero():
-            raise ZeroDivisionError("polynomial division by zero")
-        r = list(self.coeffs)
-        d = other.degree
-        lead = other.coeffs[-1]
-        q = [0] * max(len(r) - d, 0)
-        while r and len(r) - 1 >= d:
-            f = Fraction(r[-1]) / lead
-            shift = len(r) - 1 - d
-            q[shift] = f
-            for i, c in enumerate(other.coeffs):
-                r[shift + i] -= f * c
-            while r and r[-1] == 0:
-                r.pop()
-        return UniPoly(q), UniPoly(r)
-
-    def rem(self, other) -> "UniPoly":
-        return self.quo_rem(other)[1]
 
     def __str__(self):
         return format_poly(self.coeffs, "q")

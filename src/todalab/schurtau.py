@@ -8,6 +8,7 @@ det(h_{i_a - b + 1}), which works because dh_n/dt1 = h_{n-1}.
 
 The per-type tau lists, their minimal degrees, tangent cones, the Hirota
 bilinear check, and the Sturm-count real-root experiment all sit on top.
+The Sturm chain runs in plain integers, as a primitive remainder sequence.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt
+from math import gcd, isqrt, lcm
 
 from .errors import (
     CapExceededError,
@@ -33,10 +34,11 @@ ONE = Fraction(1)
 
 # Refusal thresholds on the height of 2rho.  Measured cold CLI runs: tau
 # systems A9 (165) 3.3 s, D7 (182) 3.4 s, A10 (220) 15 s, B7 (252) 14 s.
-# Sturm count per real-root sample, in-process on 2 CPUs: A4 (20) 0.016 s,
-# D4 (28) 0.15 s, A5 (35) 1.4 s.
+# Sturm count per real-root sample, in-process on 2 CPUs: D4 (28) 0.003 s,
+# A5 (35) 0.015 s, B4 and C4 (50) 0.05 s, A6 (56) 0.23 s, D5 (60) 0.15 s.
+# The Sturm cap admits the types that take under 0.13 s per sample.
 MAX_TAU_HEIGHT = 200
-MAX_STURM_HEIGHT = 28
+MAX_STURM_HEIGHT = 50
 MAX_SAMPLES = 50
 
 
@@ -267,12 +269,39 @@ class ExactPoly:
 # -- Sturm counting ------------------------------------------------------------
 
 
+def _pseudo_remainder(a: list[int], b: list[int]) -> list[int]:
+    """A positive multiple of the remainder of ``a`` by ``b`` (ints, low to
+    high): each step r <- |lc(b)| r - sgn(lc(b)) lc(r) x^k b keeps its sign."""
+    lead = b[-1]
+    scale = abs(lead)
+    r = a
+    while len(r) >= len(b):
+        m = r[-1] if lead > 0 else -r[-1]
+        k = len(r) - len(b)
+        r = [scale * c for c in r[:k]] + [scale * c - m * d for c, d in zip(r[k:-1], b)]
+        while r and not r[-1]:
+            r.pop()
+    return r
+
+
+def _primitive_part(p: UniPoly) -> list[int]:
+    """The primitive integer polynomial that is a positive multiple of ``p``."""
+    q = [Fraction(c) for c in p.coeffs]
+    den = lcm(*(c.denominator for c in q))
+    ints = [c.numerator * (den // c.denominator) for c in q]
+    g = gcd(*ints)
+    return [c // g for c in ints]
+
+
 def sturm_real_roots(f) -> int:
     """Exact count of distinct real roots via a Sturm chain.
 
     Accepts a UniPoly or a low-to-high coefficient sequence.  The chain is
     the signed remainder sequence of f and f', which ends at gcd(f, f'), so
     multiple roots count once without taking the square-free part first.
+    Only signs matter, so each member is kept as a primitive integer
+    polynomial, a positive multiple of the rational one (Basu-Pollack-Roy,
+    Algorithms in Real Algebraic Geometry, ch. 2 and 8).
     """
     if not isinstance(f, UniPoly):
         f = UniPoly(map(Fraction, f))
@@ -280,18 +309,21 @@ def sturm_real_roots(f) -> int:
         raise ZeroPolynomialError("root count of the zero polynomial")
     if f.degree < 1:
         return 0
-    chain = [f, f.derivative()]
-    while chain[-1].degree > 0:
-        r = chain[-2].rem(chain[-1])
-        if r.is_zero():
+    a, b = _primitive_part(f), _primitive_part(f.derivative())
+    chain = [a, b]
+    while len(b) > 1:
+        r = _pseudo_remainder(a, b)
+        if not r:
             break
-        chain.append(-r)
+        g = gcd(*r)
+        a, b = b, [-c // g for c in r]
+        chain.append(b)
 
     def variations(signs):
         return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
 
-    at_plus = [p.coeffs[-1] > 0 for p in chain]
-    at_minus = [pos == (p.degree % 2 == 0) for pos, p in zip(at_plus, chain)]
+    at_plus = [p[-1] > 0 for p in chain]
+    at_minus = [pos == (len(p) % 2 == 1) for pos, p in zip(at_plus, chain)]
     return variations(at_minus) - variations(at_plus)
 
 

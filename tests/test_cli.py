@@ -85,6 +85,17 @@ class TestSchur:
         assert doc["modal_count"] == 4
         assert doc["matches_expected"] is True
 
+    @pytest.mark.parametrize("argv, flag", [
+        (("--hirota", "--experiment", "real-roots"), "--hirota"),
+        (("--samples", "5"), "--samples"),
+        (("--seed", "3"), "--seed"),
+        (("--seed", "0", "--hirota"), "--seed"),
+    ])
+    def test_flag_without_effect_rejected(self, capsys, argv, flag):
+        code, out, err = run(capsys, "schur", "--type", "A2", *argv)
+        assert code == 1 and out == ""
+        assert err.startswith("error [validation]: ") and flag in err
+
     def test_tau_document(self, capsys):
         doc = run_json(capsys, "schur", "--type", "B2", "--hirota")
         assert doc["minimal_degrees"] == [2, 1]
@@ -173,7 +184,7 @@ class TestErrorsAndPlumbing:
         ("affine", "--rank", "40", "--lmax", "5"),
         ("affine", "--rank", "2000", "--lmax", "1"),
         ("schur", "--type", "A11"),
-        ("schur", "--type", "A5", "--experiment", "real-roots"),
+        ("schur", "--type", "D5", "--experiment", "real-roots"),
         ("schur", "--type", "G2", "--experiment", "real-roots", "--samples", "100000"),
         ("chevalley", "--type", "A2000", "--q", "3"),
         ("chevalley", "--type", "A1", "--q", "1000000000000000003"),

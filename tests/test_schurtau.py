@@ -25,6 +25,7 @@ from todalab.schurtau import (
     nu_degrees,
     poly_sqrt,
     poly_sqrt_content,
+    random_nonzero_rational,
     real_root_count_experiment,
     ring_for,
     schur_wronskian,
@@ -352,6 +353,84 @@ class TestSqrtAndDivision:
             exact_divide(r.var("t1") + r.one(), r.var("t2"))
 
 
+def power(p, k):
+    out = UniPoly([1])
+    for _ in range(k):
+        out = out * p
+    return out
+
+
+def fraction_rem(a, b):
+    """Remainder of the long division of ``a`` by ``b`` over Fraction."""
+    r = [Fraction(c) for c in a.coeffs]
+    lead = b.coeffs[-1]
+    while len(r) > b.degree:
+        f = r[-1] / lead
+        shift = len(r) - 1 - b.degree
+        for i, c in enumerate(b.coeffs):
+            r[shift + i] -= f * c
+        while r and r[-1] == 0:
+            r.pop()
+    return UniPoly(r)
+
+
+def sturm_by_fractions(f):
+    """Independent root-count oracle, the chain before the integer one: the
+    signed remainder sequence of f and f' over Fraction, up to gcd(f, f')."""
+    if f.degree < 1:
+        return 0
+    chain = [f, f.derivative()]
+    while chain[-1].degree > 0:
+        r = fraction_rem(chain[-2], chain[-1])
+        if r.is_zero():
+            break
+        chain.append(-r)
+    at_plus = [p.coeffs[-1] > 0 for p in chain]
+    at_minus = [pos == (p.degree % 2 == 0) for pos, p in zip(at_plus, chain)]
+    return sum(a != b for a, b in zip(at_minus, at_minus[1:])) - sum(
+        a != b for a, b in zip(at_plus, at_plus[1:]))
+
+
+def random_fraction_poly(rng):
+    """A seeded product of linear, irreducible quadratic and sparse factors
+    (odd gaps between exponents), some repeated, with large denominators and
+    a leading coefficient of either sign; degree at most 12, where the
+    Fraction oracle stays fast."""
+    def frac():
+        return Fraction(rng.randint(-10 ** 6, 10 ** 6) or 1, rng.randint(1, 10 ** 12))
+
+    f = UniPoly([frac()])
+    for _ in range(rng.randint(1, 3)):
+        kind = rng.randrange(3)
+        if kind == 0:
+            factor = UniPoly([frac(), frac()])
+        elif kind == 1:  # x^2 + b x + c with b^2 < 4c
+            b = frac()
+            factor = UniPoly([b * b / 4 + frac() ** 2 + Fraction(1, 10 ** 9), b, 1])
+        else:
+            low = rng.randint(0, 2)
+            gap = rng.choice((1, 3, 5))
+            factor = UniPoly.from_dict({low: frac(), low + gap: frac(),
+                                        low + gap + rng.choice((1, 3)): frac()})
+        factor = power(factor, rng.choice((1, 1, 2, 3)))
+        if f.degree + factor.degree <= 12:
+            f = f * factor
+    return f
+
+
+def tau_slices(name, samples, seed):
+    """The products of tau_j on the slices ``real_root_count_experiment`` draws."""
+    system = tau_functions(T(name))
+    rng = random.Random(seed)
+    others = [n for n in system.ring.names if n != "t1"]
+    for _ in range(samples):
+        values = {n: random_nonzero_rational(rng) for n in others}
+        poly = UniPoly([1])
+        for tau in system.taus:
+            poly = poly * tau.slice_t1(values)
+        yield poly
+
+
 class TestSturm:
     def test_pinned(self):
         assert sturm_real_roots([1, 0, 1]) == 0          # t^2 + 1
@@ -379,12 +458,6 @@ class TestSturm:
         assert sturm_real_roots(f) == 2
 
     def test_high_multiplicity(self):
-        def power(p, k):
-            out = UniPoly([1])
-            for _ in range(k):
-                out = out * p
-            return out
-
         # (t-1)^3 (t+2)^4 (t^2+1): the chain ends at gcd(f, f') of degree 5
         f = power(UniPoly([-1, 1]), 3) * power(UniPoly([2, 1]), 4) * UniPoly([1, 0, 1])
         assert sturm_real_roots(f) == 2
@@ -405,16 +478,23 @@ class TestSturm:
             assert sturm_real_roots(f) == len(set(roots))
 
     def test_int_inputs_never_go_float(self):
-        # int / int is a float in Python; every division must go through Fraction
+        # int / int is a float in Python; no step may divide that way
         f = UniPoly([3, 0, -7, 2])
-        g = UniPoly([5, 2])
-        for p in (f.rem(g), f.derivative(), *f.quo_rem(g)):
-            assert not any(isinstance(c, float) for c in p.coeffs)
-        q, r = f.quo_rem(g)
-        assert q * g + r == f
+        assert not any(isinstance(c, float) for c in f.derivative().coeffs)
         # roots 1 and 1 + 10^-30 collapse in floating point
         n = 10 ** 30
         assert sturm_real_roots(UniPoly([-1, 1]) * UniPoly([-n - 1, n])) == 2
+
+    def test_matches_fraction_chain(self):
+        rng = random.Random(11)
+        for _ in range(300):
+            f = random_fraction_poly(rng)
+            assert sturm_real_roots(f) == sturm_by_fractions(f), f
+
+    @pytest.mark.parametrize("name", ["A2", "A3", "A4", "B2", "B3", "C2", "C3", "D4", "G2"])
+    def test_matches_fraction_chain_on_tau_slices(self, name):
+        want = [sturm_by_fractions(f) for f in tau_slices(name, 4, seed=7)]
+        assert list(real_root_count_experiment(T(name), samples=4, seed=7).counts) == want
 
 
 class TestExperiment:
@@ -434,6 +514,13 @@ class TestExperiment:
         b = real_root_count_experiment(T("B2"), samples=10, seed=4)
         assert a.counts == b.counts  # counts are stable even though slices move
         assert a.as_dict() != b.as_dict()
+
+    @pytest.mark.parametrize("name, degree_sum", [("A5", 9), ("B4", 10), ("C4", 10)])
+    def test_conjecture_above_height_28(self, name, degree_sum):
+        # the real t1-roots equal the degree sum of the compact dual K
+        rep = real_root_count_experiment(T(name), samples=5, seed=7)
+        assert rep.modal_count == rep.expected == degree_sum
+        assert rep.matches_expected
 
     def test_needs_samples(self):
         with pytest.raises(ValidationError):
