@@ -3,7 +3,14 @@ point counts.
 
 p_eps(q) = (-1)^{l(w*)} * sum_w (-1)^{l(w)} q^{eta(w, eps)}.  For the all-minus
 sign it equals q^{-r} |K(F_q)| for the maximal compact K of the Langlands-dual
-group, with the explicit per-type factorization prod (q^{d_i} - 1).
+group, with the explicit per-type factorization prod (q^{d_i} - 1); every
+mixed sign gives 0.
+
+The sum runs over a parabolic coset chain instead of the whole group
+(Bjorner-Brenti, section 2.4): with J_k = {0..k}, every w in W_{J_k} is uniquely
+v * u with v in W_{J_(k-1)}, u a minimal right coset representative and
+l(w) = l(v) + l(u), so eta(w, eps) = eta(v, eps) + eta(u, v.eps).  The
+enumeration sum ``alternating_eta_sum`` stays as the oracle.
 """
 
 from __future__ import annotations
@@ -13,11 +20,11 @@ from collections import Counter
 from dataclasses import dataclass
 from itertools import product
 
-from .errors import AssumptionViolatedError, CapExceededError, InvalidQError
+from .errors import AssumptionViolatedError, CapExceededError, InvalidQError, ValidationError
 from .exact import UniPoly
-from .rootdata import LieType, compact_dual_info
-from .signflow import EtaTable, eta_table
-from .weyl import WeylGroup
+from .rootdata import LieType, cartan_matrix, compact_dual_info
+from .signflow import EtaTable, propagate
+from .weyl import WordTree
 
 
 @dataclass(frozen=True)
@@ -41,9 +48,89 @@ class FactoredForm:
         return "".join(out) if out else "1"
 
 
-def p_epsilon(group: WeylGroup, eps) -> UniPoly:
-    """Exact alternating sum of q^eta over the whole Weyl group."""
-    return alternating_eta_sum(eta_table(group, eps))
+class CosetTree(WordTree):
+    """Minimal representatives u of the right cosets W_{J_(k-1)} u in W_{J_k}.
+
+    u is keyed by the Dynkin labels on J_k of u^{-1} omega_k, the numbers
+    game of ``affine.py`` started at (0, ..., 0, 1): u * s_i has
+    m_j - m_i * C[i][j], and s_i is an ascent exactly when m_i > 0 (at
+    m_i = 0 it fixes the key, so the coset does not change).  The tree words
+    are reduced words of the representatives.
+    """
+
+    def __init__(self, lie_type: LieType, C, k: int):
+        super().__init__(tuple(int(j == k) for j in range(k + 1)), k + 1)
+        self.lie_type = lie_type
+        self._rows = [row[:k + 1] for row in C[:k + 1]]
+
+    def _mul(self, m, i):
+        mi = m[i]
+        return tuple(mj - mi * c for mj, c in zip(m, self._rows[i]))
+
+    def _descent(self, m, i):
+        return m[i] <= 0
+
+
+class CosetChain:
+    """W = U_0 * U_1 * ... * U_(r-1), U_k the representatives of step k.
+
+    The transfer row of step k from the sign sigma maps each u * sigma to
+    sum (-1)^{l(u)} q^{eta(u, sigma)} over the u that send sigma there; rows
+    are cached per (step, sigma) on the chain, so one chain serves every
+    sign of its type.
+    """
+
+    def __init__(self, lie_type: LieType):
+        self.C = cartan_matrix(lie_type)
+        self.steps = []
+        for k in range(lie_type.rank):
+            tree = CosetTree(lie_type, self.C, k)
+            while tree.grow():
+                pass
+            self.steps.append(tree)
+        self.longest_length = sum(tree.lengths[-1] for tree in self.steps)  # l(w*)
+        self._rows = {}
+
+    def _row(self, k: int, sigma) -> dict:
+        row = self._rows.get((k, sigma))
+        if row is None:
+            tree = self.steps[k]
+            values, transported = propagate(self.C, tree.parents, tree.letters, sigma)
+            row = {}
+            for length, e, sig in zip(tree.lengths, values, transported):
+                poly = row.setdefault(sig, {})
+                poly[e] = poly.get(e, 0) + (-1 if length % 2 else 1)
+            self._rows[(k, sigma)] = row
+        return row
+
+    def p_epsilon(self, eps) -> UniPoly:
+        eps = tuple(eps)
+        if len(eps) != len(self.C):
+            raise ValidationError(f"sign vector length {len(eps)} != rank {len(self.C)}")
+        flow = {eps: {0: 1}}  # transported sign -> sum (-1)^{l(v)} q^{eta(v, eps)}
+        for k in range(len(self.steps)):
+            nxt = {}
+            for sigma, poly in flow.items():
+                for sig, transfer in self._row(k, sigma).items():
+                    acc = nxt.setdefault(sig, {})
+                    for a, x in poly.items():
+                        for b, y in transfer.items():
+                            acc[a + b] = acc.get(a + b, 0) + x * y
+            flow = {}  # cancelled terms and signs carry nothing forward
+            for sig, acc in nxt.items():
+                poly = {e: c for e, c in acc.items() if c}
+                if poly:
+                    flow[sig] = poly
+        total = Counter()
+        for poly in flow.values():
+            total.update(poly)
+        sign = -1 if self.longest_length % 2 else 1
+        return UniPoly.from_dict({e: sign * c for e, c in total.items()})
+
+
+def p_epsilon(lie_type: LieType, eps) -> UniPoly:
+    """Exact p_eps(q) of a finite type through its coset chain; no group is built."""
+    return CosetChain(lie_type).p_epsilon(eps)
 
 
 def alternating_eta_sum(table: EtaTable) -> UniPoly:

@@ -23,7 +23,7 @@ from .blowup_poly import (
     closed_form_p,
     p_epsilon,
 )
-from .errors import TodaLabError, ValidationError
+from .errors import CapExceededError, TodaLabError, ValidationError
 from .rootdata import LieType, compact_dual_info, conventions_table, require_finite
 from .schurtau import (
     hirota_residual,
@@ -34,7 +34,7 @@ from .schurtau import (
 )
 from .signflow import all_minus, eta_table, format_signs, parse_signs
 from .todagraph import build_graph, graph_to_dict, matching_report, to_dot
-from .weyl import DEFAULT_CAP, WeylGroup
+from .weyl import DEFAULT_CAP, WeylGroup, check_order
 
 SCHEMA_VERSION = 1
 
@@ -87,7 +87,14 @@ def _emit_csv(rows, header, args):
 def cmd_pq(args):
     t = LieType.parse(args.type)
     eps = _sign_vector(args, t.rank)
-    poly = p_epsilon(WeylGroup.generate(t, args.cap), eps)
+    try:
+        check_order(t, args.cap)  # p_eps needs no group, but --cap still bounds |W|
+    except CapExceededError:
+        # refuse inside generate, as eta and graph do, so a refusal has one
+        # code path and one trace span (perfbench's refuse worker times it)
+        WeylGroup.generate(t, args.cap)
+        raise
+    poly = p_epsilon(t, eps)
     payload = {
         "type": str(t),
         "sign": format_signs(eps),
@@ -318,7 +325,7 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--format", choices=fmt, default=fmt[0])
         p.add_argument("--out", help="write output to this file instead of stdout")
 
-    def group_command(name, summary, fmt, fn):  # the commands that enumerate W
+    def group_command(name, summary, fmt, fn):  # the commands refused by |W| > --cap
         p = sub.add_parser(name, help=summary)
         common(p, fmt)
         p.add_argument("--cap", type=int, default=DEFAULT_CAP,

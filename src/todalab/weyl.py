@@ -28,6 +28,7 @@ from .rootdata import (
 )
 
 DEFAULT_CAP = 1_000_000
+MAX_ELEMENTS = 3_000_000  # enumeration ceiling whatever the cap; E7 (2,903,040) fits
 
 _PAD = bytes(range(256))
 
@@ -63,6 +64,21 @@ def invert(p: bytes) -> bytes:
     for i, v in enumerate(p):
         out[v] = i
     return bytes(out)
+
+
+def check_order(lie_type: LieType, cap: int = DEFAULT_CAP) -> int:
+    """|W|, or ``CapExceededError`` when it exceeds ``cap``; |W| is sized from
+    its logarithm first, so a huge group is refused without forming it."""
+    log_order = weyl_order_log10(lie_type)
+    if log_order >= 18:  # A19+, B16+, C16+, D17+: over 255 roots; |W| is not formed
+        if log_order > math.log10(max(cap, 1)):
+            raise CapExceededError(
+                f"{lie_type}: group of order above 10^{int(log_order)} exceeds cap={cap}")
+        raise CapExceededError(f"{lie_type}: root system too large for byte keys")
+    order = weyl_order(lie_type)
+    if order > cap:
+        raise CapExceededError(f"{lie_type}: group of order {order} exceeds cap={cap}")
+    return order
 
 
 class WordTree:
@@ -185,21 +201,12 @@ class WeylGroup(WordTree):
         """BFS closure over the simple reflections acting on the roots.
 
         Refuses up front, from the closed-form order, a group of more than
-        ``cap`` elements; the per-level check in ``grow`` stays as a backstop.
-        E7 is opt-in by raising the cap (cap=3_000_000): its 2.9e6 elements
-        take about 30 s and 1.8 GB of padded permutation tables; E8 at 7e8
-        elements is out of desk scale.
+        ``cap`` elements or more than ``MAX_ELEMENTS`` whatever the cap; the
+        per-level check in ``grow`` stays as a backstop.  E7 is opt-in by
+        raising the cap (cap=3_000_000): its 2.9e6 elements take about 30 s
+        and 1.8 GB of padded permutation tables.
         """
-        log_order = weyl_order_log10(lie_type)
-        if log_order >= 18:  # A19+, B16+, C16+, D17+: over 255 roots; |W| is not formed
-            if log_order > math.log10(max(cap, 1)):
-                raise CapExceededError(
-                    f"{lie_type}: group of order above 10^{int(log_order)} exceeds cap={cap}")
-            raise CapExceededError(f"{lie_type}: root system too large for byte keys")
-        order = weyl_order(lie_type)
-        if order > cap:
-            raise CapExceededError(f"{lie_type}: group of order {order} exceeds cap={cap}")
-
+        order = check_order(lie_type, cap)
         rs = positive_roots(lie_type)
         l = lie_type.rank
         C = cartan_matrix(lie_type)
@@ -207,6 +214,10 @@ class WeylGroup(WordTree):
         roots = pos + [tuple(-c for c in b) for b in pos]
         if len(roots) > 255:
             raise CapExceededError(f"{lie_type}: root system too large for byte keys")
+        if order > MAX_ELEMENTS:
+            raise CapExceededError(
+                f"{lie_type}: group of order {order} exceeds the enumeration ceiling "
+                f"{MAX_ELEMENTS}")
         where = {b: i for i, b in enumerate(roots)}
         simple_perms = [
             pad_table(bytes(where[reflect_root(C, b, i)] for b in roots)) for i in range(l)

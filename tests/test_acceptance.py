@@ -9,8 +9,8 @@ invariant drift, and a 90% modal threshold for the real-root experiment.
 import pytest
 
 TITLES = {
-    1: "closed-form blow-up polynomials (A1-A5, B2-B4, C2-C4, D4, D5, G2, F4, E6)",
-    2: "p_eps = 0 for every mixed sign (rank <= 3 and G2, exhaustive)",
+    1: "closed-form blow-up polynomials (A1-A5, B2-B4, C2-C4, D4, D5, G2, F4, E6-E8)",
+    2: "p_eps = 0 for every mixed sign (rank <= 3, G2, A4-A5, B4, C4, D4-D5, F4, E6-E8)",
     3: "eta independent of the reduced word (A3, B3, C3, G2; all words, all signs)",
     4: "pinned eta tables for A2 and G2",
     5: "graph components: A2 -> 4 (exact partition), A3 -> 10, A1 -> 2",

@@ -1,10 +1,13 @@
+import math
 from itertools import product
 
 import pytest
 from hypothesis import given, strategies as st
 
 from todalab.blowup_poly import (
+    CosetChain,
     FactoredForm,
+    alternating_eta_sum,
     brute_force_so_order,
     chevalley_order,
     closed_form_p,
@@ -12,10 +15,16 @@ from todalab.blowup_poly import (
     p_epsilon,
     poincare_polynomial_k,
 )
-from todalab.errors import AssumptionViolatedError, CapExceededError, InvalidQError
+from todalab.errors import (
+    AssumptionViolatedError,
+    CapExceededError,
+    InvalidQError,
+    UnsupportedTypeError,
+    ValidationError,
+)
 from todalab.exact import UniPoly as IntPolynomial
-from todalab.rootdata import LieType, compact_dual_info
-from todalab.signflow import all_minus
+from todalab.rootdata import LieType, compact_dual_info, positive_roots, weyl_order
+from todalab.signflow import all_minus, eta_table, parse_signs
 
 
 def T(name):
@@ -44,23 +53,71 @@ class TestIntPolynomial:
 
 
 class TestPEpsilon:
-    def test_pinned(self, group):
-        assert p_epsilon(group("A2"), (-1, -1)) == IntPolynomial([-1, 0, 1])
-        assert p_epsilon(group("G2"), (-1, -1)) == IntPolynomial([1, 0, -2, 0, 1])
-        assert p_epsilon(group("A2"), (-1, 1)).is_zero()
-        assert p_epsilon(group("C3"), (-1, -1, -1)) == \
+    def test_pinned(self):
+        assert p_epsilon(T("A2"), (-1, -1)) == IntPolynomial([-1, 0, 1])
+        assert p_epsilon(T("G2"), (-1, -1)) == IntPolynomial([1, 0, -2, 0, 1])
+        assert p_epsilon(T("A2"), (-1, 1)).is_zero()
+        assert p_epsilon(T("C3"), (-1, -1, -1)) == \
             FactoredForm((2, 2, 2)).expand()
-        assert p_epsilon(group("B2"), (-1, -1)) == FactoredForm((1, 2)).expand()
+        assert p_epsilon(T("B2"), (-1, -1)) == FactoredForm((1, 2)).expand()
 
     @pytest.mark.parametrize("name", ["A1", "A2", "A3", "B2", "B3", "C2", "C3", "G2"])
-    def test_mixed_signs_vanish(self, name, group):
+    def test_mixed_signs_vanish(self, name):
         t = T(name)
-        g = group(name)
         for eps in product((1, -1), repeat=t.rank):
             if eps == all_minus(t.rank):
-                assert p_epsilon(g, eps) == closed_form_p(t).expand()
+                assert p_epsilon(t, eps) == closed_form_p(t).expand()
             else:
-                assert p_epsilon(g, eps).is_zero()
+                assert p_epsilon(t, eps).is_zero()
+
+    def test_bad_input_refused(self):
+        with pytest.raises(ValidationError, match="length 2 != rank 3"):
+            p_epsilon(T("A3"), (-1, -1))
+        with pytest.raises(UnsupportedTypeError):
+            p_epsilon(T("A2(1)"), (-1, -1, -1))
+
+
+# every finite type through rank 8
+FINITE_TYPES = ([f"A{l}" for l in range(1, 9)] + [f"B{l}" for l in range(2, 9)]
+                + [f"C{l}" for l in range(2, 9)] + [f"D{l}" for l in range(3, 9)]
+                + ["E6", "E7", "E8", "F4", "G2"])
+
+# E6 mixed signs compared with enumeration (all 64 would add about 4 s)
+E6_SIGNS = ["+-----", "-+----", "--+---", "---+--", "----+-", "-----+", "+-+-+-", "++++++"]
+
+
+class TestCosetChain:
+    """The coset chain against the enumeration sum over the whole group."""
+
+    @pytest.mark.parametrize("name", ["A1", "A2", "A3", "A4", "A5", "B2", "B3", "B4",
+                                      "C2", "C3", "C4", "D4", "D5", "F4", "G2"])
+    def test_every_sign_matches_enumeration(self, name, group):
+        t, g = T(name), group(name)
+        chain = CosetChain(t)
+        for eps in product((1, -1), repeat=t.rank):
+            assert chain.p_epsilon(eps) == alternating_eta_sum(eta_table(g, eps)), eps
+
+    @pytest.mark.parametrize("sign", ["------"] + E6_SIGNS)
+    def test_e6_matches_enumeration(self, sign, group):
+        eps = parse_signs(sign)
+        assert p_epsilon(T("E6"), eps) == alternating_eta_sum(eta_table(group("E6"), eps))
+
+    @pytest.mark.parametrize("name", ["E7", "E8"])
+    def test_e7_e8_closed_form_and_vanishing(self, name):
+        t = T(name)
+        chain = CosetChain(t)
+        for eps in product((1, -1), repeat=t.rank):
+            if eps == all_minus(t.rank):
+                assert chain.p_epsilon(eps) == closed_form_p(t).expand()
+            else:
+                assert chain.p_epsilon(eps).is_zero(), eps
+
+    @pytest.mark.parametrize("name", FINITE_TYPES)
+    def test_steps_factor_the_group(self, name):
+        t = T(name)
+        chain = CosetChain(t)
+        assert math.prod(len(step) for step in chain.steps) == weyl_order(t)
+        assert chain.longest_length == len(positive_roots(t).positive)  # l(w*)
 
 
 class TestClosedForms:

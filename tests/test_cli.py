@@ -1,3 +1,4 @@
+import hashlib
 import importlib
 import io
 import json
@@ -12,7 +13,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import todalab
+from todalab.blowup_poly import closed_form_p
 from todalab.cli import main
+from todalab.rootdata import LieType
 
 
 def run(capsys, *argv):
@@ -44,6 +47,37 @@ class TestPq:
         code, out, _ = run(capsys, "pq", "--type", "A2", "--format", "text")
         assert code == 0
         assert out.strip() == "A2 --: q^2 - 1"
+
+    def test_e7_refused_as_before(self, capsys):
+        code, out, err = run(capsys, "pq", "--type", "E7")
+        assert (code, out) == (2, "")
+        assert err == "error [cap-exceeded]: E7: group of order 2903040 exceeds cap=1000000\n"
+
+    @pytest.mark.parametrize("name, cap", [("E7", "3000000"), ("E8", "700000000"),
+                                           ("A14", "10000000000000")])
+    def test_raised_cap_answers_without_enumerating(self, capsys, name, cap):
+        start = time.perf_counter()
+        doc = run_json(capsys, "pq", "--type", name, "--cap", cap)
+        assert time.perf_counter() - start < 1.0
+        closed = closed_form_p(LieType.parse(name))
+        assert doc["p"] == str(closed)
+        assert doc["closed_form_exponents"] == list(closed.exponents)
+        assert doc["matches_closed_form"] is True
+
+    def test_contract_grid_bytes_unchanged(self):
+        """Every type and sign of the contract test below: exit code, JSON
+        stdout and stderr hash to what enumeration-based pq gave."""
+        digest = hashlib.sha256()
+        for t in TYPES:
+            for sign in [None] + SIGNS:
+                argv = ["pq", "--type", t, "--format", "json"]
+                argv += [] if sign is None else ["--sign", sign]
+                out, err = io.StringIO(), io.StringIO()
+                with redirect_stdout(out), redirect_stderr(err):
+                    code = main(argv)
+                record = json.dumps([argv, code, out.getvalue(), err.getvalue()])
+                digest.update(record.encode() + b"\n")
+        assert digest.hexdigest() == PQ_GRID_SHA256
 
 
 class TestEta:
@@ -189,6 +223,8 @@ class TestErrorsAndPlumbing:
         ("chevalley", "--type", "A2000", "--q", "3"),
         ("chevalley", "--type", "A1", "--q", "1000000000000000003"),
         ("pq", "--type", "A1000000"),
+        ("eta", "--type", "A14", "--cap", "10000000000000"),
+        ("graph", "--type", "D9", "--cap", "100000000000"),
         ("ode", "--type", "A15", "--a", ",".join(["1"] * 15), "--b", ",".join(["0"] * 15)),
         ("ode", "--type", "A2000", "--a", ",".join(["1"] * 2000),
          "--b", ",".join(["0"] * 2000)),
@@ -389,6 +425,7 @@ TYPES = ["A1", "A2", "A3", "A4", "A5", "B2", "B3", "C3", "D5", "G2", "F4", "E6",
 SIGNS = ["-", "+", "--", "-+", "+-+", "---", "----", "-++-+-", "", "+x"]
 NUMBERS = ["1", "0", "-1", "1,1", "-1,-1", "1e308", "nan", "abc", ""]
 JUNK = ["--bogus", "junk", "--", "-x", "--cap=abc"]
+PQ_GRID_SHA256 = "7bf2ebcec419d99facc07b25669b6d73df35d95b33cfe1d8a58c4023c5efac4a"
 
 
 def _tokens(spec):

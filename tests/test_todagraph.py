@@ -90,7 +90,7 @@ class TestPolynomialConsistency:
     def test_alternating_sum_is_p(self, name, group):
         g = group(name)
         for eps in product((1, -1), repeat=g.lie_type.rank):
-            assert alternating_sum(build_graph(g, eps)) == p_epsilon(g, eps)
+            assert alternating_sum(build_graph(g, eps)) == p_epsilon(g.lie_type, eps)
 
 
 class TestMatching:

@@ -14,7 +14,7 @@ from todalab.rootdata import (
     weyl_order,
     weyl_order_log10,
 )
-from todalab.weyl import WeylGroup, pad_table
+from todalab.weyl import MAX_ELEMENTS, WeylGroup, check_order, pad_table
 
 CLOSED_ORDERS = {
     "A1": 2, "A2": 6, "A3": 24, "A4": 120, "A5": 720, "A6": 5040,
@@ -273,6 +273,25 @@ class TestCapsAndDeterminism:
         # a cap above |W| still cannot build a root system of over 255 roots
         with pytest.raises(CapExceededError, match="byte keys"):
             WeylGroup.generate(LieType("A", 20), cap=10**30)
+
+    def test_enumeration_ceiling_whatever_the_cap(self):
+        # A9 (3,628,800) and D8 (5,160,960) are over the ceiling; E7 (2,903,040) is not
+        assert weyl_order(LieType.parse("E7")) <= MAX_ELEMENTS < weyl_order(LieType.parse("A9"))
+        for name in ("A9", "D8", "B11", "A14"):
+            with pytest.raises(CapExceededError,
+                               match=f"enumeration ceiling {MAX_ELEMENTS}$"):
+                WeylGroup.generate(LieType.parse(name), cap=10**17)
+        # the byte-key refusal comes first and keeps its text
+        with pytest.raises(CapExceededError, match="byte keys"):
+            WeylGroup.generate(LieType("A", 16), cap=10**17)
+
+    def test_check_order_is_the_up_front_refusal(self):
+        assert check_order(LieType.parse("E7"), 3_000_000) == 2_903_040
+        with pytest.raises(CapExceededError,
+                           match=r"^E7: group of order 2903040 exceeds cap=1000000$"):
+            check_order(LieType.parse("E7"))
+        with pytest.raises(CapExceededError, match=r"above 10\^5565714 exceeds cap"):
+            check_order(LieType("A", 10**6))
 
     def test_regeneration_is_deterministic(self):
         a = WeylGroup.generate(LieType.parse("B3"))
