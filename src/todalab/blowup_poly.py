@@ -18,7 +18,6 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
-from itertools import product
 
 from .errors import AssumptionViolatedError, CapExceededError, InvalidQError, ValidationError
 from .exact import UniPoly
@@ -194,46 +193,47 @@ def chevalley_order(t: LieType, q: int) -> int:
 
 # -- brute-force oracles over F_q -------------------------------------------
 
-SO2_CAP = 10_000
-SO3_CAP = 7
+MAX_SO_WORK = 1_000_000  # products; every count under it takes under 1 s
+
+
+def so_factors(t: LieType) -> tuple[int, ...]:
+    """The n of each SO(n) factor of the compact dual, read off its name."""
+    parts = compact_dual_info(t).name.split("x")
+    if not all(part.startswith("SO(") for part in parts):
+        raise ValidationError(f"{t}: the compact dual {'x'.join(parts)} is not a product "
+                              f"of SO(n) groups; brute-force counts cover A, C, D and E8")
+    return tuple(int(part[3:-1]) for part in parts)
 
 
 def brute_force_so_order(n: int, q: int) -> int:
-    """|SO(n, F_q)| for prime q by raw enumeration; the independent check on q^r p(q).
+    """|SO(n, F_q)| for prime q by counting quadric points; the independent check on q^r p(q).
 
-    n=2 counts the solutions of x^2 + y^2 = 1 (requires sqrt(-1) in F_q,
-    as in the circle example); n=3 counts the matrices whose rows are
-    pairwise orthogonal unit vectors (A A^T = I) with det A = 1.  The
-    arithmetic is mod q, so a prime power that is not prime is refused.
+    SO(k) is transitive on the sphere S_k = {x in F_q^k : x.x = 1} (Witt) with
+    stabilizer SO(k-1), so |SO(n)| = prod_{k=2..n} |S_k| by orbit-stabilizer,
+    each |S_k| read off a running convolution of the squares mod q.  The order formula is the split
+    group's, and x.x is split unless n = 2 mod 4 and q = 3 mod 4 (-1 is then
+    not a square): that case is refused, and so is a q that is not prime, as
+    the arithmetic is mod q.
     """
     check_odd_prime_power(q)
-    cap = {2: SO2_CAP, 3: SO3_CAP}.get(n)
-    if cap is None:
-        raise InvalidQError(f"brute-force SO order only implemented for n in (2, 3), got {n}")
-    if q > cap:
-        raise CapExceededError(f"SO({n}) enumeration capped at q<={cap}")
+    if n < 2:
+        raise ValidationError(f"SO(n) counts need n >= 2, got {n}")
+    work = q + (n - 2) * q * (q + 1) // 2  # the squares, then n-2 convolutions
+    if work > MAX_SO_WORK:
+        raise CapExceededError(
+            f"SO({n}) count over F_{q} needs {work} products, over the cap {MAX_SO_WORK}")
     if smallest_prime_factor(q) != q:
         raise InvalidQError(f"q={q} is not prime; Z/{q} is not the field F_{q}")
-    if n == 2:
-        squares = Counter(x * x % q for x in range(q))
-        if not squares[q - 1]:
-            raise AssumptionViolatedError(
-                f"-1 is not a square in F_{q}; the q-1 count assumes sqrt(-1) exists"
-            )
-        return sum(squares[(1 - x * x) % q] for x in range(q))
-
-    def dot(u, v):
-        return (u[0] * v[0] + u[1] * v[1] + u[2] * v[2]) % q
-
-    units = [v for v in product(range(q), repeat=3) if dot(v, v) == 1]
-    total = 0
-    for r0 in units:
-        perp = [v for v in units if dot(r0, v) == 0]
-        for r1 in perp:  # det(r0, r1, r2) = (r0 x r1) . r2
-            cross = (r0[1] * r1[2] - r0[2] * r1[1], r0[2] * r1[0] - r0[0] * r1[2],
-                     r0[0] * r1[1] - r0[1] * r1[0])
-            total += sum(1 for r2 in perp if dot(r1, r2) == 0 and dot(cross, r2) == 1)
-    return total
+    if n % 4 == 2 and q % 4 == 3:
+        raise AssumptionViolatedError(f"-1 is not a square in F_{q}, so x.x on F_{q}^{n} "
+                                      f"is not split; the SO({n}) count assumes a split form")
+    squares = Counter(x * x % q for x in range(q))
+    order, sums = 1, [squares[a] for a in range(q)]  # sums: x_1^2 + ... + x_(k-1)^2
+    for k in range(2, n + 1):
+        order *= sum(c * sums[(1 - s) % q] for s, c in squares.items())  # |S_k|
+        if k < n:  # sums[a - s] wraps mod q through negative indices
+            sums = [sum(c * sums[a - s] for s, c in squares.items()) for a in range(q)]
+    return order
 
 
 def poincare_polynomial_k(t: LieType) -> UniPoly:

@@ -13,6 +13,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import sys
 
 from . import __version__
@@ -22,6 +23,7 @@ from .blowup_poly import (
     chevalley_order,
     closed_form_p,
     p_epsilon,
+    so_factors,
 )
 from .errors import CapExceededError, TodaLabError, ValidationError
 from .rootdata import LieType, compact_dual_info, conventions_table, require_finite
@@ -258,6 +260,8 @@ def cmd_ode(args):
 
 
 def cmd_chevalley(args):
+    if args.brute and args.q is None:
+        raise ValidationError("--brute needs --q")
     t = LieType.parse(args.type)
     info = compact_dual_info(t)
     payload = {
@@ -273,10 +277,8 @@ def cmd_chevalley(args):
         payload["q"] = args.q
         payload["order"] = chevalley_order(t, args.q)
         if args.brute:
-            n = {"A1": 2, "A2": 3}.get(str(t))
-            if n is None:
-                raise ValidationError("--brute supports only A1 (SO2) and A2 (SO3)")
-            payload["brute_force_order"] = brute_force_so_order(n, args.q)
+            payload["brute_force_order"] = math.prod(
+                brute_force_so_order(n, args.q) for n in so_factors(t))
             payload["matches"] = payload["brute_force_order"] == payload["order"]
     _emit_json(payload, args)
     return 0
@@ -366,7 +368,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--q", type=int, help="odd prime power")
     p.add_argument("--brute", action="store_true",
-                   help="cross-check against brute-force enumeration (A1/A2, q prime)")
+                   help="cross-check by counting quadric points (A, C, D, E8; q prime)")
     p.set_defaults(fn=cmd_chevalley)
 
     p = sub.add_parser("verify", help="run the self-verification matrix")

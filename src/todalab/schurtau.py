@@ -188,9 +188,6 @@ class ExactPoly:
         w = self.ring.weights
         return {sum(x * y for x, y in zip(e, w)) for e in self.terms}
 
-    def is_weighted_homogeneous(self) -> bool:
-        return len(self.weighted_degrees()) <= 1
-
     def leading(self):
         """(exponents, coefficient) maximal in graded-lex order."""
         if not self.terms:
@@ -204,10 +201,6 @@ class ExactPoly:
             raise ZeroPolynomialError("trailing term of the zero polynomial")
         e = min(self.terms, key=lambda e: (sum(e), e))
         return e, self.terms[e]
-
-    def degree_in(self, name) -> int:
-        pos = self.ring.names.index(name)
-        return max((e[pos] for e in self.terms), default=-1)
 
     def restrict_t1(self) -> "UniPoly":
         """Set every variable except t1 to zero."""

@@ -26,8 +26,9 @@ from .blowup_poly import (
     closed_form_p,
     p_epsilon,
     poincare_polynomial_k,
+    so_factors,
 )
-from .errors import ValidationError
+from .errors import AssumptionViolatedError, ValidationError
 from .rootdata import LieType, cartan_matrix, compact_dual_info, two_rho_height
 from .schurtau import (
     hirota_residual,
@@ -167,17 +168,21 @@ def check_components(groups, scope):
 
 
 def check_chevalley_orders(groups, scope):
-    cases = [("A1", 2, q) for q in (5, 13, 17)]
-    cases += [("A2", 3, 3)] + ([("A2", 3, 5)] if scope == "full" else [])
-    bad = []
-    for name, n, q in cases:
+    names = _types(["A1", "A2", "A3", "C2", "C3", "D3"],
+                   ["A4", "A5", "A6", "A7", "C4", "C5", "C6", "D4", "D5", "D6", "E8"], scope)
+    non_split = {"A1", "A5", "C2", "C5", "C6", "D6"}  # an SO(n), n = 2 mod 4, at q = 3 mod 4
+    bad, refused = [], 0
+    for name, q in iproduct(names, (3, 5, 7, 13, 17)):
         t = LieType.parse(name)
-        formula = chevalley_order(t, q)
-        brute = brute_force_so_order(n, q)
-        if formula != brute:
-            bad.append(f"{name} q={q}: {formula} != {brute}")
-    return not bad, f"{len(cases)} point counts match enumeration" + (
-        "" if not bad else "; " + "; ".join(bad))
+        try:
+            got = math.prod(brute_force_so_order(n, q) for n in so_factors(t))
+        except AssumptionViolatedError:
+            got, refused = None, refused + 1
+        want = None if name in non_split and q % 4 == 3 else chevalley_order(t, q)
+        if got != want:
+            bad.append(f"{name} q={q}: {got} != {want}")
+    return not bad, f"{len(names) * 5 - refused} quadric counts equal q^r p(q), " \
+        f"{refused} non-split forms refused" + "".join(f"; {b}" for b in bad)
 
 
 def _expected_tau_literals():

@@ -14,7 +14,8 @@ TITLES = {
     3: "eta independent of the reduced word (A3, B3, C3, G2; all words, all signs)",
     4: "pinned eta tables for A2 and G2",
     5: "graph components: A2 -> 4 (exact partition), A3 -> 10, A1 -> 2",
-    6: "q^r p(q) equals brute-force |SO(n, F_q)| (A1: q=5,13,17; A2: q=3,5)",
+    6: "q^r p(q) equals |SO(n, F_q)| counted on quadrics (A1-A7, C2-C6, D3-D6, E8; "
+       "q=3,5,7,13,17; non-split forms refused)",
     7: "tau-function literals for A2, B2, C2, G2",
     8: "minimal degrees match; sum = eta(w*) = deg p; t1-degree of product = |2rho|",
     9: "Hirota residuals vanish with fitted constants (A2-A3, B2-B3, C2-C3, D4, G2)",

@@ -1,4 +1,6 @@
 import math
+import re
+import time
 from itertools import product
 
 import pytest
@@ -14,6 +16,7 @@ from todalab.blowup_poly import (
     is_prime_power,
     p_epsilon,
     poincare_polynomial_k,
+    so_factors,
 )
 from todalab.errors import (
     AssumptionViolatedError,
@@ -161,6 +164,23 @@ class TestChevalleyOrders:
         assert not any(is_prime_power(q) for q in (1, 6, 12, 15, 100))
 
 
+def so3_by_rows(q):
+    """|SO(3, Z/q)| by enumerating the matrices whose rows are pairwise
+    orthogonal unit vectors (A A^T = I) with det A = 1."""
+    def dot(u, v):
+        return (u[0] * v[0] + u[1] * v[1] + u[2] * v[2]) % q
+
+    units = [v for v in product(range(q), repeat=3) if dot(v, v) == 1]
+    total = 0
+    for r0 in units:
+        perp = [v for v in units if dot(r0, v) == 0]
+        for r1 in perp:  # det(r0, r1, r2) = (r0 x r1) . r2
+            cross = (r0[1] * r1[2] - r0[2] * r1[1], r0[2] * r1[0] - r0[0] * r1[2],
+                     r0[0] * r1[1] - r0[1] * r1[0])
+            total += sum(1 for r2 in perp if dot(r1, r2) == 0 and dot(cross, r2) == 1)
+    return total
+
+
 class TestBruteForce:
     def test_so2_pinned(self):
         assert brute_force_so_order(2, 5) == 4
@@ -175,21 +195,30 @@ class TestBruteForce:
         assert brute_force_so_order(3, 3) == 24
         assert brute_force_so_order(3, 5) == 120
 
-    def test_caps(self):
-        with pytest.raises(CapExceededError):
-            brute_force_so_order(3, 9)
-        with pytest.raises(CapExceededError):
-            brute_force_so_order(2, 10007)
+    @pytest.mark.parametrize("q", [3, 5, 7])
+    def test_so3_matches_row_enumeration(self, q):
+        assert brute_force_so_order(3, q) == so3_by_rows(q)
+
+    @pytest.mark.parametrize("n, q", [(2, 1_000_003), (3, 1423), (3, 3 ** 13)])
+    def test_first_input_over_the_cap_refused_at_once(self, n, q):
+        # 1423 is the first odd prime power with 1423 + 1423 * 712 > 10^6; the
+        # cap comes before the primality check, so 3^13 is cap-exceeded too
+        start = time.perf_counter()
+        with pytest.raises(CapExceededError, match=f"SO\\({n}\\) count over F_{q}"):
+            brute_force_so_order(n, q)
+        assert time.perf_counter() - start < 0.01
 
     def test_prime_powers_refused(self):
         # Z/q is the field F_q only for prime q; -1 is a square in F_9 and F_25
-        for q in (9, 25):
+        for n, q in ((2, 9), (2, 25), (3, 9)):
             with pytest.raises(InvalidQError, match="not the field"):
-                brute_force_so_order(2, q)
+                brute_force_so_order(n, q)
 
-    def test_bad_n(self):
-        with pytest.raises(InvalidQError):
-            brute_force_so_order(4, 5)
+    def test_every_n_from_two(self):
+        for q in (3, 5):
+            assert brute_force_so_order(4, q) ** 2 == chevalley_order(T("D4"), q)
+        with pytest.raises(ValidationError, match="n >= 2"):
+            brute_force_so_order(1, 5)
 
     def test_matches_formula(self):
         for q in (5, 13):
@@ -197,6 +226,18 @@ class TestBruteForce:
         for q in (3, 5):
             assert brute_force_so_order(3, q) == chevalley_order(T("A2"), q)
         assert brute_force_so_order(3, 7) == 336 == chevalley_order(T("A2"), 7)
+
+    def test_so_factors(self):
+        assert so_factors(T("A1")) == (2,)
+        assert so_factors(T("A7")) == (8,)
+        assert so_factors(T("C5")) == (5, 6)
+        assert so_factors(T("D4")) == (4, 4)
+        assert so_factors(T("E8")) == (16,)
+        for name, dual in (("B3", "U(3)"), ("E6", "Sp(4)"), ("E7", "SU(8)"),
+                           ("F4", "Sp(1)xSp(3)"), ("G2", "SU(2)xSU(2)")):
+            with pytest.raises(ValidationError, match=f"{name}: the compact dual "
+                               f"{re.escape(dual)} is not"):
+                so_factors(T(name))
 
 
 class TestPoincare:

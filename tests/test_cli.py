@@ -191,6 +191,26 @@ class TestChevalley:
         assert code == 2
         assert "invalid-q" in err
 
+    def test_brute_needs_q(self, capsys):
+        code, out, err = run(capsys, "chevalley", "--type", "A2", "--brute")
+        assert (code, out) == (1, "")
+        assert err == "error [validation]: --brute needs --q\n"
+
+    def test_brute_e8_as_so16(self, capsys):
+        doc = run_json(capsys, "chevalley", "--type", "E8", "--q", "13", "--brute")
+        assert doc["dual_compact"] == "SO(16)"
+        assert doc["matches"] is True
+
+    def test_brute_non_split_refused(self, capsys):
+        code, out, err = run(capsys, "chevalley", "--type", "A5", "--q", "3", "--brute")
+        assert (code, out) == (2, "")
+        assert err.startswith("error [assumption-violated]: ")
+
+    def test_brute_refuses_non_so_dual(self, capsys):
+        code, out, err = run(capsys, "chevalley", "--type", "B3", "--q", "5", "--brute")
+        assert (code, out) == (1, "")
+        assert err.startswith("error [validation]: B3: the compact dual U(3) ")
+
 
 class TestErrorsAndPlumbing:
     def test_unknown_type_exit_1(self, capsys):
@@ -416,6 +436,22 @@ def test_verify_out_file_is_json_only(tmp_path, capsys):
     assert out == ""  # stdout is used only when --out is absent
     doc = json.loads(target.read_text())
     assert doc["failed"] == 0 and doc["passed"] == 13
+
+
+REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference.json"
+
+
+def test_small_reference_outputs_byte_identical():
+    """Every pinned benchmark stdout under 1 MB, replayed in-process."""
+    reference = json.loads(REFERENCE.read_text(encoding="utf-8"))
+    small = {key: ref for key, ref in reference.items() if ref["bytes"] < 1_000_000}
+    assert small
+    for key, ref in small.items():
+        with redirect_stdout(io.StringIO()) as out:
+            assert main(key.split()) == 0, key
+        data = out.getvalue().encode("utf-8")
+        assert (len(data), hashlib.sha256(data).hexdigest()) == \
+            (ref["bytes"], ref["sha256"]), key
 
 
 # -- CLI contract: every argv gives a result or a stable error, quickly --------
