@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import csv
 import io
+import itertools
 import json
 import math
 import sys
@@ -69,9 +70,92 @@ def _emit(text: str, args):
         sys.stdout.write(text)
 
 
+_JSON_DEFAULTS = {"skipkeys": False, "ensure_ascii": True, "check_circular": True,
+                  "allow_nan": True, "sort_keys": False, "indent": None, "separators": None,
+                  "default": None}
+_ascii = json.encoder.encode_basestring_ascii
+_int = int.__repr__
+
+
+def _float(x: float) -> str:
+    if x != x:
+        return "NaN"
+    if x in (math.inf, -math.inf):
+        return "Infinity" if x > 0 else "-Infinity"
+    return float.__repr__(x)
+
+
+def _int_rows(o) -> bool:
+    """Whether ``o`` holds only tuples of one nonzero length, of plain ints."""
+    return (type(o[0]) is tuple and set(map(type, o)) == {tuple}
+            and len(set(map(len, o))) == 1
+            and set(map(type, itertools.chain.from_iterable(o))) == {int})
+
+
+class IndentEncoder(json.JSONEncoder):
+    """Writes exactly what ``json.dumps(o, sort_keys=True, indent=2)`` writes.
+
+    With ``indent`` set the stdlib encodes through a generator of small
+    strings; this renders each container with one ``str.join`` instead.
+    Any other setting is refused, and so is a key that is not a ``str``.
+    """
+
+    SETTINGS = {**_JSON_DEFAULTS, "sort_keys": True, "indent": 2}
+
+    def __init__(self, **settings):
+        if {**_JSON_DEFAULTS, **settings} != self.SETTINGS:
+            raise ValueError(f"IndentEncoder writes only sort_keys=True, indent=2 and the "
+                             f"json defaults otherwise, not {settings}")
+        super().__init__(**settings)
+
+    def encode(self, o) -> str:
+        return self._render(o, "\n")
+
+    def _render(self, o, nl: str) -> str:
+        """``o`` at the depth whose lines start with ``nl``; its items go one level deeper."""
+        if isinstance(o, (list, tuple)):
+            if not o:
+                return "[]"
+            inner = nl + "  "
+            if all(type(x) is int for x in o):  # not bool: int.__repr__(True) is "1"
+                body = ("," + inner).join(map(_int, o))
+            elif _int_rows(o):  # e.g. graph edges: one "%d" template per row
+                cell = inner + "  "
+                row = f"[{cell}{(',' + cell).join(['%d'] * len(o[0]))}{inner}]"
+                body = ("," + inner).join(map(row.__mod__, o))
+            else:
+                render = self._render
+                body = ("," + inner).join([
+                    _ascii(x) if type(x) is str else _int(x) if type(x) is int
+                    else render(x, inner) for x in o])
+            return f"[{inner}{body}{nl}]"
+        if isinstance(o, dict):
+            if not o:
+                return "{}"
+            inner, render = nl + "  ", self._render
+            body = ("," + inner).join([  # _ascii raises TypeError on a key that is no str
+                _ascii(key) + ": " + (_ascii(x) if type(x) is str else _int(x)
+                                      if type(x) is int else render(x, inner))
+                for key, x in sorted(o.items())])
+            return f"{{{inner}{body}{nl}}}"
+        if isinstance(o, str):
+            return _ascii(o)
+        if o is None:
+            return "null"
+        if o is True:
+            return "true"
+        if o is False:
+            return "false"
+        if isinstance(o, int):
+            return _int(o)
+        if isinstance(o, float):
+            return _float(o)
+        return self._render(self.default(o), nl)
+
+
 def _emit_json(payload: dict, args):
     payload = {"schema_version": SCHEMA_VERSION, **payload}
-    _emit(json.dumps(payload, sort_keys=True, indent=2) + "\n", args)
+    _emit(json.dumps(payload, sort_keys=True, indent=2, cls=IndentEncoder) + "\n", args)
 
 
 def _emit_csv(rows, header, args):
@@ -118,18 +202,19 @@ def cmd_pq(args):
 def cmd_eta(args):
     t = LieType.parse(args.type)
     eps = _sign_vector(args, t.rank)
-    table = eta_table(WeylGroup.generate(t, args.cap), eps)
-    rows = list(table.as_rows())
-    if args.format == "csv":
-        _emit_csv([(r["word"], r["length"], r["eta"], r["sign"]) for r in rows],
-                  ("word", "length", "eta", "sign"), args)
-    elif args.format == "text":
-        lines = [f"{r['word']:>12}  l={r['length']}  eta={r['eta']}  {r['sign']}"
-                 for r in rows]
-        _emit("\n".join(lines) + "\n", args)
-    else:
-        _emit_json({"type": str(t), "sign": format_signs(eps), "table": rows,
+    group = WeylGroup.generate(t, args.cap)
+    table = eta_table(group, eps)
+    if args.format == "json":
+        _emit_json({"type": str(t), "sign": format_signs(eps), "table": list(table.as_rows()),
                     "max_eta": table.max_value()}, args)
+        return 0
+    rows = zip(group.word_labels(), group.lengths, table.values, table.sign_labels())
+    if args.format == "csv":
+        _emit_csv(rows, ("word", "length", "eta", "sign"), args)
+    else:
+        lines = [f"{word:>12}  l={length}  eta={value}  {sign}"
+                 for word, length, value, sign in rows]
+        _emit("\n".join(lines) + "\n", args)
     return 0
 
 

@@ -30,13 +30,24 @@ class BlowupGraph:
 
 
 def build_graph(group: WeylGroup, eps) -> BlowupGraph:
-    """Edges = Bruhat covers with equal eta and equal transported sign."""
+    """Edges = Bruhat covers with equal eta and equal transported sign.
+
+    With K classes of (eta, transported sign) and key[w] = l(w) K + class(w),
+    a reflection table entry w -> v is such an edge exactly when
+    key[v] == key[w] + K, so only the edges are ever formed.
+    """
     table = eta_table(group, eps)
     classes = {}  # (eta, transported sign) -> class id
     cls = [classes.setdefault(key, len(classes)) for key in zip(table.values, table.transported)]
-    # the covers arrive sorted and the filter keeps their order
-    edges = tuple((lo, hi) for lo, hi in group.bruhat_covers() if cls[lo] == cls[hi])
-    return BlowupGraph(group, tuple(eps), table, edges)
+    k = len(classes)
+    key = [n * k + c for n, c in zip(group.lengths, cls)]
+    ids = list(range(len(group)))  # one int object per id, shared by the pairs
+    up = [x + k for x in key]
+    edges = []
+    for t in group.reflection_tables():
+        edges += [(w, v) for w, v, x in zip(ids, t, up) if key[v] == x]
+    edges.sort()
+    return BlowupGraph(group, tuple(eps), table, tuple(edges))
 
 
 def components(graph: BlowupGraph) -> list[list[int]]:
@@ -59,10 +70,6 @@ def components(graph: BlowupGraph) -> list[list[int]]:
     return [sorted(groups[r]) for r in sorted(groups)]
 
 
-def vertex_rows(graph: BlowupGraph) -> list[dict]:
-    return list(graph.table.as_rows())
-
-
 def alternating_sum(graph: BlowupGraph) -> UniPoly:
     """(-1)^{l(w*)} sum over vertices of (-1)^{l(w)} q^{eta(w)}; must equal p_eps."""
     return alternating_eta_sum(graph.table)
@@ -83,8 +90,8 @@ def to_dot(graph: BlowupGraph) -> str:
     lines += [f'  n{eid} [label="{word}|eta={value}|{sign}"];'
               for eid, (word, value, sign) in enumerate(rows)]
     lines += [f"  n{a} -> n{b};" for a, b in graph.edges]
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    lines += ["}", ""]  # the final newline, without copying the joined text
+    return "\n".join(lines)
 
 
 def graph_to_dict(graph: BlowupGraph) -> dict:
@@ -93,8 +100,8 @@ def graph_to_dict(graph: BlowupGraph) -> dict:
         "schema_version": 1,
         "type": str(graph.group.lie_type),
         "sign": format_signs(graph.eps),
-        "vertices": vertex_rows(graph),
-        "edges": [list(e) for e in graph.edges],
+        "vertices": list(graph.table.as_rows()),
+        "edges": graph.edges,  # tuples encode as JSON lists
         "components": components(graph),
     }
 

@@ -8,13 +8,16 @@ Generation is a breadth-first closure over the simple reflections
 element a witness reduced word for free.
 
 Whole-group passes work on element ids, not keys: Bruhat covers come from
-one right-multiplication table of ids per reflection, and the witness-word
-labels from one walk over the tree's parents and letters.
+one right-multiplication table of ids per reflection (``reflection_tables``,
+whose simple tables look elements up by the images of the simple roots
+alone), and the witness-word labels from one walk over the tree's parents
+and letters.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 from .errors import CapExceededError, ValidationError
@@ -305,32 +308,46 @@ class WeylGroup(WordTree):
         self._reflections = refl
         return refl
 
-    def bruhat_covers(self) -> list[tuple[int, int]]:
-        """All pairs (id(w), id(v)) with w -> v a Bruhat cover (l(v)=l(w)+1), sorted.
+    def reflection_tables(self) -> Iterator[list[int]]:
+        """Yield one right-multiplication id table per positive root,
+        T[w] = id(w * r_beta); each table is an involution.
 
-        The covers of w are the w*t of length l(w)+1 over the reflections t
-        (Bjorner-Brenti, ch. 2).  Right multiplication by t is an id table:
-        R_i[w] = id(w*s_i) for the simple reflections, and the conjugation
-        walk of ``reflections()`` gives T_{s_i beta}[w] = R_i[T_beta[R_i[w]]].
-        Only the current frontier of tables is held.
+        The simple tables R_i[w] = id(w * s_i) come from short keys: the
+        simple roots form a basis, so w is fixed by its first ``rank``
+        images, and (w s_i)(alpha_j) = w(s_i alpha_j) makes
+        ``simple_perms[i][:rank].translate(perm)`` the short key of w * s_i.
+        The conjugation walk of ``reflections()`` then gives
+        T_{s_i beta}[w] = R_i[T_beta[R_i[w]]], holding only the frontier.
         """
-        index, lengths = self.index, self.lengths
-        ids = list(range(len(self)))  # one int object per id, shared by the pairs
-        up = [n + 1 for n in lengths]
-        right = [[index[s.translate(p)] for p in self.perms] for s in self.simple_perms]
+        rank, perms = self.generators, self.perms
+        short = {p[:rank]: eid for eid, p in enumerate(perms)}
+        right = [[short[head(p)] for p in perms]
+                 for head in [s[:rank].translate for s in self.simple_perms]]
         npos = self.num_positive
-        done = [k < self.generators for k in range(npos)]
-        covers = []
+        done = [k < rank for k in range(npos)]
         frontier = list(enumerate(right))  # simple root alpha_i sits at index i
         while frontier:
             nxt = []
             for k, table in frontier:
-                covers += [(w, v) for w, v, n in zip(ids, table, up) if lengths[v] == n]
+                yield table
                 for s, r in zip(self.simple_perms, right):
                     j = s[k]  # index of s_i(beta_k)
                     if j < npos and not done[j]:
                         done[j] = True
                         nxt.append((j, [r[table[x]] for x in r]))
             frontier = nxt
+
+    def bruhat_covers(self) -> list[tuple[int, int]]:
+        """All pairs (id(w), id(v)) with w -> v a Bruhat cover (l(v)=l(w)+1), sorted.
+
+        The covers of w are the w*t of length l(w)+1 over the reflections t
+        (Bjorner-Brenti, ch. 2), read off ``reflection_tables()``.
+        """
+        lengths = self.lengths
+        ids = list(range(len(self)))  # one int object per id, shared by the pairs
+        up = [n + 1 for n in lengths]
+        covers = []
+        for table in self.reflection_tables():
+            covers += [(w, v) for w, v, n in zip(ids, table, up) if lengths[v] == n]
         covers.sort()
         return covers

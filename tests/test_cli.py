@@ -2,6 +2,7 @@ import hashlib
 import importlib
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -9,12 +10,13 @@ import time
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import todalab
 from todalab.blowup_poly import closed_form_p
-from todalab.cli import main
+from todalab.cli import IndentEncoder, main
 from todalab.rootdata import LieType
 
 
@@ -442,9 +444,9 @@ REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference.json"
 
 
 def test_small_reference_outputs_byte_identical():
-    """Every pinned benchmark stdout under 1 MB, replayed in-process."""
+    """Every pinned benchmark stdout under 2 MB (E6 eta CSV included), replayed in-process."""
     reference = json.loads(REFERENCE.read_text(encoding="utf-8"))
-    small = {key: ref for key, ref in reference.items() if ref["bytes"] < 1_000_000}
+    small = {key: ref for key, ref in reference.items() if ref["bytes"] < 2_000_000}
     assert small
     for key, ref in small.items():
         with redirect_stdout(io.StringIO()) as out:
@@ -452,6 +454,93 @@ def test_small_reference_outputs_byte_identical():
         data = out.getvalue().encode("utf-8")
         assert (len(data), hashlib.sha256(data).hexdigest()) == \
             (ref["bytes"], ref["sha256"]), key
+
+
+# -- JSON encoding: IndentEncoder writes what json.dumps(indent=2) writes ------
+
+
+class Text(str):
+    pass
+
+
+class Whole(int):
+    pass
+
+
+class Real(float):
+    pass
+
+
+SCALARS = st.one_of(
+    st.text(), st.sampled_from(["", '"', "\\", "\x00\x1f\x7f", "\u2028", "é", "\U0001F600"]),
+    st.integers(), st.integers(min_value=-(10 ** 40), max_value=10 ** 40), st.booleans(),
+    st.none(), st.floats(), st.sampled_from([math.nan, math.inf, -math.inf, -0.0]),
+    st.builds(Text, st.text()), st.builds(Whole, st.integers()), st.builds(Real, st.floats()),
+    st.floats().map(np.float64),
+)
+DOCUMENTS = st.recursive(
+    SCALARS,
+    lambda kids: st.one_of(
+        st.lists(kids), st.lists(kids).map(tuple),
+        st.dictionaries(st.text() | st.builds(Text, st.text()), kids),
+        st.lists(st.integers() | st.booleans()),  # plain ints, with and without bools
+        st.lists(st.tuples(st.integers(), st.integers())),  # edge-shaped rows
+        st.lists(st.tuples(st.integers(), st.integers() | st.booleans() | st.none())),
+        st.lists(st.lists(st.integers(), max_size=2).map(tuple), min_size=1)),
+    max_leaves=40)
+
+
+def encode(doc):
+    return json.dumps(doc, sort_keys=True, indent=2, cls=IndentEncoder)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(doc=DOCUMENTS)
+def test_encoder_matches_stdlib(doc):
+    assert encode(doc) == json.dumps(doc, sort_keys=True, indent=2)
+
+
+@settings(derandomize=True, max_examples=50, deadline=None)
+@given(doc=DOCUMENTS, key=st.sampled_from([1, -2, 1.5, True, None, Whole(3)]))
+def test_encoder_refuses_keys_that_are_not_str(doc, key):
+    json.dumps({key: doc})  # the stdlib would write the key as a string
+    with pytest.raises(TypeError):
+        encode({"a": [{key: doc}]})
+
+
+def test_encoder_refuses_unknown_objects_as_the_stdlib_does():
+    for doc in ({"a": object()}, [np.int64(1)], {1, 2}):
+        with pytest.raises(TypeError, match="not JSON serializable"):
+            encode(doc)
+
+
+@pytest.mark.parametrize("settings_", [
+    {}, {"sort_keys": True}, {"indent": 2}, {"sort_keys": True, "indent": 4},
+    {"sort_keys": True, "indent": "  "}, {"sort_keys": True, "indent": 2, "ensure_ascii": False},
+    {"sort_keys": True, "indent": 2, "separators": (",", ": ")},
+    {"sort_keys": True, "indent": 2, "default": str},
+    {"sort_keys": True, "indent": 2, "allow_nan": False},
+    {"sort_keys": True, "indent": 2, "check_circular": False},
+    {"sort_keys": True, "indent": 2, "skipkeys": True},
+])
+def test_encoder_refuses_other_settings(settings_):
+    with pytest.raises(ValueError, match="IndentEncoder"):
+        json.dumps({"a": [1]}, cls=IndentEncoder, **settings_)
+
+
+JSON_COMMANDS = [argv for argv in EXACT_COMMANDS
+                 if "--format" not in argv and argv != ["pq", "--type", "E7"]] + [
+    ["graph", "--type", "D5", "--sign", "-+-+-", "--format", "json"],
+    ["eta", "--type", "D4", "--format", "json"],
+]
+
+
+@pytest.mark.parametrize("argv", JSON_COMMANDS, ids=" ".join)
+def test_json_output_round_trips_through_the_stdlib(argv):
+    with redirect_stdout(io.StringIO()) as out:
+        assert main(list(argv)) == 0
+    out = out.getvalue()
+    assert json.dumps(json.loads(out), sort_keys=True, indent=2) + "\n" == out
 
 
 # -- CLI contract: every argv gives a result or a stable error, quickly --------

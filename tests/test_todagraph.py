@@ -66,6 +66,19 @@ class TestEdges:
                     assert (a, b) in edges
             assert list(graph.edges) == sorted(graph.edges)
 
+    @pytest.mark.parametrize("name, eps", [
+        *((name, eps) for name in ["A1", "A2", "A3", "A4", "B2", "B3", "C3", "G2", "D4"]
+          for eps in product((-1, 1), repeat=int(name[1:]))),
+        ("D5", (-1, 1, -1, 1, -1)), ("F4", (-1, -1, -1, -1)), ("F4", (-1, 1, -1, 1)),
+    ])
+    def test_edges_are_the_same_class_covers(self, name, eps, group):
+        # the class-key filter over the reflection tables against the sorted
+        # covers filtered by equal eta and equal transported sign
+        g = group(name)
+        graph = build_graph(g, eps)
+        cls = list(zip(graph.table.values, graph.table.transported))
+        assert graph.edges == tuple(c for c in g.bruhat_covers() if cls[c[0]] == cls[c[1]])
+
 class TestComponents:
     def test_a2_exact_partition(self, group):
         g = group("A2")

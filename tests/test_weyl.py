@@ -174,6 +174,17 @@ class TestBruhatCovers:
         g = group(name)
         assert g.bruhat_covers() == covers_by_translate(g)
 
+    @pytest.mark.parametrize("name", ["A1", "A3", "B3", "G2", "D4", "F4"])
+    def test_reflection_tables_are_the_reflections(self, name, group):
+        # one involution per positive root, T[w] = id(w * r_beta) for the
+        # permutations of reflections()
+        g = group(name)
+        tables = list(g.reflection_tables())
+        assert len(tables) == g.num_positive
+        assert all(t[x] == w for t in tables for w, x in enumerate(t))
+        want = {tuple(g.index[r.translate(p)] for p in g.perms) for r in g.reflections()}
+        assert set(map(tuple, tables)) == want
+
     def test_e6_pinned(self, group):
         # count and digest recorded from the translate-and-lookup loop
         covers = group("E6").bruhat_covers()
