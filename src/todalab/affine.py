@@ -23,7 +23,7 @@ from .rootdata import LieType, extended_cartan, weyl_degrees
 from .signflow import format_signs, propagate
 from .weyl import WordTree
 
-DEFAULT_LMAX_CAP = 40
+MAX_LMAX = 40  # refuse enumerations past this length
 MAX_ELEMENTS = 100_000  # refuse enumerations through lmax with more elements
 MAX_RANK = 20  # rank 20 through lmax 5: 65,780 elements
 
@@ -87,14 +87,14 @@ class AffineWeylGroup(WordTree):
     def _descent(self, m, i):
         return m[i] < 0
 
-    def extend_to(self, lmax: int, cap: int = DEFAULT_LMAX_CAP):
+    def extend_to(self, lmax: int):
         if lmax < 0:
             raise ValidationError(f"lmax must be >= 0, got {lmax}")
         if self.rank > MAX_RANK:
             raise CapExceededError(
                 f"{self.lie_type}: affine rank {self.rank} exceeds the cap {MAX_RANK}")
-        if lmax > cap:
-            raise CapExceededError(f"affine enumeration capped at Lmax<={cap}")
+        if lmax > MAX_LMAX:
+            raise CapExceededError(f"affine enumeration capped at Lmax<={MAX_LMAX}")
         counts = bott_counts(self.lie_type, lmax)
         if sum(counts) > MAX_ELEMENTS:
             raise CapExceededError(
@@ -163,15 +163,15 @@ class TruncatedSeries:
         }
 
 
-def p_series(t: LieType, eps, lmax: int, group: AffineWeylGroup | None = None,
-             cap: int = DEFAULT_LMAX_CAP) -> TruncatedSeries:
+def p_series(t: LieType, eps, lmax: int,
+             group: AffineWeylGroup | None = None) -> TruncatedSeries:
     """sum over l(w) <= lmax of (-1)^{l(w)} q^{eta(w, eps)} with stability marks."""
     eps = tuple(eps)
     if group is None:
         group = AffineWeylGroup(t)
     if len(eps) != group.generators:
         raise ValidationError(f"affine sign vector must have length {group.generators}")
-    group.extend_to(lmax, cap=cap)
+    group.extend_to(lmax)
     etas, _ = propagate(group.cartan, group.parents, group.letters, eps)
     coeffs = {}
     last = {}

@@ -40,8 +40,7 @@ class FactoredForm:
 
     def __str__(self):
         out = []
-        for d in sorted(set(self.exponents)):
-            m = self.exponents.count(d)
+        for d, m in sorted(Counter(self.exponents).items()):
             base = "(q-1)" if d == 1 else f"(q^{d}-1)"
             out.append(base if m == 1 else f"{base}^{m}")
         return "".join(out) if out else "1"

@@ -29,6 +29,8 @@ log = logging.getLogger(__name__)
 
 EIGEN_GAP = 1e-6
 DIVERGENCE_DELTA = 1e-8  # blow-up when |a_i| exceeds 1/delta
+ODE_TOL = 1e-10  # RK45 rtol and atol
+ODE_SAMPLES = 2000  # trajectory sample times over the span
 BISECT_TOL = 1e-10
 MAX_TIME_SPAN = 1e3  # |t1 - t0| above this is refused before integrating
 # rank above this is refused before any work: type A sums 2^(l+1) Cauchy-Binet
@@ -90,87 +92,73 @@ class TauMinors:
         _check_lax(L0)
         self.L0 = L0
         self.n = L0.shape[0]
-        lam = np.linalg.eigvals(L0)
+        lam, V = np.linalg.eig(L0)
         if np.max(np.abs(lam.imag)) > 1e-9:
             raise DegenerateSpectrumError(
                 f"complex eigenvalues {np.sort_complex(lam)}; need a real split spectrum"
             )
-        lam = np.sort(lam.real)
+        order = np.argsort(lam.real)
+        lam, V = lam.real[order], V[:, order].real
         gaps = np.diff(lam)
         if len(lam) > 1 and gaps.min() < 1e-12:
             raise DegenerateSpectrumError(f"repeated eigenvalues {lam}")
-        self.eigenvalues = lam
         self.method = "eigen" if (len(lam) == 1 or gaps.min() > EIGEN_GAP) else "expm"
         log.debug("tau minors via %s for spectrum %s", self.method, lam)
-        if self.method == "eigen":
-            lam2, V = np.linalg.eig(L0)
-            order = np.argsort(lam2.real)
-            self._lam = lam2.real[order]
-            V = V[:, order].real
-            Vinv = np.linalg.inv(V)
-            # Cauchy-Binet: tau_j(t) = sum_S c_S exp(t * sum(lam[S]))
-            self._subsets = []   # per j: list of index arrays
-            self._coeffs = []    # per j: c_S
-            self._rates = []     # per j: sum of eigenvalues over S
-            for j in range(1, self.n):
-                rows = V[:j, :]
-                cols = Vinv[:, :j]
-                subsets, coeffs, rates = [], [], []
-                for S in itertools.combinations(range(self.n), j):
-                    c = np.linalg.det(rows[:, S]) * np.linalg.det(cols[S, :])
-                    if abs(c) > 1e-14:
-                        subsets.append(np.array(S))
-                        coeffs.append(c)
-                        rates.append(self._lam[list(S)].sum())
-                self._subsets.append(subsets)
-                self._coeffs.append(np.array(coeffs))
-                self._rates.append(np.array(rates))
+        if self.method == "expm":
+            self._grid_key = None  # the last grid and its exponentials
+            return
+        self._lam = lam
+        Vinv = np.linalg.inv(V)
+        # Cauchy-Binet: tau_j(t) = sum_S c_S exp(t * sum(lam[S]))
+        self._subsets = []   # per j: index array, one row per S
+        self._coeffs = []    # per j: c_S
+        self._rates = []     # per j: sum of eigenvalues over S
+        for j in range(1, self.n):
+            subsets, coeffs = [], []
+            for S in itertools.combinations(range(self.n), j):
+                c = np.linalg.det(V[:j, S]) * np.linalg.det(Vinv[S, :j])
+                if abs(c) > 1e-14:
+                    subsets.append(S)
+                    coeffs.append(c)
+            self._subsets.append(np.array(subsets))
+            self._coeffs.append(np.array(coeffs))
+            self._rates.append(np.array([lam[list(S)].sum() for S in subsets]))
 
-    def grid_values(self, j: int, ts) -> np.ndarray:
-        """tau_j on a whole time grid (vectorized exponential sum)."""
+    def grid_values(self, j: int, ts, higher_times=()) -> np.ndarray:
+        """tau_j on a whole time grid; higher_times gives t_2.. for the hierarchy."""
         ts = np.asarray(ts, dtype=float)
         if self.method == "expm":
-            return np.array([self.value(j, t) for t in ts])
+            return np.linalg.det(self._expm_grid(ts, tuple(higher_times))[:, :j, :j])
         mu = np.outer(ts, self._rates[j - 1])
+        for k, tk in enumerate(higher_times, start=2):
+            mu += tk * (self._lam ** k)[self._subsets[j - 1]].sum(axis=1)
         shift = mu.max(axis=1, keepdims=True)
         np.clip(shift, 0.0, None, out=shift)  # rescale only to avoid overflow
-        return np.exp(mu - shift) @ self._coeffs[j - 1] * np.exp(
-            np.minimum(shift[:, 0], 600.0))
+        # one dot product per time: a row's sum does not depend on the grid
+        terms = np.exp(mu - shift)[:, None, :] @ self._coeffs[j - 1][:, None]
+        return terms[:, 0, 0] * np.exp(np.minimum(shift[:, 0], 600.0))
 
-    def values(self, t, higher_times=None) -> np.ndarray:
-        """[tau_1(t), ..., tau_l(t)]; higher_times gives t_2.. for the hierarchy."""
-        if self.method == "expm":
-            M = self.L0 * t
-            if higher_times:
-                P = self.L0.copy()
-                for k, tk in enumerate(higher_times, start=2):
-                    P = P @ self.L0
-                    M = M + tk * P
+    def _expm_grid(self, ts, higher_times):
+        """exp(t L0 + sum_k t_k L0^k) for every t, kept for the last grid so
+        that all minors on one grid share one matrix exponential per time."""
+        key = (ts.tobytes(), higher_times)
+        if self._grid_key != key:
             from scipy.linalg import expm
 
-            g = expm(M)
-            return np.array([np.linalg.det(g[:j, :j]) for j in range(1, self.n)])
-        if not higher_times:
-            return np.array([float(self.grid_values(j, [t])[0])
-                             for j in range(1, self.n)])
-        mu = self._lam * t
-        for k, tk in enumerate(higher_times, start=2):
-            mu = mu + tk * self._lam ** k
-        if mu.max() > 600.0:
-            # overflow guard: rescale by a positive factor (exp(-j*max) per
-            # minor), preserving signs and zeros but not magnitudes
-            mu = mu - mu.max()
-        ex = np.exp(mu)
-        out = np.empty(self.n - 1)
-        for j in range(1, self.n):
-            out[j - 1] = sum(c * np.prod(ex[S]) for S, c in
-                             zip(self._subsets[j - 1], self._coeffs[j - 1]))
-        return out
+            M = ts[:, None, None] * self.L0
+            P = self.L0
+            for tk in higher_times:
+                P = P @ self.L0
+                M = M + tk * P
+            self._grid_key, self._grid = key, expm(M)
+        return self._grid
 
-    def value(self, j: int, t: float, higher_times=None) -> float:
-        if self.method != "expm" and not higher_times:
-            return float(self.grid_values(j, [t])[0])
-        return self.values(t, higher_times)[j - 1]
+    def values(self, t, higher_times=()) -> np.ndarray:
+        """[tau_1(t), ..., tau_l(t)]."""
+        return np.array([self.value(j, t, higher_times) for j in range(1, self.n)])
+
+    def value(self, j: int, t: float, higher_times=()) -> float:
+        return float(self.grid_values(j, [t], higher_times)[0])
 
     def log_derivative(self, j: int, t: float) -> float:
         """d/dt log tau_j(t), i.e. the tau-side reconstruction of b_j."""
@@ -183,11 +171,6 @@ class TauMinors:
             mu = mu - mu.max()  # common positive factor cancels in the ratio
         w = self._coeffs[j - 1] * np.exp(mu)
         return float((w @ self._rates[j - 1]) / w.sum())
-
-
-def tau_minors(L0, t, higher_times=None) -> np.ndarray:
-    """[tau_1(t), ..., tau_l(t)] for one time (see TauMinors for repeated use)."""
-    return TauMinors(L0).values(t, higher_times=higher_times)
 
 
 def zero_crossings(minors: TauMinors, j: int, window=(-12.0, 12.0),
@@ -243,13 +226,10 @@ class Trajectory:
     status: str = "complete"
     tau: np.ndarray | None = None  # minor-based tau tracks (type A only)
 
-    def quadratic_invariant(self) -> np.ndarray:
-        return quadratic_invariant(self.lie_type, self.a, self.b)
-
     def invariant_drift(self, a_bound: float = np.inf) -> float:
         """Max |I(t) - I(0)|, restricted to samples with max|a_i| <= a_bound
         (floating point cannot hold the invariant through a divergence)."""
-        inv = self.quadratic_invariant()
+        inv = quadratic_invariant(self.lie_type, self.a, self.b)
         keep = np.max(np.abs(self.a), axis=1) <= a_bound
         keep[0] = True
         return float(np.max(np.abs(inv[keep] - inv[0])))
@@ -292,11 +272,11 @@ def toda_rhs(C):
     return rhs
 
 
-def ode_integrate(t: LieType, a0, b0, t_span=(0.0, 10.0), rtol=1e-10, atol=1e-10,
-                  delta=DIVERGENCE_DELTA, max_points=2000) -> Trajectory:
+def ode_integrate(t: LieType, a0, b0, t_span=(0.0, 10.0)) -> Trajectory:
     """Adaptive RK45 integration of db = a, da = -(C b) a with divergence events.
 
-    Integration stops (status 'blow-up') when any |a_i| reaches 1/delta.  A
+    Integration stops (status 'blow-up') when any |a_i| reaches
+    1/DIVERGENCE_DELTA; the trajectory is sampled at ODE_SAMPLES times.  A
     solver failure without divergence raises StepCollapseError (suspected
     stiff region).  Ranks above MAX_RANK and spans longer than MAX_TIME_SPAN
     raise CapExceededError before integrating.
@@ -320,7 +300,7 @@ def ode_integrate(t: LieType, a0, b0, t_span=(0.0, 10.0), rtol=1e-10, atol=1e-10
             f"time span |t1 - t0| = {abs(t1 - t0):g} exceeds the cap {MAX_TIME_SPAN:g}")
     from scipy.integrate import solve_ivp  # after the checks: a refusal costs no scipy import
 
-    threshold = 1.0 / delta
+    threshold = 1.0 / DIVERGENCE_DELTA
 
     def divergence(_t, y):
         return np.max(np.abs(y[l:])) - threshold
@@ -328,11 +308,11 @@ def ode_integrate(t: LieType, a0, b0, t_span=(0.0, 10.0), rtol=1e-10, atol=1e-10
     divergence.terminal = True
     divergence.direction = 1
     y0 = np.concatenate([b0, a0])
-    t_eval = np.linspace(t_span[0], t_span[1], max_points)
+    t_eval = np.linspace(t0, t1, ODE_SAMPLES)
     # overflow inside a collapsing step is reported as StepCollapseError below
     with np.errstate(over="ignore", invalid="ignore"):
         sol = solve_ivp(toda_rhs(C), t_span, y0, method="RK45",
-                        rtol=rtol, atol=atol, events=[divergence], t_eval=t_eval,
+                        rtol=ODE_TOL, atol=ODE_TOL, events=[divergence], t_eval=t_eval,
                         dense_output=False)
     if sol.status == -1:
         raise StepCollapseError(
@@ -347,7 +327,7 @@ def ode_integrate(t: LieType, a0, b0, t_span=(0.0, 10.0), rtol=1e-10, atol=1e-10
         # |a| ~ c/(t - t*)^2 puts the pole within sqrt(c * delta) of the
         # trigger; 100*sqrt(delta) straddles the tau sign change for any
         # pole coefficient up to 1e4
-        margin = 100.0 * math.sqrt(delta)
+        margin = 100.0 * math.sqrt(DIVERGENCE_DELTA)
         events.append(BlowupEvent(blow_idx, (te - margin, te + margin), te))
         status = "blow-up"
     traj = Trajectory(t, sol.t, sol.y[l:].T.copy(), sol.y[:l].T.copy(),
@@ -358,7 +338,8 @@ def ode_integrate(t: LieType, a0, b0, t_span=(0.0, 10.0), rtol=1e-10, atol=1e-10
         except DegenerateSpectrumError:
             pass
         else:
-            traj.tau = np.array([minors.values(tt) for tt in traj.t])
+            traj.tau = np.stack([minors.grid_values(j, traj.t) for j in range(1, l + 1)],
+                                axis=1)
     return traj
 
 
@@ -371,21 +352,8 @@ class SignsVsEtaReport:
     eta_longest: int
     matches: bool
 
-    def as_dict(self) -> dict:
-        from .signflow import format_signs
 
-        return {
-            "type": str(self.lie_type),
-            "sign": format_signs(self.eps),
-            "crossings_per_tau": list(self.crossings_per_tau),
-            "total_crossings": self.total_crossings,
-            "eta_longest": self.eta_longest,
-            "matches": self.matches,
-        }
-
-
-def signs_vs_eta_report(L0, window=(-14.0, 14.0), grid: int = 4001,
-                        group=None) -> SignsVsEtaReport:
+def signs_vs_eta_report(L0, window=(-14.0, 14.0), group=None) -> SignsVsEtaReport:
     """Compare total minor zero-crossings against eta(w*, sgn a(0)) for type A."""
     from .signflow import eta_table
     from .weyl import WeylGroup
@@ -399,7 +367,7 @@ def signs_vs_eta_report(L0, window=(-14.0, 14.0), grid: int = 4001,
     l = L0.shape[0] - 1
     t = LieType("A", l)
     per_tau = tuple(
-        count_zero_crossings(minors, j, window=window, grid=grid)
+        count_zero_crossings(minors, j, window=window)
         for j in range(1, l + 1)
     )
     if group is None:

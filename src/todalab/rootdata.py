@@ -21,6 +21,7 @@ Everything in this module is exact: integer matrices, Fraction inverses.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -29,6 +30,9 @@ from .exact import inverse
 
 SERIES_MIN_RANK = {"A": 1, "B": 2, "C": 2, "D": 3, "E": 6, "F": 4, "G": 2}
 SERIES_MAX_RANK = {"E": 8, "F": 4, "G": 2}
+# A-D ranks above this are refused on parsing: commands build rank-sized
+# tuples before their own caps, and every cap refuses far below it
+MAX_CLASSICAL_RANK = 10**6
 
 
 @dataclass(frozen=True)
@@ -43,7 +47,7 @@ class LieType:
         if self.series not in SERIES_MIN_RANK:
             raise ValidationError(f"unknown series {self.series!r}")
         lo = SERIES_MIN_RANK[self.series]
-        hi = SERIES_MAX_RANK.get(self.series, 10**9)
+        hi = SERIES_MAX_RANK.get(self.series, MAX_CLASSICAL_RANK)
         if not (lo <= self.rank <= hi):
             raise ValidationError(
                 f"rank {self.rank} out of range [{lo},{hi}] for series {self.series}"
@@ -183,8 +187,11 @@ def dual_root_counts(t: LieType) -> tuple[int, ...]:
 
 
 def two_rho_height(t: LieType) -> int:
-    """Height of the sum of all positive roots: sum(nu_k) = sum(n_k)."""
-    return sum(tau_multiplicities(t))
+    """Height of the sum of all positive roots, sum d_i (d_i - 1) / 2 over the
+    degrees d_i of W (Kostant); it equals sum(nu_k) = sum(n_k), but needs no
+    Cartan inverse."""
+    d = weyl_degrees(t)
+    return (sum(map(operator.mul, d, d)) - sum(d)) // 2
 
 
 def symmetrizer(t: LieType) -> tuple[int, ...]:

@@ -27,7 +27,7 @@ from .errors import (
     ZeroPolynomialError,
 )
 from .exact import UniPoly
-from .rootdata import LieType, cartan_matrix, compact_dual_info, tau_multiplicities
+from .rootdata import LieType, cartan_matrix, compact_dual_info, tau_multiplicities, two_rho_height
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -323,10 +323,16 @@ def sturm_real_roots(f) -> int:
 # -- complete homogeneous polynomials and Schur Wronskians -------------------
 
 
-def ring_for(t: LieType) -> PolyRing:
-    """The time variables (and weights) of the nilpotent tau system of t."""
+def _require_tau_type(t: LieType):
     if t.affine:
         raise UnsupportedTypeError("tau systems are for finite types")
+    if t.series not in "ABCDG":
+        raise UnsupportedTypeError(f"no tau-function realization for type {t}")
+
+
+def ring_for(t: LieType) -> PolyRing:
+    """The time variables (and weights) of the nilpotent tau system of t."""
+    _require_tau_type(t)
     s, l = t.series, t.rank
     if s == "A":
         idx = list(range(1, l + 1))
@@ -334,13 +340,11 @@ def ring_for(t: LieType) -> PolyRing:
         idx = list(range(1, 2 * l, 2))
     elif s == "G":
         idx = [1, 5]
-    elif s == "D":
+    else:  # D
         idx = list(range(1, 2 * l - 2, 2))
         names = [f"t{j}" for j in idx] + ["s"]
         weights = idx + [l - 1]
         return PolyRing(names, weights, time_positions=range(len(idx)))
-    else:
-        raise UnsupportedTypeError(f"no tau-function realization for type {t}")
     return PolyRing([f"t{j}" for j in idx], idx)
 
 
@@ -531,13 +535,11 @@ class TauSystem:
         return acc
 
 
-def _refuse_height(t: LieType, ring: PolyRing, limit: int, work: str):
-    """Refuse ``work`` when the height of 2rho exceeds ``limit``.
-
-    The ring weights are the exponents m_i of W, and the height of 2rho is
-    sum m_i (m_i + 1) / 2 (Kostant), so no Cartan inverse is formed.
-    """
-    height = sum(m * (m + 1) // 2 for m in ring.weights)
+def _refuse_height(t: LieType, limit: int, work: str):
+    """Refuse ``work`` on a type without tau system, or when the height of
+    2rho exceeds ``limit``, before any ring is built."""
+    _require_tau_type(t)
+    height = two_rho_height(t)
     if height > limit:
         raise CapExceededError(
             f"{t}: {work} refused, height of 2rho {height} exceeds {limit}")
@@ -545,10 +547,8 @@ def _refuse_height(t: LieType, ring: PolyRing, limit: int, work: str):
 
 def tau_functions(t: LieType) -> TauSystem:
     """The nilpotent tau polynomials (types A, B, C, D, G2)."""
-    if t.affine:
-        raise UnsupportedTypeError("tau systems are for finite types")
+    _refuse_height(t, MAX_TAU_HEIGHT, "tau system")
     ring = ring_for(t)
-    _refuse_height(t, ring, MAX_TAU_HEIGHT, "tau system")
     s, l = t.series, t.rank
     notes = []
     if s == "A":
@@ -568,11 +568,9 @@ def tau_functions(t: LieType) -> TauSystem:
         taus = [schur_wronskian([6], ring), schur_wronskian([5, 6], ring)]
         notes.append("tau_2 = S_(5,6) with the standard Wronskian sign "
                      "(reproduces the displayed polynomial)")
-    elif s == "D":
+    else:  # D
         taus, d_notes = _tau_functions_d(ring, l)
         notes.extend(d_notes)
-    else:
-        raise UnsupportedTypeError(f"no tau-function list for type {t}")
     return TauSystem(t, ring, tuple(taus), tuple(notes))
 
 
@@ -731,7 +729,7 @@ def real_root_count_experiment(t: LieType, samples: int = 20, seed: int = 0) -> 
         raise ValidationError("need at least one sample")
     if samples > MAX_SAMPLES:
         raise CapExceededError(f"{samples} samples exceed the cap {MAX_SAMPLES}")
-    _refuse_height(t, ring_for(t), MAX_STURM_HEIGHT, "real-root experiment")
+    _refuse_height(t, MAX_STURM_HEIGHT, "real-root experiment")
     system = tau_functions(t)
     rng = random.Random(seed)
     others = [n for n in system.ring.names if n != "t1"]

@@ -129,6 +129,7 @@ class TestClosedForms:
         assert str(closed_form_p(T("A3"))) == "(q^2-1)^2"
         assert closed_form_p(T("D4")).exponents == (2, 2, 2, 2)
         assert str(closed_form_p(T("A1"))) == "(q-1)"
+        assert str(FactoredForm(())) == "1"
 
     @pytest.mark.parametrize("name", ["A1", "A2", "A3", "A4", "A5", "B2", "B3",
                                       "B4", "C2", "C3", "C4", "D3", "D4", "D5",
@@ -138,6 +139,30 @@ class TestClosedForms:
         p = closed_form_p(t).expand()
         assert p(1) == 0
         assert p.degree == sum(compact_dual_info(t).degrees)
+
+    @staticmethod
+    def counted_per_exponent(f):
+        """Reference: one list.count per distinct exponent (quadratic)."""
+        out = []
+        for d in sorted(set(f.exponents)):
+            m = f.exponents.count(d)
+            base = "(q-1)" if d == 1 else f"(q^{d}-1)"
+            out.append(base if m == 1 else f"{base}^{m}")
+        return "".join(out) if out else "1"
+
+    @pytest.mark.parametrize("name", ["A1", "A3", "A6", "B4", "C5", "D4", "D7",
+                                      "E6", "E7", "E8", "F4", "G2"])
+    def test_str_matches_per_exponent_count(self, name):
+        f = closed_form_p(T(name))
+        assert str(f) == self.counted_per_exponent(f)
+
+    def test_str_is_linear(self):
+        f = closed_form_p(T("A200000"))
+        start = time.perf_counter()
+        text = str(f)
+        assert time.perf_counter() - start < 1.0
+        assert text.startswith("(q^2-1)(q^4-1)")
+        assert text.count("(") == len(set(f.exponents))
 
     def test_expand_is_product(self):
         f = FactoredForm((2, 3))

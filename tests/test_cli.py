@@ -261,6 +261,24 @@ class TestErrorsAndPlumbing:
         assert "Traceback" not in err
         assert out == ""
 
+    @pytest.mark.parametrize("argv, rank", [
+        (("pq", "--type", "A1000001"), 1000001),
+        (("eta", "--type", "A1000001"), 1000001),
+        (("schur", "--type", "A1000001"), 1000001),
+        (("chevalley", "--type", "A1000001", "--q", "3"), 1000001),
+        (("affine", "--rank", "1000001", "--lmax", "1"), 1000001),
+        (("affine", "--rank", "1000000000", "--lmax", "1"), 1000000000),
+    ])
+    def test_rank_above_ceiling_is_validation_error(self, capsys, argv, rank):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert err == f"error [validation]: rank {rank} out of range [1,1000000] for series A\n"
+
+    def test_affine_lmax_cap_message(self, capsys):
+        code, out, err = run(capsys, "affine", "--rank", "2", "--lmax", "41")
+        assert (code, out) == (2, "")
+        assert err == "error [cap-exceeded]: affine enumeration capped at Lmax<=40\n"
+
     @pytest.mark.parametrize("argv", [
         ("pq", "--type", "B2(1)"),
         ("eta", "--type", "B2(1)"),
@@ -550,7 +568,7 @@ TYPES = ["A1", "A2", "A3", "A4", "A5", "B2", "B3", "C3", "D5", "G2", "F4", "E6",
 SIGNS = ["-", "+", "--", "-+", "+-+", "---", "----", "-++-+-", "", "+x"]
 NUMBERS = ["1", "0", "-1", "1,1", "-1,-1", "1e308", "nan", "abc", ""]
 JUNK = ["--bogus", "junk", "--", "-x", "--cap=abc"]
-PQ_GRID_SHA256 = "7bf2ebcec419d99facc07b25669b6d73df35d95b33cfe1d8a58c4023c5efac4a"
+PQ_GRID_SHA256 = "5218f86a06a2f5ebb0283187a5be00db33b86de68a90a4f0b58cd80d5fbbc1bf"
 
 
 def _tokens(spec):

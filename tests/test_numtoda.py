@@ -51,12 +51,6 @@ class TestTauMinors:
         for t in (-1.0, 0.3, 2.0):
             assert abs(m.value(1, t) - (math.cosh(t) + 2 * math.sinh(t))) < 1e-12
 
-    def test_functional_wrapper(self):
-        L = numtoda.example_a2_all_negative()
-        assert np.allclose(numtoda.tau_minors(L, 0.0), 1.0)
-        assert np.allclose(numtoda.tau_minors(L, 0.4),
-                           numtoda.TauMinors(L).values(0.4))
-
     def test_tau_at_zero_is_one(self):
         rng = np.random.default_rng(5)
         for _ in range(10):
@@ -82,6 +76,40 @@ class TestTauMinors:
             want = [np.linalg.det(g[:j, :j]) for j in (1, 2)]
             got = m.values(t1, higher_times=[t2])
             assert np.allclose(got, want, rtol=1e-9, atol=1e-12)
+
+    @pytest.mark.parametrize("b, a, method", [
+        ([0.4, -0.2, 0.1], [1.0, 0.7, 0.5], "eigen"),
+        ([0.0, 0.0, 0.0], [1e-13, 1e-13, 1e-13], "expm"),
+    ])
+    def test_grid_with_higher_times_matches_expm(self, b, a, method):
+        L = numtoda.lax_matrix(b, a)
+        m = numtoda.TauMinors(L)
+        assert m.method == method
+        ts = np.linspace(-1.5, 1.5, 7)
+        higher = (0.2, -0.05)
+        for j in (1, 2, 3):
+            want = [np.linalg.det(expm(t * L + higher[0] * (L @ L)
+                                       + higher[1] * (L @ L @ L))[:j, :j]) for t in ts]
+            assert np.allclose(m.grid_values(j, ts, higher), want, rtol=1e-9, atol=1e-12)
+            assert m.value(j, ts[2], higher) == m.grid_values(j, ts[2:3], higher)[0]
+
+    def test_expm_minors_share_one_exponential_per_time(self, monkeypatch):
+        import scipy.linalg
+
+        m = numtoda.TauMinors(numtoda.lax_matrix([0.0, 0.0], [1e-14, 1e-14]))
+        assert m.method == "expm"
+        calls = []
+        real = scipy.linalg.expm
+
+        def counting_expm(M):
+            calls.append(M.shape)
+            return real(M)
+
+        monkeypatch.setattr(scipy.linalg, "expm", counting_expm)
+        m.values(0.7)
+        ts = np.linspace(0.0, 1.0, 5)
+        np.stack([m.grid_values(j, ts) for j in (1, 2)])
+        assert calls == [(1, 3, 3), (5, 3, 3)]
 
     def test_log_derivative_matches_finite_difference(self):
         m = numtoda.TauMinors(numtoda.example_a2_all_negative())
@@ -184,6 +212,17 @@ class TestOde:
 
 
 class TestTauOdeConsistency:
+    @pytest.mark.parametrize("b0, a0, method", [
+        ([-3.0, -3.0, 0.0], [-1.0, -1.0, -1.0], "eigen"),
+        ([0.0, 0.0, 0.0], [1e-13, 1e-13, 1e-13], "expm"),
+    ])
+    def test_tau_track_equals_pointwise_minors(self, b0, a0, method):
+        traj = numtoda.ode_integrate(LieType("A", 3), a0, b0, (0.0, 3.0))
+        minors = numtoda.TauMinors(numtoda.lax_matrix(b0, a0))
+        assert minors.method == method
+        assert traj.tau.shape == (len(traj.t), 3)
+        assert np.array_equal(traj.tau, np.stack([minors.values(t) for t in traj.t]))
+
     def test_b_is_log_derivative_of_tau(self):
         L = numtoda.example_a2_all_negative()
         minors = numtoda.TauMinors(L)

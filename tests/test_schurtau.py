@@ -1,10 +1,12 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from todalab.errors import (
+    CapExceededError,
     NoConstantFitsError,
     NotAPerfectSquareError,
     UnsupportedTypeError,
@@ -525,6 +527,22 @@ class TestExperiment:
     def test_needs_samples(self):
         with pytest.raises(ValidationError):
             real_root_count_experiment(T("A2"), samples=0)
+
+    @pytest.mark.parametrize("refuse", [tau_functions, real_root_count_experiment])
+    def test_height_refusal_builds_no_ring(self, refuse):
+        # the height comes from the Weyl degrees; a 300000-variable ring took 0.26 s
+        start = time.perf_counter()
+        with pytest.raises(CapExceededError,
+                           match=r"^A300000: .* height of 2rho 4500045000100000 exceeds"):
+            refuse(T("A300000"))
+        assert time.perf_counter() - start < 0.1
+
+    @pytest.mark.parametrize("name", ["E7", "E8", "F4", "A2(1)", "G2(1)"])
+    @pytest.mark.parametrize("refuse", [tau_functions, real_root_count_experiment])
+    def test_unsupported_before_height(self, refuse, name):
+        # E7 and E8 are over both height caps, but have no tau system at all
+        with pytest.raises(UnsupportedTypeError):
+            refuse(T(name))
 
 
 _A2_RING = ring_for(T("A2"))
