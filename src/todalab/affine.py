@@ -1,12 +1,13 @@
 """Affine Weyl group sign dynamics for the untwisted affine types X_l(1).
 
 An element w is keyed by the Dynkin labels m of w^{-1} rho (the numbers
-game, Bjorner-Brenti ch. 4): the identity is (1, ..., 1), w * s_i has
+game, Bjorner-Brenti ch. 4, shared with the coset chain as
+``weyl.LabelTree``): the identity is (1, ..., 1), w * s_i has
 m_j - m_i * C[i][j] with C the extended Cartan matrix, and s_i is a right
-descent of w exactly when m_i < 0.  The breadth-first word tree shared with
-the finite groups (``weyl.WordTree``) enumerates the group by length and
-hands every element a witness reduced word; every level is checked against
-Bott's formula.  The sign action uses the extended Cartan matrix with the
+descent of w exactly when m_i <= 0 (rho is regular, so no label is 0).  The
+breadth-first word tree enumerates the group by length and hands every
+element a witness reduced word; every level is checked against Bott's
+formula.  The sign action uses the extended Cartan matrix with the
 same word rule as the finite case, and the alternating sum of q^eta becomes
 a power series whose low coefficients stabilize as the length cutoff grows.
 """
@@ -15,33 +16,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 
 from .errors import CapExceededError, InsufficientDataError, ValidationError
 from .exact import format_poly, solve
 from .rootdata import LieType, extended_cartan, weyl_degrees
 from .signflow import format_signs, propagate
-from .weyl import WordTree
+from .weyl import LabelTree
 
 MAX_LMAX = 40  # refuse enumerations past this length
 MAX_ELEMENTS = 100_000  # refuse enumerations through lmax with more elements
 MAX_RANK = 20  # rank 20 through lmax 5: 65,780 elements
-
-
-@dataclass(frozen=True)
-class AffineElement:
-    """A group element: its Dynkin-label key plus length data."""
-
-    labels: tuple[int, ...]  # Dynkin labels of w^{-1} rho; canonical key
-    length: int
-    word: tuple[int, ...]    # witness reduced word over 0..l
-
-    def __str__(self):
-        if not self.word:
-            return "e"
-        if max(self.word) > 9:  # two-digit letters need a separator
-            return ".".join(str(i) for i in self.word)
-        return "".join(str(i) for i in self.word)
 
 
 def bott_counts(lie_type: LieType, lmax: int) -> list[int]:
@@ -60,39 +44,21 @@ def bott_counts(lie_type: LieType, lmax: int) -> list[int]:
     return c
 
 
-def element_count(lie_type: LieType, lmax: int) -> int:
-    """Number of elements of length <= lmax (Bott's formula)."""
-    return sum(bott_counts(lie_type, lmax))
-
-
-class AffineWeylGroup(WordTree):
+class AffineWeylGroup(LabelTree):
     """Length-graded enumeration of an untwisted affine Weyl group."""
 
     def __init__(self, lie_type: LieType):
         if not lie_type.affine:
             raise ValidationError(f"expected an affine type, got {lie_type}")
-        self.lie_type = lie_type
-        self.rank = lie_type.rank
-        super().__init__((1,) * (lie_type.rank + 1), lie_type.rank + 1)
+        if lie_type.rank > MAX_RANK:  # before the rank-sized extended Cartan matrix
+            raise CapExceededError(
+                f"{lie_type}: affine rank {lie_type.rank} exceeds the cap {MAX_RANK}")
+        super().__init__(lie_type, extended_cartan(lie_type), (1,) * (lie_type.rank + 1))
         self.windows = self.keys  # perfbench/tracing.py counts elements by this name
-
-    @cached_property
-    def cartan(self):
-        return extended_cartan(self.lie_type)
-
-    def _mul(self, m, i):
-        mi = m[i]
-        return tuple(mj - mi * c for mj, c in zip(m, self.cartan[i]))
-
-    def _descent(self, m, i):
-        return m[i] < 0
 
     def extend_to(self, lmax: int):
         if lmax < 0:
             raise ValidationError(f"lmax must be >= 0, got {lmax}")
-        if self.rank > MAX_RANK:
-            raise CapExceededError(
-                f"{self.lie_type}: affine rank {self.rank} exceeds the cap {MAX_RANK}")
         if lmax > MAX_LMAX:
             raise CapExceededError(f"affine enumeration capped at Lmax<={MAX_LMAX}")
         counts = bott_counts(self.lie_type, lmax)
@@ -106,22 +72,6 @@ class AffineWeylGroup(WordTree):
             # each level must have the size Bott's formula gives
             assert len(self.keys) - start == counts[self.lengths[-1]]
         return self
-
-    def elements_by_length(self, lmax: int) -> list[AffineElement]:
-        self.extend_to(lmax)
-        return [self.element(i) for i in range(len(self.keys))
-                if self.lengths[i] <= lmax]
-
-    def count_per_length(self, lmax: int) -> list[int]:
-        self.extend_to(lmax)
-        out = [0] * (lmax + 1)
-        for ln in self.lengths:
-            if ln <= lmax:
-                out[ln] += 1
-        return out
-
-    def element(self, eid: int) -> AffineElement:
-        return AffineElement(self.keys[eid], self.lengths[eid], self.word(eid))
 
 
 @dataclass(frozen=True)

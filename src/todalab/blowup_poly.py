@@ -23,7 +23,7 @@ from .errors import AssumptionViolatedError, CapExceededError, InvalidQError, Va
 from .exact import UniPoly
 from .rootdata import LieType, cartan_matrix, compact_dual_info
 from .signflow import EtaTable, propagate
-from .weyl import WordTree
+from .weyl import LabelTree
 
 
 @dataclass(frozen=True)
@@ -46,31 +46,11 @@ class FactoredForm:
         return "".join(out) if out else "1"
 
 
-class CosetTree(WordTree):
-    """Minimal representatives u of the right cosets W_{J_(k-1)} u in W_{J_k}.
-
-    u is keyed by the Dynkin labels on J_k of u^{-1} omega_k, the numbers
-    game of ``affine.py`` started at (0, ..., 0, 1): u * s_i has
-    m_j - m_i * C[i][j], and s_i is an ascent exactly when m_i > 0 (at
-    m_i = 0 it fixes the key, so the coset does not change).  The tree words
-    are reduced words of the representatives.
-    """
-
-    def __init__(self, lie_type: LieType, C, k: int):
-        super().__init__(tuple(int(j == k) for j in range(k + 1)), k + 1)
-        self.lie_type = lie_type
-        self._rows = [row[:k + 1] for row in C[:k + 1]]
-
-    def _mul(self, m, i):
-        mi = m[i]
-        return tuple(mj - mi * c for mj, c in zip(m, self._rows[i]))
-
-    def _descent(self, m, i):
-        return m[i] <= 0
-
-
 class CosetChain:
     """W = U_0 * U_1 * ... * U_(r-1), U_k the representatives of step k.
+
+    Step k is a ``weyl.LabelTree`` on the leading (k+1) x (k+1) block of C
+    started at omega_k, labels (0, ..., 0, 1).
 
     The transfer row of step k from the sign sigma maps each u * sigma to
     sum (-1)^{l(u)} q^{eta(u, sigma)} over the u that send sigma there; rows
@@ -82,7 +62,8 @@ class CosetChain:
         self.C = cartan_matrix(lie_type)
         self.steps = []
         for k in range(lie_type.rank):
-            tree = CosetTree(lie_type, self.C, k)
+            block = [row[:k + 1] for row in self.C[:k + 1]]
+            tree = LabelTree(lie_type, block, (0,) * k + (1,))
             while tree.grow():
                 pass
             self.steps.append(tree)

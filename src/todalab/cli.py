@@ -18,7 +18,7 @@ import math
 import sys
 
 from . import __version__
-from .affine import AffineWeylGroup, p_series, rational_guess
+from .affine import AffineWeylGroup, bott_counts, p_series, rational_guess
 from .blowup_poly import (
     brute_force_so_order,
     chevalley_order,
@@ -278,7 +278,7 @@ def cmd_affine(args):
     group = AffineWeylGroup(t)
     series = p_series(t, eps, args.lmax, group=group)
     payload = series.as_dict()
-    payload["counts_per_length"] = group.count_per_length(args.lmax)
+    payload["counts_per_length"] = bott_counts(t, args.lmax)  # extend_to asserts each level
     if args.guess:
         try:
             guess = rational_guess(series)
@@ -349,6 +349,8 @@ def cmd_chevalley(args):
         raise ValidationError("--brute needs --q")
     t = LieType.parse(args.type)
     info = compact_dual_info(t)
+    # refuse --q before p, which can have a million factors, is formatted
+    order = None if args.q is None else chevalley_order(t, args.q)
     payload = {
         "type": str(t),
         "dual_compact": info.name,
@@ -360,7 +362,7 @@ def cmd_chevalley(args):
     }
     if args.q is not None:
         payload["q"] = args.q
-        payload["order"] = chevalley_order(t, args.q)
+        payload["order"] = order
         if args.brute:
             payload["brute_force_order"] = math.prod(
                 brute_force_so_order(n, args.q) for n in so_factors(t))

@@ -19,10 +19,6 @@ class CapExceededError(TodaLabError):
     code = "cap-exceeded"
 
 
-class NonReducedWordError(TodaLabError):
-    code = "non-reduced-word"
-
-
 class InvalidQError(TodaLabError):
     code = "invalid-q"
 

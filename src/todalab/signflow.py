@@ -11,9 +11,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import NonReducedWordError, ValidationError
+from .errors import ValidationError
 from .rootdata import cartan_matrix
-from .weyl import WeylGroup, WordTree
+from .weyl import WeylGroup
 
 
 def parse_signs(text: str) -> tuple[int, ...]:
@@ -73,23 +73,12 @@ def act_word(C, word, eps) -> tuple[int, ...]:
     return cur
 
 
-def eta(C, word_or_element, eps, group: WordTree | None = None,
-        verify_reduced: bool = False) -> int:
+def eta(C, word, eps) -> int:
     """Number of blow-up steps along a reduced word starting from eps.
 
-    Accepts a word (iterable of node indices) or an element of a finite or
-    affine Weyl group, whose witness word is used.  With ``verify_reduced``
-    and a group, a plain word is checked to be reduced first (eta is only
-    reduced-word independent on reduced words).
+    The word rule is applied as given: eta is reduced-word independent only
+    on reduced words, which ``WordTree.is_reduced`` decides.
     """
-    word = getattr(word_or_element, "word", None)
-    if word is None:
-        word = tuple(word_or_element)
-        if verify_reduced:
-            if group is None:
-                raise ValidationError("verify_reduced requires the group")
-            if not group.is_reduced(word):
-                raise NonReducedWordError(f"word {word} is not reduced")
     count = 0
     cur = tuple(eps)
     for i in word:

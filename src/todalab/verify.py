@@ -301,11 +301,9 @@ def check_affine(groups, scope):
     g = AffineWeylGroup(t)
     g.extend_to(12)
     bad = []
-    for eid in range(len(g)):
-        if g.lengths[eid] <= 12:
-            el = g.element(eid)
-            if eta(g.cartan, el, (-1, -1)) != el.length:
-                bad.append(f"eta != length at {el}")
+    for eid, length in enumerate(g.lengths):  # g holds lengths 0..12 only
+        if eta(g.cartan, g.word(eid), (-1, -1)) != length:
+            bad.append(f"eta != length at {g.word(eid)}")
     series = p_series(t, (-1, -1), 12, group=g)
     stable = series.stable_coeffs()
     want = [1] + [(-2 if k % 2 else 2) for k in range(1, len(stable))]

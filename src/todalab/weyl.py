@@ -4,8 +4,10 @@ Elements are keyed by their permutation of the root list (stored as
 ``bytes``: root index -> root index), which makes equality canonical
 and lets ``bytes.translate`` do permutation composition at C speed.
 Generation is a breadth-first closure over the simple reflections
-(``WordTree``, shared with the affine group); the BFS tree also hands every
-element a witness reduced word for free.
+(``WordTree``); the BFS tree also hands every element a witness reduced word
+for free.  ``LabelTree`` runs the same tree on Dynkin labels instead of root
+permutations: it walks the coset chain of ``blowup_poly`` and the affine
+Weyl groups of ``affine``.
 
 Whole-group passes work on element ids, not keys: Bruhat covers come from
 one right-multiplication table of ids per reflection (``reflection_tables``,
@@ -176,6 +178,30 @@ class WordTree:
                 for wd in self.all_reduced_words(self.index[self._mul(key, i)])
             )
         return got
+
+
+class LabelTree(WordTree):
+    """The numbers game (Bjorner-Brenti ch. 4): w is keyed by the Dynkin labels
+    m of w^{-1} lambda, started at the labels of lambda.
+
+    w * s_i has m_j - m_i * C[i][j], and s_i is skipped exactly when
+    m_i <= 0: a descent when m_i < 0, and at m_i = 0 s_i fixes the key.
+    From rho no label is ever 0, so the tree is the whole group; from the
+    fundamental weight omega_k over the leading (k+1) x (k+1) block it is
+    the minimal right coset representatives of W_{J_(k-1)} in W_{J_k}.
+    """
+
+    def __init__(self, lie_type: LieType, cartan, labels):
+        super().__init__(tuple(labels), len(cartan))
+        self.lie_type = lie_type
+        self.cartan = cartan
+
+    def _mul(self, m, i):
+        mi = m[i]
+        return tuple(mj - mi * c for mj, c in zip(m, self.cartan[i]))
+
+    def _descent(self, m, i):
+        return m[i] <= 0
 
 
 class WeylGroup(WordTree):

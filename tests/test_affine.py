@@ -1,3 +1,4 @@
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -7,14 +8,12 @@ from todalab.affine import (
     RationalFunction,
     TruncatedSeries,
     bott_counts,
-    element_count,
     p_series,
     rational_guess,
 )
 from todalab.errors import (
     CapExceededError,
     InsufficientDataError,
-    NonReducedWordError,
     ValidationError,
 )
 from todalab.rootdata import LieType
@@ -23,6 +22,12 @@ from todalab.signflow import eta, reflect_sign
 
 def A(l):
     return LieType("A", l, affine=True)
+
+
+def counts_per_length(g, lmax):
+    """Number of elements of each length 0..lmax already enumerated in g."""
+    counts = Counter(g.lengths)
+    return [counts[k] for k in range(lmax + 1)]
 
 
 # -- independent A(1) oracle: affine permutations --------------------------
@@ -85,14 +90,14 @@ def aff2():
 
 class TestEnumeration:
     def test_a1_counts(self, aff1):
-        assert aff1.count_per_length(4) == [1, 2, 2, 2, 2]
-        assert len(aff1.elements_by_length(4)) == 9
-        assert aff1.count_per_length(0) == [1]
+        assert counts_per_length(aff1, 4) == [1, 2, 2, 2, 2]
+        assert sum(n <= 4 for n in aff1.lengths) == 9
+        assert counts_per_length(aff1, 0) == [1]
 
     def test_a2_linear_growth(self, aff2):
         # Bott: the affine A2 length generating series is (1+q+q^2)/(1-q)^2,
         # i.e. 3n elements of each positive length n
-        assert aff2.count_per_length(6) == [1, 3, 6, 9, 12, 15, 18]
+        assert counts_per_length(aff2, 6) == [1, 3, 6, 9, 12, 15, 18]
 
     def test_length_formula_is_bfs_depth(self):
         # replay each witness word through the window map: the inversion
@@ -111,9 +116,9 @@ class TestEnumeration:
 
     def test_words_are_reduced(self, aff2):
         for eid in range(0, len(aff2), 5):
-            el = aff2.element(eid)
-            assert len(el.word) == el.length
-            assert aff2.key_of_word(el.word) == el.labels
+            word = aff2.word(eid)
+            assert len(word) == aff2.lengths[eid]
+            assert aff2.key_of_word(word) == aff2.keys[eid]
 
     def test_group_relations(self, aff2):
         e = aff2.keys[0]
@@ -132,20 +137,31 @@ class TestEnumeration:
                              ids=[n[1:] if n[0] == "A" else n for n, _ in UNTWISTED])
     def test_element_count_matches_enumeration(self, name, lmax):
         t = LieType.parse(name + "(1)")
-        g = AffineWeylGroup(t)
+        g = AffineWeylGroup(t).extend_to(lmax)
         for cut in range(lmax + 1):
-            assert element_count(t, cut) == sum(g.count_per_length(cut))
+            assert sum(bott_counts(t, cut)) == sum(counts_per_length(g, cut))
         assert len(set(g.keys)) == len(g)
+
+    @pytest.mark.parametrize("name", ["A1", "A3", "B3", "C2", "G2"])
+    def test_no_label_is_zero(self, name):
+        # rho is regular, so the skip rule m_i <= 0 of weyl.LabelTree is the
+        # strict descent test m_i < 0 on every affine key
+        g = AffineWeylGroup(LieType.parse(name + "(1)")).extend_to(8)
+        assert all(0 not in key for key in g.keys)
 
     def test_bott_counts_pinned(self):
         # G2(1): (1 + q)(1 + q + ... + q^5) / ((1 - q)(1 - q^5))
         assert bott_counts(LieType.parse("G2(1)"), 6) == [1, 3, 5, 7, 9, 12, 15]
 
     def test_element_cap_refuses_before_enumerating(self):
-        g = AffineWeylGroup(A(40))
+        g = AffineWeylGroup(A(20))  # 296,010 elements through length 6
         with pytest.raises(CapExceededError):
-            g.extend_to(5)
+            g.extend_to(6)
         assert len(g) == 1
+
+    def test_rank_cap_refuses_in_the_constructor(self):
+        with pytest.raises(CapExceededError, match="affine rank 40 exceeds the cap 20"):
+            AffineWeylGroup(A(40))
 
     def test_requires_affine_type(self):
         with pytest.raises(ValidationError):
@@ -155,8 +171,7 @@ class TestEnumeration:
 class TestAffineEta:
     def test_eta_equals_length_a1(self, aff1):
         for eid in range(len(aff1)):
-            el = aff1.element(eid)
-            assert eta(aff1.cartan, el, (-1, -1)) == el.length
+            assert eta(aff1.cartan, aff1.word(eid), (-1, -1)) == aff1.lengths[eid]
 
     def test_identity(self, aff1):
         assert eta(aff1.cartan, (), (-1, -1)) == 0
@@ -180,8 +195,10 @@ class TestAffineEta:
                 assert len(vals) == 1
 
     def test_verify_reduced(self, aff1):
-        with pytest.raises(NonReducedWordError):
-            eta(aff1.cartan, (0, 0), (-1, -1), group=aff1, verify_reduced=True)
+        assert not aff1.is_reduced((0, 0))
+        # the word rule is applied as given: s_0 flips no sign of A1(1)
+        # (C[1][0] = -2), so both steps start at a minus and both count
+        assert eta(aff1.cartan, (0, 0), (-1, -1)) == 2
 
     def test_sign_braid_relations(self, aff2):
         C = aff2.cartan

@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import time
+import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -207,6 +208,19 @@ class TestChevalley:
         code, out, err = run(capsys, "chevalley", "--type", "A5", "--q", "3", "--brute")
         assert (code, out) == (2, "")
         assert err.startswith("error [assumption-violated]: ")
+
+    def test_refused_q_does_not_format_p(self, capsys):
+        # the digits cap refuses before p, a product of a million factors, is
+        # formatted; formatting it first peaked at about 111 MB
+        tracemalloc.start()
+        try:
+            code, out, err = run(capsys, "chevalley", "--type", "A1000000", "--q", "3")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (code, out) == (2, "")
+        assert err.startswith("error [cap-exceeded]: |K(F_3)| of A1000000 may have ")
+        assert peak < 60_000_000
 
     def test_brute_refuses_non_so_dual(self, capsys):
         code, out, err = run(capsys, "chevalley", "--type", "B3", "--q", "5", "--brute")

@@ -1,5 +1,6 @@
 import hashlib
 import math
+from collections import Counter
 
 import pytest
 
@@ -14,7 +15,7 @@ from todalab.rootdata import (
     weyl_order,
     weyl_order_log10,
 )
-from todalab.weyl import MAX_ELEMENTS, WeylGroup, check_order, pad_table
+from todalab.weyl import MAX_ELEMENTS, LabelTree, WeylGroup, check_order, pad_table
 
 CLOSED_ORDERS = {
     "A1": 2, "A2": 6, "A3": 24, "A4": 120, "A5": 720, "A6": 5040,
@@ -91,6 +92,26 @@ class TestReducedWords:
             for w in words:
                 assert len(w) == el.length
                 assert g.act_on_word(w).perm == el.perm
+
+
+class TestLabelTree:
+    @pytest.mark.parametrize("name", ["A3", "B3", "C3", "D4", "G2", "F4"])
+    def test_from_rho_matches_root_permutations(self, name, group):
+        # the numbers game on Dynkin labels against the root-permutation model
+        t = LieType.parse(name)
+        tree = LabelTree(t, cartan_matrix(t), (1,) * t.rank)
+        while tree.grow():
+            pass
+        assert Counter(tree.lengths) == Counter(group(name).lengths)
+
+    def test_fundamental_weight_stabilizer_is_skipped(self):
+        # from omega_2 of A2, s_1 fixes the labels (0, 1) and is not taken
+        t = LieType.parse("A2")
+        tree = LabelTree(t, cartan_matrix(t), (0, 1))
+        while tree.grow():
+            pass
+        assert tree.keys == [(0, 1), (1, -1), (-1, 0)]
+        assert [tree.word(eid) for eid in range(3)] == [(), (1,), (1, 0)]
 
 
 class TestGroupLaws:
