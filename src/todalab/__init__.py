@@ -24,7 +24,7 @@ from .rootdata import (
     positive_roots,
 )
 from .exact import UniPoly
-from .weyl import WeylGroup, WeylElement
+from .weyl import WeylGroup
 from .signflow import parse_signs, format_signs, reflect_sign, act_word, eta, eta_table
 from .blowup_poly import (
     FactoredForm,
@@ -42,7 +42,6 @@ from .schurtau import (
     hk,
     schur_wronskian,
     tau_functions,
-    minimal_degree,
     minimal_degrees,
     tangent_cone,
     hirota_residual,

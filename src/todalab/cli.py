@@ -48,15 +48,20 @@ class _Parser(argparse.ArgumentParser):
         raise ValidationError(message)
 
 
-def _sign_vector(args, rank: int):
+def _type_and_sign(args):
+    """The finite type of ``--type`` and the sign vector of ``--sign`` (default
+    all minus); the type is checked first, so an affine type is refused
+    whatever sign comes with it."""
+    t = LieType.parse(args.type)
+    require_finite(t)
     if args.sign is None:
-        return all_minus(rank)
+        return t, all_minus(t.rank)
     eps = parse_signs(args.sign)
-    if len(eps) != rank:
+    if len(eps) != t.rank:
         raise ValidationError(  # strip the space _glue_sign_values may add
-            f"sign vector {args.sign.strip()!r} has length {len(eps)}, expected {rank}"
+            f"sign vector {args.sign.strip()!r} has length {len(eps)}, expected {t.rank}"
         )
-    return eps
+    return t, eps
 
 
 def _emit(text: str, args):
@@ -171,8 +176,7 @@ def _emit_csv(rows, header, args):
 
 
 def cmd_pq(args):
-    t = LieType.parse(args.type)
-    eps = _sign_vector(args, t.rank)
+    t, eps = _type_and_sign(args)
     try:
         check_order(t, args.cap)  # p_eps needs no group, but --cap still bounds |W|
     except CapExceededError:
@@ -200,8 +204,7 @@ def cmd_pq(args):
 
 
 def cmd_eta(args):
-    t = LieType.parse(args.type)
-    eps = _sign_vector(args, t.rank)
+    t, eps = _type_and_sign(args)
     group = WeylGroup.generate(t, args.cap)
     table = eta_table(group, eps)
     if args.format == "json":
@@ -219,8 +222,7 @@ def cmd_eta(args):
 
 
 def cmd_graph(args):
-    t = LieType.parse(args.type)
-    eps = _sign_vector(args, t.rank)
+    t, eps = _type_and_sign(args)
     graph = build_graph(WeylGroup.generate(t, args.cap), eps)
     if args.format == "dot":
         _emit(to_dot(graph), args)

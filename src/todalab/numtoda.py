@@ -24,6 +24,7 @@ from .errors import (
     ValidationError,
 )
 from .rootdata import LieType, cartan_matrix, symmetrizer
+from .signflow import eta
 
 log = logging.getLogger(__name__)
 
@@ -198,10 +199,9 @@ def zero_crossings(minors: TauMinors, j: int, window=(-12.0, 12.0),
     return roots
 
 
-def count_zero_crossings(L0_or_minors, j: int, window=(-12.0, 12.0),
+def count_zero_crossings(minors: TauMinors, j: int, window=(-12.0, 12.0),
                          grid: int = 4001) -> int:
     """Grid-stable crossing count: doubling the grid must not change it."""
-    minors = L0_or_minors if isinstance(L0_or_minors, TauMinors) else TauMinors(L0_or_minors)
     coarse = len(zero_crossings(minors, j, window, grid))
     fine = len(zero_crossings(minors, j, window, 2 * grid - 1))
     if coarse != fine:
@@ -353,11 +353,16 @@ class SignsVsEtaReport:
     matches: bool
 
 
-def signs_vs_eta_report(L0, window=(-14.0, 14.0), group=None) -> SignsVsEtaReport:
-    """Compare total minor zero-crossings against eta(w*, sgn a(0)) for type A."""
-    from .signflow import eta_table
-    from .weyl import WeylGroup
+def longest_word_a(rank: int) -> tuple[int, ...]:
+    """The reduced word (s1)(s2 s1)...(s_l ... s1) of w0 in W(A_l), 0-based letters."""
+    return tuple(i for k in range(rank) for i in range(k, -1, -1))
 
+
+def signs_vs_eta_report(L0, window=(-14.0, 14.0)) -> SignsVsEtaReport:
+    """Compare total minor zero-crossings against eta(w*, sgn a(0)) for type A.
+
+    eta(w*, eps) is replayed on one reduced word of w0, so no group is built.
+    """
     L0 = np.asarray(L0, dtype=float)
     minors = TauMinors(L0)
     _, a = lax_data(L0)
@@ -370,10 +375,7 @@ def signs_vs_eta_report(L0, window=(-14.0, 14.0), group=None) -> SignsVsEtaRepor
         count_zero_crossings(minors, j, window=window)
         for j in range(1, l + 1)
     )
-    if group is None:
-        group = WeylGroup.generate(t)
-    table = eta_table(group, eps)
-    eta_star = table.values[group.id_of(group.longest_element())]
+    eta_star = eta(cartan_matrix(t), longest_word_a(l), eps)
     total = sum(per_tau)
     return SignsVsEtaReport(t, eps, per_tau, total, eta_star, total == eta_star)
 

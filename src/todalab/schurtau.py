@@ -202,17 +202,9 @@ class ExactPoly:
         e = min(self.terms, key=lambda e: (sum(e), e))
         return e, self.terms[e]
 
-    def restrict_t1(self) -> "UniPoly":
-        """Set every variable except t1 to zero."""
-        pos = self.ring.names.index("t1")
-        coeffs = {}
-        for e, c in self.terms.items():
-            if all(x == 0 for j, x in enumerate(e) if j != pos):
-                coeffs[e[pos]] = coeffs.get(e[pos], ZERO) + c
-        return UniPoly.from_dict(coeffs)
-
     def slice_t1(self, values: dict) -> "UniPoly":
-        """Substitute rationals for every variable except t1."""
+        """Substitute rationals for every variable except t1 (zeros restrict
+        to the t1 axis)."""
         names = self.ring.names
         pos = names.index("t1")
         vals = {}
@@ -286,18 +278,15 @@ def _primitive_part(p: UniPoly) -> list[int]:
     return [c // g for c in ints]
 
 
-def sturm_real_roots(f) -> int:
+def sturm_real_roots(f: UniPoly) -> int:
     """Exact count of distinct real roots via a Sturm chain.
 
-    Accepts a UniPoly or a low-to-high coefficient sequence.  The chain is
-    the signed remainder sequence of f and f', which ends at gcd(f, f'), so
-    multiple roots count once without taking the square-free part first.
-    Only signs matter, so each member is kept as a primitive integer
-    polynomial, a positive multiple of the rational one (Basu-Pollack-Roy,
-    Algorithms in Real Algebraic Geometry, ch. 2 and 8).
+    The chain is the signed remainder sequence of f and f', which ends at
+    gcd(f, f'), so multiple roots count once without taking the square-free
+    part first.  Only signs matter, so each member is kept as a primitive
+    integer polynomial, a positive multiple of the rational one
+    (Basu-Pollack-Roy, Algorithms in Real Algebraic Geometry, ch. 2 and 8).
     """
-    if not isinstance(f, UniPoly):
-        f = UniPoly(map(Fraction, f))
     if f.is_zero():
         raise ZeroPolynomialError("root count of the zero polynomial")
     if f.degree < 1:
@@ -605,35 +594,29 @@ def _tau_functions_d(ring: PolyRing, l: int):
     return taus, notes
 
 
-def minimal_degree(p: ExactPoly) -> int:
-    """Lowest total degree of a monomial (all variables graded by 1)."""
-    return p.min_degree()
+def minimal_degrees(system: TauSystem) -> tuple[int, ...]:
+    """Lowest total degree of a monomial of each tau (all variables graded by 1)."""
+    return tuple(tau.min_degree() for tau in system.taus)
 
 
-def minimal_degrees(t_or_system) -> tuple[int, ...]:
-    system = t_or_system if isinstance(t_or_system, TauSystem) else tau_functions(t_or_system)
-    return tuple(minimal_degree(tau) for tau in system.taus)
-
-
-def tangent_cone(t_or_system):
+def tangent_cone(system: TauSystem):
     """(lowest homogeneous part of prod tau_j, its degree, cancellation flag).
 
     The flag is set when the product's minimal degree exceeds the sum of the
     factor minimal degrees, i.e. when lowest parts cancelled.
     """
-    system = t_or_system if isinstance(t_or_system, TauSystem) else tau_functions(t_or_system)
     prod = system.product()
     d = prod.min_degree()
     expected = sum(minimal_degrees(system))
     return prod.lowest_part(), d, d != expected
 
 
-def nu_degrees(t_or_system) -> tuple[int, ...]:
+def nu_degrees(system: TauSystem) -> tuple[int, ...]:
     """Vanishing order of each tau_k along the t1 axis."""
-    system = t_or_system if isinstance(t_or_system, TauSystem) else tau_functions(t_or_system)
+    zeros = dict.fromkeys(system.ring.names, 0)
     out = []
     for k, tau in enumerate(system.taus, start=1):
-        restricted = tau.restrict_t1()
+        restricted = tau.slice_t1(zeros)
         if restricted.is_zero():
             raise ZeroPolynomialError(f"tau_{k} vanishes identically on the t1 axis")
         nu = next(i for i, c in enumerate(restricted.coeffs) if c != 0)
@@ -641,21 +624,19 @@ def nu_degrees(t_or_system) -> tuple[int, ...]:
     return tuple(out)
 
 
-def nu_check(t_or_system) -> tuple[bool, ...]:
+def nu_check(system: TauSystem) -> tuple[bool, ...]:
     """Per-tau flags: does the t1-axis vanishing order equal 2*rowsum(C^-1)?"""
-    system = t_or_system if isinstance(t_or_system, TauSystem) else tau_functions(t_or_system)
     return tuple(a == b for a, b in
                  zip(nu_degrees(system), tau_multiplicities(system.lie_type)))
 
 
-def hirota_residual(t_or_system, k: int):
+def hirota_residual(system: TauSystem, k: int):
     """Fit the constant in tau_k tau_k'' - (tau_k')^2 = a_k0 prod tau_j^{-C_kj}.
 
     ``k`` is 1-based.  Returns (a_k0, residual); the residual is the zero
     polynomial when the constant fits exactly, otherwise NoConstantFitsError
     is raised with the offending residual attached.
     """
-    system = t_or_system if isinstance(t_or_system, TauSystem) else tau_functions(t_or_system)
     C = cartan_matrix(system.lie_type)
     l = system.lie_type.rank
     if not 1 <= k <= l:

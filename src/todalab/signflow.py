@@ -98,9 +98,6 @@ class EtaTable:
     values: tuple[int, ...]                   # indexed by element id
     transported: tuple[tuple[int, ...], ...]  # w^{-1} eps per element id
 
-    def value(self, el) -> int:
-        return self.values[self.group.id_of(el)]
-
     def max_value(self) -> int:
         return max(self.values)
 

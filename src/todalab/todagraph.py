@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .blowup_poly import alternating_eta_sum
 from .exact import UniPoly
 from .signflow import EtaTable, eta_table, format_signs
 from .weyl import WeylGroup
@@ -68,11 +67,6 @@ def components(graph: BlowupGraph) -> list[list[int]]:
     for v in range(graph.num_vertices):
         groups.setdefault(find(v), []).append(v)
     return [sorted(groups[r]) for r in sorted(groups)]
-
-
-def alternating_sum(graph: BlowupGraph) -> UniPoly:
-    """(-1)^{l(w*)} sum over vertices of (-1)^{l(w)} q^{eta(w)}; must equal p_eps."""
-    return alternating_eta_sum(graph.table)
 
 
 def to_dot(graph: BlowupGraph) -> str:

@@ -10,6 +10,7 @@ and E8 are checked exactly without enumerating their groups; enumeration
 
 from __future__ import annotations
 
+import functools
 import math
 import time
 from dataclasses import dataclass
@@ -21,6 +22,7 @@ import numpy as np
 from .affine import AffineWeylGroup, p_series, rational_guess
 from .blowup_poly import (
     CosetChain,
+    alternating_eta_sum,
     brute_force_so_order,
     chevalley_order,
     closed_form_p,
@@ -45,7 +47,7 @@ from .signflow import (
     reflect_sign,
     reflect_sign_by_exponent,
 )
-from .todagraph import alternating_sum, build_graph, components, matching_report
+from .todagraph import build_graph, components, matching_report
 from .weyl import WeylGroup
 from . import numtoda
 
@@ -65,18 +67,6 @@ class CheckResult:
     def line(self) -> str:
         status = "PASS" if self.passed else "FAIL"
         return f"[{status}] criterion {self.number:2d} ({self.seconds:6.2f}s): {self.title} -- {self.detail}"
-
-
-class _Groups:
-    """Share generated Weyl groups across checks."""
-
-    def __init__(self):
-        self._cache = {}
-
-    def __call__(self, name: str) -> WeylGroup:
-        if name not in self._cache:
-            self._cache[name] = WeylGroup.generate(LieType.parse(name))
-        return self._cache[name]
 
 
 def _all_signs(rank):
@@ -246,7 +236,7 @@ def check_degree_bookkeeping(groups, scope):
     bad = []
     for name in names:
         t = LieType.parse(name)
-        mins = minimal_degrees(t)
+        mins = minimal_degrees(tau_functions(t))
         if mins != expected_min_degrees(t):
             bad.append(f"{name} degrees {mins}")
             continue
@@ -260,7 +250,7 @@ def check_degree_bookkeeping(groups, scope):
     for name, want in (("B2", 7), ("G2", 16), ("A2", 4)):
         t = LieType.parse(name)
         system = tau_functions(t)
-        deg_t1 = system.product().restrict_t1().degree
+        deg_t1 = system.product().slice_t1(dict.fromkeys(system.ring.names, 0)).degree
         if deg_t1 != want or deg_t1 != two_rho_height(t):
             bad.append(f"{name} t1-degree {deg_t1} != {want}")
     return not bad, f"minimal-degree lists and degree identities over {len(names)} types" + (
@@ -337,12 +327,11 @@ def check_numerics(groups, scope):
     if traj.status != "blow-up" or len(traj.events) != 1 or abs(traj.events[0].time - 1.0) > 0.01:
         bad.append(f"A1 negative case events {traj.events}")
     l0 = numtoda.lax_matrix([b0], [a0])
-    n_minor = numtoda.count_zero_crossings(l0, 1, window=(-6.0, 6.0))
+    n_minor = numtoda.count_zero_crossings(numtoda.TauMinors(l0), 1, window=(-6.0, 6.0))
     if n_minor != 1:
         bad.append(f"A1 negative minor crossings {n_minor}")
     # A2 all-negative: minor-based total = eta(w*) = 2, grid-stable
-    rep = numtoda.signs_vs_eta_report(numtoda.example_a2_all_negative(),
-                                      group=groups("A2"))
+    rep = numtoda.signs_vs_eta_report(numtoda.example_a2_all_negative())
     if rep.total_crossings != 2 or not rep.matches:
         bad.append(f"A2 crossings {rep.crossings_per_tau}")
     # ... and its flow conserves the invariant up to the blow-up
@@ -399,7 +388,7 @@ def check_property_suites(groups, scope):
         g = groups(name)
         for eps in _all_signs(t.rank):
             graph = build_graph(g, eps)
-            if alternating_sum(graph) != p_epsilon(t, eps):
+            if alternating_eta_sum(graph.table) != p_epsilon(t, eps):
                 bad.append(f"{name} {format_signs(eps)}: graph sum != p_eps")
     # matching-derived Betti numbers against the compact-group Poincare polynomial
     matched = []
@@ -435,7 +424,8 @@ CHECKS = [
 def run(scope: str = "fast") -> list[CheckResult]:
     if scope not in ("fast", "full"):
         raise ValidationError(f"scope must be 'fast' or 'full', got {scope!r}")
-    groups = _Groups()
+    # each run generates its own groups, shared by its checks
+    groups = functools.cache(lambda name: WeylGroup.generate(LieType.parse(name)))
     results = []
     for number, title, fn in CHECKS:
         start = time.perf_counter()

@@ -1,16 +1,19 @@
 """Finite Weyl group engine.
 
-Elements are keyed by their permutation of the root list (stored as
-``bytes``: root index -> root index), which makes equality canonical
-and lets ``bytes.translate`` do permutation composition at C speed.
-Generation is a breadth-first closure over the simple reflections
+A group element is an integer id.  Ids run in (length, key) order, so the
+identity is id 0 and the longest element the last id; ``multiply``,
+``inverse``, ``act_on_word`` and ``longest_element`` all return ids.
+Behind each id the group keeps the element's permutation of the root list
+(stored as ``bytes``: root index -> root index), which makes equality
+canonical and lets ``bytes.translate`` do permutation composition at C
+speed.  Generation is a breadth-first closure over the simple reflections
 (``WordTree``); the BFS tree also hands every element a witness reduced word
 for free.  ``LabelTree`` runs the same tree on Dynkin labels instead of root
 permutations: it walks the coset chain of ``blowup_poly`` and the affine
 Weyl groups of ``affine``.
 
-Whole-group passes work on element ids, not keys: Bruhat covers come from
-one right-multiplication table of ids per reflection (``reflection_tables``,
+Whole-group passes work on ids, not keys: Bruhat covers come from one
+right-multiplication table of ids per reflection (``reflection_tables``,
 whose simple tables look elements up by the images of the simple roots
 alone), and the witness-word labels from one walk over the tree's parents
 and letters.
@@ -20,7 +23,6 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterator
-from dataclasses import dataclass
 
 from .errors import CapExceededError, ValidationError
 from .rootdata import (
@@ -41,27 +43,6 @@ _PAD = bytes(range(256))
 def pad_table(prefix: bytes) -> bytes:
     """Extend a root permutation to the 256-byte table bytes.translate needs."""
     return prefix + _PAD[len(prefix):]
-
-
-@dataclass(frozen=True)
-class WeylElement:
-    """One group element: canonical permutation key plus length data."""
-
-    perm: bytes
-    length: int
-    word: tuple[int, ...]  # one reduced word, letters are 0-based node indices
-
-    def __str__(self):
-        if not self.word:
-            return "e"
-        if max(self.word) > 8:  # two-digit letters need a separator
-            return ".".join(str(i + 1) for i in self.word)
-        return "".join(str(i + 1) for i in self.word)
-
-
-def compose(p: bytes, q: bytes) -> bytes:
-    """Permutation of w1*w2 from the permutations of w1 and w2."""
-    return q.translate(p)
 
 
 def invert(p: bytes) -> bytes:
@@ -261,15 +242,14 @@ class WeylGroup(WordTree):
 
     # -- basic queries -------------------------------------------------------
 
-    def element(self, eid: int) -> WeylElement:
-        return WeylElement(self.perms[eid], self.lengths[eid], self.word(eid))
-
     def word_labels(self) -> list[str]:
-        """``str(self.element(eid))`` for every id, in one pass over the tree.
+        """The witness word of every id as text, in one pass over the tree.
 
-        A label is its parent's label plus one letter.  Once a word holds a
-        letter above 9 the whole label switches to the dotted form, as
-        ``WeylElement.__str__`` does.
+        The identity is ``e``; otherwise a word is its 1-based letters, run
+        together ("121") while every letter is a single digit and joined by
+        dots ("9.10") once a letter above 9 occurs.  A label is its parent's
+        label plus one letter, rewritten in the dotted form when the new
+        letter is the first above 9.
         """
         if self._labels is not None:
             return self._labels
@@ -285,29 +265,20 @@ class WeylGroup(WordTree):
         self._labels = labels
         return labels
 
-    def id_of(self, el) -> int:
-        perm = el.perm if isinstance(el, WeylElement) else el
-        return self.index[perm]
+    def longest_element(self) -> int:
+        """Id of w0: ids run in length order and w0 alone has maximal length."""
+        return len(self) - 1
 
-    def identity(self) -> WeylElement:
-        return self.element(0)
+    def multiply(self, a: int, b: int) -> int:
+        """Id of w_a * w_b."""
+        return self.index[self.perms[b].translate(self.perms[a])]
 
-    def longest_element(self) -> WeylElement:
-        eid = max(range(len(self)), key=lambda i: self.lengths[i])
-        assert self.lengths.count(self.lengths[eid]) == 1
-        return self.element(eid)
+    def act_on_word(self, word) -> int:
+        """Id of the product of the simple reflections of ``word``."""
+        return self.index[self.key_of_word(word)]
 
-    def multiply(self, w1: WeylElement, w2: WeylElement) -> WeylElement:
-        return self.element(self.index[compose(w1.perm, w2.perm)])
-
-    def act_on_word(self, word) -> WeylElement:
-        return self.element(self.index[self.key_of_word(word)])
-
-    def inverse(self, w: WeylElement) -> WeylElement:
-        return self.element(self.index[invert(w.perm)])
-
-    def all_reduced_words(self, el) -> frozenset:
-        return super().all_reduced_words(el if isinstance(el, int) else self.id_of(el))
+    def inverse(self, a: int) -> int:
+        return self.index[invert(self.perms[a])]
 
     # -- Bruhat covers ---------------------------------------------------------
 

@@ -4,6 +4,16 @@ from todalab.rootdata import LieType
 from todalab.weyl import WeylGroup
 
 
+def word_str(word) -> str:
+    """Test oracle for a word label, 1-based letters: "e", "121", or dotted
+    ("1.10") once any letter is above 9."""
+    if not word:
+        return "e"
+    if max(word) > 8:  # two-digit letters need a separator
+        return ".".join(str(i + 1) for i in word)
+    return "".join(str(i + 1) for i in word)
+
+
 @pytest.fixture(scope="session")
 def group():
     """Shared Weyl group factory; generation is deterministic and cached."""

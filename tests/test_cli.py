@@ -97,6 +97,18 @@ class TestEta:
         assert doc["max_eta"] == 4
         assert len(doc["table"]) == 12
 
+    def test_text(self, capsys):
+        code, out, _ = run(capsys, "eta", "--type", "A2", "--format", "text")
+        assert code == 0
+        assert out.splitlines() == [
+            "           e  l=0  eta=0  --",
+            "           2  l=1  eta=1  +-",
+            "           1  l=1  eta=1  -+",
+            "          12  l=2  eta=1  -+",
+            "          21  l=2  eta=1  +-",
+            "         121  l=3  eta=2  --",
+        ]
+
 
 class TestGraph:
     def test_dot_header(self, capsys):
@@ -309,6 +321,16 @@ class TestErrorsAndPlumbing:
         assert err.startswith("error [unsupported-type]: ")
         assert "Traceback" not in err
         assert out == ""
+
+    @pytest.mark.parametrize("command", ["pq", "eta", "graph"])
+    @pytest.mark.parametrize("sign", ["+++", "-", "+x"])
+    def test_type_is_checked_before_the_sign(self, capsys, command, sign):
+        # with or without --sign, an affine type gets the same refusal
+        for extra in ((), ("--sign", sign)):
+            code, out, err = run(capsys, command, "--type", "A2(1)", *extra)
+            assert (code, out) == (2, "")
+            assert err == ("error [unsupported-type]: A2(1) is affine; "
+                           "use extended_cartan / the affine module\n")
 
     @pytest.mark.parametrize("q", ["25", "9", "49", "81"])
     def test_brute_force_refuses_prime_powers(self, capsys, q):
@@ -582,7 +604,7 @@ TYPES = ["A1", "A2", "A3", "A4", "A5", "B2", "B3", "C3", "D5", "G2", "F4", "E6",
 SIGNS = ["-", "+", "--", "-+", "+-+", "---", "----", "-++-+-", "", "+x"]
 NUMBERS = ["1", "0", "-1", "1,1", "-1,-1", "1e308", "nan", "abc", ""]
 JUNK = ["--bogus", "junk", "--", "-x", "--cap=abc"]
-PQ_GRID_SHA256 = "5218f86a06a2f5ebb0283187a5be00db33b86de68a90a4f0b58cd80d5fbbc1bf"
+PQ_GRID_SHA256 = "5053f4cea8fba88eab03d5f0f6ea7c4d8a886e607f6572b27bb15cb2ed9951d5"
 
 
 def _tokens(spec):

@@ -1,4 +1,6 @@
 import math
+import time
+from itertools import product
 
 import numpy as np
 import pytest
@@ -11,7 +13,8 @@ from todalab.errors import (
     GridUnstableError,
     ValidationError,
 )
-from todalab.rootdata import LieType
+from todalab.rootdata import LieType, cartan_matrix, compact_dual_info
+from todalab.signflow import eta, eta_table
 
 
 def a1_negative_data():
@@ -124,18 +127,18 @@ class TestTauMinors:
 class TestCrossings:
     def test_a1_positive_none(self):
         assert numtoda.count_zero_crossings(
-            numtoda.lax_matrix([0.0], [1.0]), 1, window=(-6, 6)) == 0
+            numtoda.TauMinors(numtoda.lax_matrix([0.0], [1.0])), 1, window=(-6, 6)) == 0
 
     def test_a1_negative_one(self):
         a0, b0 = a1_negative_data()
         l0 = numtoda.lax_matrix(b0, a0)
-        assert numtoda.count_zero_crossings(l0, 1, window=(-6, 6)) == 1
+        assert numtoda.count_zero_crossings(numtoda.TauMinors(l0), 1, window=(-6, 6)) == 1
         roots = numtoda.zero_crossings(numtoda.TauMinors(l0), 1, window=(-6, 6))
         assert abs(roots[0] - 1.0) < 1e-8
 
     def test_a2_total_two(self):
-        L = numtoda.example_a2_all_negative()
-        total = sum(numtoda.count_zero_crossings(L, j, window=(-12, 12)) for j in (1, 2))
+        minors = numtoda.TauMinors(numtoda.example_a2_all_negative())
+        total = sum(numtoda.count_zero_crossings(minors, j, window=(-12, 12)) for j in (1, 2))
         assert total == 2
 
     def test_grid_instability_reported(self, monkeypatch):
@@ -234,38 +237,35 @@ class TestTauOdeConsistency:
 
 
 class TestSignsVsEta:
-    def test_all_negative_a2(self, group):
-        rep = numtoda.signs_vs_eta_report(numtoda.example_a2_all_negative(),
-                                          group=group("A2"))
+    def test_all_negative_a2(self):
+        rep = numtoda.signs_vs_eta_report(numtoda.example_a2_all_negative())
         assert rep.eps == (-1, -1)
         assert rep.crossings_per_tau == (1, 1)
         assert rep.total_crossings == rep.eta_longest == 2
         assert rep.matches
 
-    def test_all_positive_a2(self, group):
-        rep = numtoda.signs_vs_eta_report(numtoda.lax_matrix([1.0, -1.0], [1.0, 1.0]),
-                                          group=group("A2"))
+    def test_all_positive_a2(self):
+        rep = numtoda.signs_vs_eta_report(numtoda.lax_matrix([1.0, -1.0], [1.0, 1.0]))
         assert rep.total_crossings == rep.eta_longest == 0
         assert rep.matches
 
-    def test_a1_negative(self, group):
+    def test_a1_negative(self):
         a0, b0 = a1_negative_data()
-        rep = numtoda.signs_vs_eta_report(numtoda.lax_matrix(b0, a0), group=group("A1"))
+        rep = numtoda.signs_vs_eta_report(numtoda.lax_matrix(b0, a0))
         assert rep.total_crossings == rep.eta_longest == 1
 
-    def test_mixed_sign_a2(self, group):
+    def test_mixed_sign_a2(self):
         # a = (-1, +1), spectrum approx (-2.58, -0.71, 3.29): two blow-ups
-        rep = numtoda.signs_vs_eta_report(
-            numtoda.lax_matrix([-3.0, -3.0], [-1.0, 1.0]), group=group("A2"))
+        rep = numtoda.signs_vs_eta_report(numtoda.lax_matrix([-3.0, -3.0], [-1.0, 1.0]))
         assert rep.eps == (-1, 1)
         assert rep.total_crossings == rep.eta_longest == 2
         assert rep.matches
 
-    def test_all_negative_a3(self, group):
+    def test_all_negative_a3(self):
         # b = (-3, -3, 0), a = (-1, -1, -1): four blow-ups, eta(w*) = 4
         rep = numtoda.signs_vs_eta_report(
             numtoda.lax_matrix([-3.0, -3.0, 0.0], [-1.0, -1.0, -1.0]),
-            window=(-16.0, 16.0), group=group("A3"))
+            window=(-16.0, 16.0))
         assert rep.eps == (-1, -1, -1)
         assert rep.crossings_per_tau == (2, 0, 2)
         assert rep.total_crossings == rep.eta_longest == 4
@@ -274,3 +274,30 @@ class TestSignsVsEta:
     def test_zero_a_rejected(self):
         with pytest.raises(ValidationError):
             numtoda.signs_vs_eta_report(numtoda.lax_matrix([0.5], [0.0]))
+
+    @pytest.mark.parametrize("rank", [1, 2, 3, 4, 5])
+    def test_longest_word_is_w0(self, rank, group):
+        g = group(f"A{rank}")
+        word = numtoda.longest_word_a(rank)
+        assert g.is_reduced(word)
+        assert len(word) == g.num_positive == rank * (rank + 1) // 2
+        assert g.act_on_word(word) == g.longest_element()
+
+    @pytest.mark.parametrize("rank", [1, 2, 3, 4, 5])
+    def test_eta_on_the_word_matches_the_table(self, rank, group):
+        g = group(f"A{rank}")
+        C = cartan_matrix(g.lie_type)
+        word = numtoda.longest_word_a(rank)
+        for eps in product((1, -1), repeat=rank):
+            assert eta(C, word, eps) == eta_table(g, eps).values[-1]
+
+    def test_a9_answers_without_a_group(self):
+        # |W(A9)| = 3,628,800 is over the enumeration ceiling
+        l = 9
+        d = np.arange(l, -l - 1, -2, dtype=float)  # well-separated diagonal
+        start = time.perf_counter()
+        rep = numtoda.signs_vs_eta_report(numtoda.lax_matrix(np.cumsum(d[:-1]), [-1.0] * l))
+        assert time.perf_counter() - start < 5
+        assert rep.eps == (-1,) * l
+        assert len(rep.crossings_per_tau) == l
+        assert rep.eta_longest == sum(compact_dual_info(rep.lie_type).degrees) == 25

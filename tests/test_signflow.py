@@ -106,7 +106,7 @@ class TestEta:
 
     def test_element_uses_witness_word(self, group):
         g = group("A2")
-        assert eta(A2, g.longest_element().word, (-1, -1)) == 2
+        assert eta(A2, g.word(g.longest_element()), (-1, -1)) == 2
 
     def test_verify_reduced(self, group):
         g = group("A2")
@@ -154,7 +154,7 @@ class TestEta:
         t = LieType.parse(name)
         g = group(name)
         table = eta_table(g, all_minus(t.rank))
-        w0 = g.id_of(g.longest_element())
+        w0 = g.longest_element()
         assert table.values[w0] == table.max_value()
         assert table.values[w0] == sum(compact_dual_info(t).degrees)
 

@@ -2,12 +2,12 @@ from itertools import product
 
 import pytest
 
-from todalab.blowup_poly import p_epsilon, poincare_polynomial_k
+from conftest import word_str
+from todalab.blowup_poly import alternating_eta_sum, p_epsilon, poincare_polynomial_k
 from todalab.exact import UniPoly as IntPolynomial
 from todalab.rootdata import LieType, cartan_matrix
 from todalab.signflow import act_word, all_minus, eta
 from todalab.todagraph import (
-    alternating_sum,
     build_graph,
     components,
     graph_to_dict,
@@ -18,7 +18,7 @@ from todalab.todagraph import (
 
 def word_pairs(graph):
     g = graph.group
-    return {(str(g.element(a)), str(g.element(b))) for a, b in graph.edges}
+    return {(word_str(g.word(a)), word_str(g.word(b))) for a, b in graph.edges}
 
 
 class TestEdges:
@@ -83,7 +83,7 @@ class TestComponents:
     def test_a2_exact_partition(self, group):
         g = group("A2")
         comps = components(build_graph(g, (-1, -1)))
-        as_words = sorted(sorted(str(g.element(v)) for v in c) for c in comps)
+        as_words = sorted(sorted(word_str(g.word(v)) for v in c) for c in comps)
         assert as_words == [["1", "12"], ["121"], ["2", "21"], ["e"]]
 
     def test_counts(self, group):
@@ -103,7 +103,7 @@ class TestPolynomialConsistency:
     def test_alternating_sum_is_p(self, name, group):
         g = group(name)
         for eps in product((1, -1), repeat=g.lie_type.rank):
-            assert alternating_sum(build_graph(g, eps)) == p_epsilon(g.lie_type, eps)
+            assert alternating_eta_sum(build_graph(g, eps).table) == p_epsilon(g.lie_type, eps)
 
 
 class TestMatching:

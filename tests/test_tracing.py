@@ -9,6 +9,7 @@ commands under the tracer the way the benchmark worker does (import
 
 import importlib.util
 import io
+import math
 import sys
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
@@ -35,7 +36,7 @@ def namespaces():
 
 def test_tracer_reads_what_the_package_provides():
     import todalab.verify  # noqa: F401  (set-up order of the benchmark worker)
-    from todalab import cli
+    from todalab import cli, numtoda
 
     before = {name: dict(space) for name, space in namespaces().items()}
     tracer = load_tracer_class()()
@@ -65,6 +66,18 @@ def test_tracer_reads_what_the_package_provides():
         code, m = replay("schur", "--type", "G2", "--experiment", "real-roots")
         assert code == 0
         assert m["schurtau.real_root_count_experiment_s"] > 0
+
+        code, m = replay("schur", "--type", "B2", "--hirota")
+        assert code == 0
+        assert m["schurtau.hirota_residual_s"] > 0
+
+        # negative A1 with its one blow-up at t = 1
+        s1, c1 = math.sinh(1.0), math.cosh(1.0)
+        minors = numtoda.TauMinors(numtoda.lax_matrix([-c1 / s1], [-1.0 / s1 ** 2]))
+        assert numtoda.count_zero_crossings(minors, 1, window=(-6.0, 6.0)) == 1
+        span = tracer.spans[-1]
+        assert (span.name, span.error) == ("numtoda.count_zero_crossings", None)
+        assert tracer.layer_metrics()["numtoda.count_zero_crossings_s"] > 0
     finally:
         tracer.uninstall()
     after = namespaces()

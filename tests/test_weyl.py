@@ -4,7 +4,9 @@ from collections import Counter
 
 import pytest
 
-from todalab.errors import CapExceededError
+from conftest import word_str
+from todalab.affine import AffineWeylGroup
+from todalab.errors import CapExceededError, ValidationError
 from todalab.rootdata import (
     LieType,
     cartan_matrix,
@@ -60,23 +62,27 @@ def test_length_counts_inverted_positive_roots(name, group):
 def test_longest_element(name, group):
     g = group(name)
     w0 = g.longest_element()
-    assert w0.length == len(positive_roots(g.lie_type))
-    assert g.lengths.count(w0.length) == 1
-    assert g.act_on_word(w0.word).perm == w0.perm
+    assert g.lengths[w0] == len(positive_roots(g.lie_type)) == max(g.lengths)
+    assert g.lengths.count(g.lengths[w0]) == 1
+    assert g.act_on_word(g.word(w0)) == w0
 
 
 def test_longest_pinned(group):
-    assert group("A1").longest_element().word == (0,)
+    a1 = group("A1")
+    assert a1.word(a1.longest_element()) == (0,)
     a2 = group("A2")
     w0 = a2.longest_element()
-    assert w0.length == 3
+    assert a2.lengths[w0] == 3
     assert a2.all_reduced_words(w0) == {(0, 1, 0), (1, 0, 1)}
-    assert group("A3").longest_element().length == 6
+    a3 = group("A3")
+    assert a3.lengths[a3.longest_element()] == 6
 
 
 class TestReducedWords:
     def test_identity(self, group):
-        assert group("A2").all_reduced_words(group("A2").identity()) == {()}
+        a2 = group("A2")
+        assert a2.word(0) == () and a2.lengths[0] == 0
+        assert a2.all_reduced_words(0) == {()}
 
     def test_b2_longest(self, group):
         b2 = group("B2")
@@ -86,12 +92,30 @@ class TestReducedWords:
     def test_every_word_is_reduced_and_evaluates(self, name, group):
         g = group(name)
         for eid in range(len(g)):
-            el = g.element(eid)
             words = g.all_reduced_words(eid)
-            assert el.word in words
+            assert g.word(eid) in words
             for w in words:
-                assert len(w) == el.length
-                assert g.act_on_word(w).perm == el.perm
+                assert len(w) == g.lengths[eid]
+                assert g.act_on_word(w) == eid
+
+    @pytest.mark.parametrize("name", ["A3", "B3", "G2"])
+    def test_witness_words_are_reduced(self, name, group):
+        g = group(name)
+        assert all(g.is_reduced(g.word(eid)) for eid in range(len(g)))
+
+    def test_affine_witness_words_are_reduced(self):
+        g = AffineWeylGroup(LieType("A", 2, affine=True))
+        g.extend_to(6)
+        assert max(g.lengths) == 6
+        assert all(g.is_reduced(g.word(eid)) for eid in range(len(g)))
+
+    @pytest.mark.parametrize("name", ["A3", "G2"])
+    def test_letter_out_of_range_is_named(self, name, group):
+        g = group(name)
+        rank = g.lie_type.rank
+        for query in (g.key_of_word, g.is_reduced):
+            with pytest.raises(ValidationError, match=f"^letter {rank} out of range"):
+                query((rank,))
 
 
 class TestLabelTree:
@@ -119,13 +143,13 @@ class TestGroupLaws:
         g = group("B3")
         for i in range(3):
             s = g.act_on_word((i,))
-            assert g.multiply(s, s).length == 0
+            assert g.lengths[g.multiply(s, s)] == 0
 
     def test_identity_neutral(self, group):
         g = group("A3")
-        e = g.identity()
-        for eid in range(len(g)):
-            w = g.element(eid)
+        e = 0  # ids run in length order
+        assert g.lengths[e] == 0 and g.act_on_word(()) == e
+        for w in range(len(g)):
             assert g.multiply(e, w) == w
             assert g.multiply(w, e) == w
 
@@ -137,10 +161,9 @@ class TestGroupLaws:
 
     def test_inverse(self, group):
         g = group("B3")
-        for eid in range(0, len(g), 5):
-            w = g.element(eid)
-            assert g.multiply(w, g.inverse(w)).length == 0
-            assert g.inverse(w).length == w.length
+        for w in range(0, len(g), 5):
+            assert g.lengths[g.multiply(w, g.inverse(w))] == 0
+            assert g.lengths[g.inverse(w)] == g.lengths[w]
 
     def test_associativity_sampled(self, group):
         import random
@@ -148,7 +171,7 @@ class TestGroupLaws:
         g = group("B3")
         rng = random.Random(11)
         for _ in range(50):
-            x, y, z = (g.element(rng.randrange(len(g))) for _ in range(3))
+            x, y, z = (rng.randrange(len(g)) for _ in range(3))
             assert g.multiply(g.multiply(x, y), z) == g.multiply(x, g.multiply(y, z))
 
 
@@ -238,7 +261,7 @@ class TestBruhatCovers:
 
     def test_pinned_a2(self, group):
         g = group("A2")
-        names = {(str(g.element(a)), str(g.element(b))) for a, b in g.bruhat_covers()}
+        names = {(word_str(g.word(a)), word_str(g.word(b))) for a, b in g.bruhat_covers()}
         assert names == {("e", "1"), ("e", "2"), ("1", "12"), ("1", "21"),
                          ("2", "12"), ("2", "21"), ("12", "121"), ("21", "121")}
 
@@ -257,7 +280,7 @@ class TestWordLabels:
                                       "C4", "D4", "D5", "F4", "G2", "E6"])
     def test_match_element_str(self, name, group):
         g = group(name)
-        assert g.word_labels() == [str(g.element(e)) for e in range(len(g))]
+        assert g.word_labels() == [word_str(g.word(e)) for e in range(len(g))]
         assert g.word_labels() is g.word_labels()
 
     def test_dotted_letters_on_partial_a10(self):
@@ -273,7 +296,7 @@ class TestWordLabels:
         for _ in range(3):
             assert g.grow()
         labels = g.word_labels()
-        assert labels == [str(g.element(e)) for e in range(len(g))]
+        assert labels == [word_str(g.word(e)) for e in range(len(g))]
         assert {"9.10", "10.9", "10", "9", "123"} <= set(labels)
         for eid, label in enumerate(labels):
             assert ("." in label) == (max(g.word(eid), default=0) > 8 and g.lengths[eid] > 1)
