@@ -7,8 +7,9 @@ the Schur polynomial S_(i1<...<ik) is the Wronskian determinant
 det(h_{i_a - b + 1}), which works because dh_n/dt1 = h_{n-1}.
 
 The per-type tau lists, their minimal degrees, tangent cones, the Hirota
-bilinear check, and the Sturm-count real-root experiment all sit on top.
-The Sturm chain runs in plain integers, as a primitive remainder sequence.
+bilinear check, and the real-root experiment all sit on top.  The experiment
+runs one Sturm chain per tau factor, in plain integers, as a primitive
+remainder sequence.
 """
 
 from __future__ import annotations
@@ -32,13 +33,11 @@ from .rootdata import LieType, cartan_matrix, compact_dual_info, tau_multiplicit
 ZERO = Fraction(0)
 ONE = Fraction(1)
 
-# Refusal thresholds on the height of 2rho.  Measured cold CLI runs: tau
+# Refusal threshold on the height of 2rho.  Measured cold CLI runs: tau
 # systems A9 (165) 3.3 s, D7 (182) 3.4 s, A10 (220) 15 s, B7 (252) 14 s.
-# Sturm count per real-root sample, in-process on 2 CPUs: D4 (28) 0.003 s,
-# A5 (35) 0.015 s, B4 and C4 (50) 0.05 s, A6 (56) 0.23 s, D5 (60) 0.15 s.
-# The Sturm cap admits the types that take under 0.13 s per sample.
+# The real-root experiment counts per tau factor, so the tau build bounds it:
+# the worst admitted run, D7 at MAX_SAMPLES, took 2.8 s and 20 MB cold.
 MAX_TAU_HEIGHT = 200
-MAX_STURM_HEIGHT = 50
 MAX_SAMPLES = 50
 
 
@@ -524,19 +523,14 @@ class TauSystem:
         return acc
 
 
-def _refuse_height(t: LieType, limit: int, work: str):
-    """Refuse ``work`` on a type without tau system, or when the height of
-    2rho exceeds ``limit``, before any ring is built."""
+def tau_functions(t: LieType) -> TauSystem:
+    """The nilpotent tau polynomials (types A, B, C, D, G2), refused before any
+    ring is built when the height of 2rho exceeds MAX_TAU_HEIGHT."""
     _require_tau_type(t)
     height = two_rho_height(t)
-    if height > limit:
+    if height > MAX_TAU_HEIGHT:
         raise CapExceededError(
-            f"{t}: {work} refused, height of 2rho {height} exceeds {limit}")
-
-
-def tau_functions(t: LieType) -> TauSystem:
-    """The nilpotent tau polynomials (types A, B, C, D, G2)."""
-    _refuse_height(t, MAX_TAU_HEIGHT, "tau system")
+            f"{t}: tau system refused, height of 2rho {height} exceeds {MAX_TAU_HEIGHT}")
     ring = ring_for(t)
     s, l = t.series, t.rank
     notes = []
@@ -705,12 +699,15 @@ def random_nonzero_rational(rng: random.Random, bound: int = 20) -> Fraction:
 
 
 def real_root_count_experiment(t: LieType, samples: int = 20, seed: int = 0) -> RealRootReport:
-    """Sturm-count the real t1 roots of prod tau_j on random generic slices."""
+    """Sturm-count the real t1 roots of each tau_j on random generic slices.
+
+    A sample's count is the sum over the factors, as eta counts one blow-up
+    per zero of each tau_k: a root that two factors share counts twice.
+    """
     if samples < 1:
-        raise ValidationError("need at least one sample")
+        raise ValidationError(f"need at least one sample, got {samples}")
     if samples > MAX_SAMPLES:
         raise CapExceededError(f"{samples} samples exceed the cap {MAX_SAMPLES}")
-    _refuse_height(t, MAX_STURM_HEIGHT, "real-root experiment")
     system = tau_functions(t)
     rng = random.Random(seed)
     others = [n for n in system.ring.names if n != "t1"]
@@ -718,10 +715,7 @@ def real_root_count_experiment(t: LieType, samples: int = 20, seed: int = 0) -> 
     assignments = []
     for _ in range(samples):
         values = {n: random_nonzero_rational(rng) for n in others}
-        poly = UniPoly([1])
-        for tau in system.taus:
-            poly = poly * tau.slice_t1(values)
-        counts.append(sturm_real_roots(poly))
+        counts.append(sum(sturm_real_roots(tau.slice_t1(values)) for tau in system.taus))
         assignments.append({n: str(v) for n, v in values.items()})
     modal = max(set(counts), key=lambda c: (counts.count(c), -c))
     frac = counts.count(modal) / len(counts)

@@ -131,10 +131,8 @@ def check_word_independence(groups, scope):
 
 
 def check_eta_tables(groups, scope):
-    g2 = groups("G2")
-    a2 = groups("A2")
-    got_a2 = [eta_table(a2, all_minus(2)).values[i] for i in range(len(a2))]
-    got_g2 = [eta_table(g2, all_minus(2)).values[i] for i in range(len(g2))]
+    got_a2 = list(eta_table(groups("A2"), all_minus(2)).values)
+    got_g2 = list(eta_table(groups("G2"), all_minus(2)).values)
     ok_a2 = got_a2 == [0, 1, 1, 1, 1, 2]
     ok_g2 = got_g2 == [0, 1, 1, 1, 1, 2, 2, 3, 3, 3, 3, 4]
     return ok_a2 and ok_g2, f"A2 table {got_a2}, G2 table {got_g2}"

@@ -35,3 +35,25 @@ def test_criterion(number, full_results):
 
 def test_all_criteria_present(full_results):
     assert sorted(full_results) == list(range(1, 14))
+
+
+def test_real_root_failure_names_the_type(monkeypatch):
+    from types import SimpleNamespace
+
+    from todalab import verify
+
+    monkeypatch.setattr(verify, "real_root_count_experiment",
+                        lambda t, samples, seed: SimpleNamespace(modal_count=0,
+                                                                 modal_fraction=1.0))
+    passed, detail = verify.check_real_roots(None, "fast")
+    assert not passed
+    assert detail == "A2: modal 0 frac 1.0; B2: modal 0 frac 1.0; C2: modal 0 frac 1.0"
+
+
+def test_numerics_failure_names_the_type(monkeypatch):
+    from todalab import numtoda, verify
+
+    monkeypatch.setattr(numtoda, "count_zero_crossings", lambda *args, **kwargs: 0)
+    passed, detail = verify.check_numerics(None, "fast")
+    assert not passed
+    assert detail == "A1 negative minor crossings 0; A2 crossings (0, 0)"

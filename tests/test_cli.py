@@ -266,7 +266,7 @@ class TestErrorsAndPlumbing:
         ("affine", "--rank", "40", "--lmax", "5"),
         ("affine", "--rank", "2000", "--lmax", "1"),
         ("schur", "--type", "A11"),
-        ("schur", "--type", "D5", "--experiment", "real-roots"),
+        ("schur", "--type", "A10", "--experiment", "real-roots"),
         ("schur", "--type", "G2", "--experiment", "real-roots", "--samples", "100000"),
         ("chevalley", "--type", "A2000", "--q", "3"),
         ("chevalley", "--type", "A1", "--q", "1000000000000000003"),

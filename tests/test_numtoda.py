@@ -1,5 +1,6 @@
 import math
 import time
+import warnings
 from itertools import product
 
 import numpy as np
@@ -15,6 +16,12 @@ from todalab.errors import (
 )
 from todalab.rootdata import LieType, cartan_matrix, compact_dual_info
 from todalab.signflow import eta, eta_table
+
+
+def spread_all_negative(l):
+    """Type-A Lax matrix with diagonal (l, l-2, ..., -l) and every a_i = -1."""
+    d = np.arange(l, -l - 1, -2, dtype=float)
+    return numtoda.lax_matrix(np.cumsum(d[:-1]), [-1.0] * l)
 
 
 def a1_negative_data():
@@ -41,6 +48,27 @@ class TestLaxMatrix:
         bad[0, 0] += 0.5  # break tracelessness
         with pytest.raises(ValidationError):
             numtoda.TauMinors(bad)
+
+    def test_non_square_names_shape(self):
+        with pytest.raises(ValidationError, match=r"square, got shape \(2, 3\)"):
+            numtoda.TauMinors(np.zeros((2, 3)))
+
+    def test_superdiagonal_names_entry(self):
+        bad = numtoda.lax_matrix([0.5, -0.5], [1.0, 1.0])
+        bad[1, 2] = 2.0
+        with pytest.raises(ValidationError, match=r"must be 1, got L\[1,2\] = 2$"):
+            numtoda.TauMinors(bad)
+
+    def test_above_superdiagonal_names_entry(self):
+        bad = numtoda.lax_matrix([0.5, -0.5], [1.0, 1.0])
+        bad[0, 2] = 0.25
+        with pytest.raises(ValidationError, match=r"must vanish, got L\[0,2\] = 0.25$"):
+            numtoda.TauMinors(bad)
+
+    def test_repeated_eigenvalues_refused(self):
+        # [[0, 1], [0, 0]] is a nilpotent Jordan block: spectrum {0, 0}
+        with pytest.raises(DegenerateSpectrumError, match="repeated eigenvalues"):
+            numtoda.TauMinors(numtoda.lax_matrix([0.0], [0.0]))
 
 
 class TestTauMinors:
@@ -133,8 +161,6 @@ class TestCrossings:
         a0, b0 = a1_negative_data()
         l0 = numtoda.lax_matrix(b0, a0)
         assert numtoda.count_zero_crossings(numtoda.TauMinors(l0), 1, window=(-6, 6)) == 1
-        roots = numtoda.zero_crossings(numtoda.TauMinors(l0), 1, window=(-6, 6))
-        assert abs(roots[0] - 1.0) < 1e-8
 
     def test_a2_total_two(self):
         minors = numtoda.TauMinors(numtoda.example_a2_all_negative())
@@ -146,13 +172,27 @@ class TestCrossings:
 
         def fake(minors, j, window, grid):
             calls[grid] = True
-            return [0.0] * (1 if grid < 100 else 2)
+            return 1 if grid < 100 else 2
 
-        monkeypatch.setattr(numtoda, "zero_crossings", fake)
+        monkeypatch.setattr(numtoda, "_sign_changes", fake)
         with pytest.raises(GridUnstableError) as info:
             numtoda.count_zero_crossings(
                 numtoda.TauMinors(numtoda.lax_matrix([0.0], [1.0])), 1, grid=51)
         assert (info.value.count_coarse, info.value.count_fine) == (1, 2)
+
+    @pytest.mark.parametrize("values, want", [
+        ([1.0, -1.0, 1.0], 2),
+        ([1.0, 0.0, -1.0], 1),   # a grid zero never ends a crossing
+        ([0.0, 0.0, 0.0], 0),
+        ([-1e300, 1e300, -1e300], 2),
+    ])
+    def test_sign_change_rule(self, values, want):
+        class Grid:
+            def grid_values(self, j, ts):
+                assert len(ts) == len(values)
+                return np.array(values)
+
+        assert numtoda._sign_changes(Grid(), 1, (0.0, 1.0), len(values)) == want
 
 
 class TestOde:
@@ -293,11 +333,30 @@ class TestSignsVsEta:
 
     def test_a9_answers_without_a_group(self):
         # |W(A9)| = 3,628,800 is over the enumeration ceiling
-        l = 9
-        d = np.arange(l, -l - 1, -2, dtype=float)  # well-separated diagonal
         start = time.perf_counter()
-        rep = numtoda.signs_vs_eta_report(numtoda.lax_matrix(np.cumsum(d[:-1]), [-1.0] * l))
+        rep = numtoda.signs_vs_eta_report(spread_all_negative(9))
         assert time.perf_counter() - start < 5
-        assert rep.eps == (-1,) * l
-        assert len(rep.crossings_per_tau) == l
+        assert rep.eps == (-1,) * 9
+        assert len(rep.crossings_per_tau) == 9
         assert rep.eta_longest == sum(compact_dual_info(rep.lie_type).degrees) == 25
+
+    def test_a14_near_the_clamp_warns_nothing(self):
+        # both neighbours of some grid steps sit near exp(600); comparing
+        # signs must not overflow the way multiplying them did
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rep = numtoda.signs_vs_eta_report(spread_all_negative(14))
+        assert rep.crossings_per_tau == (3, 1, 2) + (0,) * 8 + (2, 1, 3)
+
+
+class TestRankCap:
+    @pytest.mark.parametrize("refuse", [numtoda.TauMinors, numtoda.signs_vs_eta_report])
+    def test_a16_refused_before_the_subsets(self, refuse):
+        L0 = spread_all_negative(16)
+        start = time.perf_counter()
+        with pytest.raises(CapExceededError, match=r"^A16: rank 16 exceeds the cap 14$"):
+            refuse(L0)
+        assert time.perf_counter() - start < 0.1
+
+    def test_a14_still_builds(self):
+        assert numtoda.TauMinors(spread_all_negative(14)).n == 15

@@ -429,16 +429,28 @@ def random_fraction_poly(rng):
 
 
 def tau_slices(name, samples, seed):
-    """The products of tau_j on the slices ``real_root_count_experiment`` draws."""
+    """Per sample, the tau_j restricted to the slice ``real_root_count_experiment``
+    draws."""
     system = tau_functions(T(name))
     rng = random.Random(seed)
     others = [n for n in system.ring.names if n != "t1"]
     for _ in range(samples):
         values = {n: random_nonzero_rational(rng) for n in others}
-        poly = UniPoly([1])
-        for tau in system.taus:
-            poly = poly * tau.slice_t1(values)
-        yield poly
+        yield [tau.slice_t1(values) for tau in system.taus]
+
+
+def product(polys):
+    acc = UniPoly([1])
+    for p in polys:
+        acc = acc * p
+    return acc
+
+
+def fraction_gcd(a, b):
+    """Greatest common divisor over Fraction, by Euclid's algorithm."""
+    while not b.is_zero():
+        a, b = b, fraction_rem(a, b)
+    return a
 
 
 class TestSturm:
@@ -503,8 +515,25 @@ class TestSturm:
 
     @pytest.mark.parametrize("name", ["A2", "A3", "A4", "B2", "B3", "C2", "C3", "D4", "G2"])
     def test_matches_fraction_chain_on_tau_slices(self, name):
-        want = [sturm_by_fractions(f) for f in tau_slices(name, 4, seed=7)]
+        want = [sum(map(sturm_by_fractions, taus)) for taus in tau_slices(name, 4, seed=7)]
         assert list(real_root_count_experiment(T(name), samples=4, seed=7).counts) == want
+
+    @pytest.mark.parametrize("name", ["A3", "A4", "B2", "B3", "C2", "C3", "G2"])
+    def test_product_chain_equals_per_tau_sum_on_generic_slices(self, name):
+        # generic slices share no root between two tau_j, so one chain on the
+        # product counts what the per-tau chains count
+        for taus in tau_slices(name, 6, seed=3):
+            assert sturm_real_roots(product(taus)) == sum(map(sturm_real_roots, taus))
+
+    def test_shared_factor_counts_once_per_tau(self):
+        # D4, seed 0, sample 15 (s = -11/2, t3 = 11/3, t5 = -3): tau_1 divides
+        # tau_3, so the product chain sees their common roots once
+        taus = list(tau_slices("D4", 16, seed=0))[-1]
+        common = fraction_gcd(taus[0], taus[2])
+        assert common.degree == 6 and sturm_real_roots(common) == 2
+        per_tau = sum(map(sturm_real_roots, taus))
+        assert per_tau == real_root_count_experiment(T("D4"), samples=16, seed=0).counts[15]
+        assert per_tau - sturm_real_roots(product(taus)) == sturm_real_roots(common) == 2
 
 
 class TestExperiment:
@@ -525,7 +554,9 @@ class TestExperiment:
         assert a.counts == b.counts  # counts are stable even though slices move
         assert a.as_dict() != b.as_dict()
 
-    @pytest.mark.parametrize("name, degree_sum", [("A5", 9), ("B4", 10), ("C4", 10)])
+    @pytest.mark.parametrize("name, degree_sum", [("A5", 9), ("B4", 10), ("C4", 10),
+                                                  ("A6", 12), ("B5", 15), ("C5", 15),
+                                                  ("D5", 12)])
     def test_conjecture_above_height_28(self, name, degree_sum):
         # the real t1-roots equal the degree sum of the compact dual K
         rep = real_root_count_experiment(T(name), samples=5, seed=7)
@@ -533,7 +564,7 @@ class TestExperiment:
         assert rep.matches_expected
 
     def test_needs_samples(self):
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError, match="got 0$"):
             real_root_count_experiment(T("A2"), samples=0)
 
     @pytest.mark.parametrize("refuse", [tau_functions, real_root_count_experiment])
