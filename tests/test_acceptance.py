@@ -6,7 +6,11 @@ combinatorial and algebraic, 1e-6 against numerical closed forms, 1e-8
 invariant drift, and a 90% modal threshold for the real-root experiment.
 """
 
+from types import SimpleNamespace
+
 import pytest
+
+from todalab import numtoda, verify
 
 TITLES = {
     1: "closed-form blow-up polynomials (A1-A5, B2-B4, C2-C4, D4, D5, G2, F4, E6-E8)",
@@ -38,10 +42,6 @@ def test_all_criteria_present(full_results):
 
 
 def test_real_root_failure_names_the_type(monkeypatch):
-    from types import SimpleNamespace
-
-    from todalab import verify
-
     monkeypatch.setattr(verify, "real_root_count_experiment",
                         lambda t, samples, seed: SimpleNamespace(modal_count=0,
                                                                  modal_fraction=1.0))
@@ -51,8 +51,6 @@ def test_real_root_failure_names_the_type(monkeypatch):
 
 
 def test_numerics_failure_names_the_type(monkeypatch):
-    from todalab import numtoda, verify
-
     monkeypatch.setattr(numtoda, "count_zero_crossings", lambda *args, **kwargs: 0)
     passed, detail = verify.check_numerics(None, "fast")
     assert not passed

@@ -526,8 +526,9 @@ class TestSturm:
             assert sturm_real_roots(product(taus)) == sum(map(sturm_real_roots, taus))
 
     def test_shared_factor_counts_once_per_tau(self):
-        # D4, seed 0, sample 15 (s = -11/2, t3 = 11/3, t5 = -3): tau_1 divides
-        # tau_3, so the product chain sees their common roots once
+        # D4, seed 0, sample 15 (s = -11/2, t3 = 11/3, t5 = -3): the slices of
+        # tau_1 and tau_3 agree up to a constant, so the product chain sees
+        # their common roots once
         taus = list(tau_slices("D4", 16, seed=0))[-1]
         common = fraction_gcd(taus[0], taus[2])
         assert common.degree == 6 and sturm_real_roots(common) == 2
