@@ -15,10 +15,9 @@ a power series whose low coefficients stabilize as the length cutoff grows.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import CapExceededError, InsufficientDataError, ValidationError
-from .exact import format_poly, solve
+from .exact import UniPoly, inverse
 from .rootdata import LieType, extended_cartan, weyl_degrees
 from .signflow import format_signs, propagate
 from .weyl import LabelTree
@@ -33,15 +32,11 @@ def bott_counts(lie_type: LieType, lmax: int) -> list[int]:
     X_l(1), X_l the finite part of ``lie_type``, from Bott's formula
     W_aff(q) = prod_i (1 - q^{d_i}) / ((1 - q)(1 - q^{d_i - 1})) over the
     degrees d_i of W(X_l)."""
-    c = [1] + [0] * lmax
+    num, den = UniPoly([1]), UniPoly([1])
     for d in weyl_degrees(LieType(lie_type.series, lie_type.rank)):
-        for k in range(lmax, d - 1, -1):  # * (1 - q^d)
-            c[k] -= c[k - d]
-        for k in range(1, lmax + 1):      # / (1 - q)
-            c[k] += c[k - 1]
-        for k in range(d - 1, lmax + 1):  # / (1 - q^{d-1})
-            c[k] += c[k - d + 1]
-    return c
+        num = num * UniPoly([1] + [0] * (d - 1) + [-1])
+        den = den * UniPoly([1, -1]) * UniPoly([1] + [0] * (d - 2) + [-1])
+    return num.series_quotient(den, lmax)
 
 
 class AffineWeylGroup(LabelTree):
@@ -141,20 +136,14 @@ def p_series(t: LieType, eps, lmax: int,
 class RationalFunction:
     """num(q)/den(q) with integer coefficients, den(0) = 1."""
 
-    num: tuple[int, ...]
-    den: tuple[int, ...]
+    num: UniPoly
+    den: UniPoly
 
-    def series(self, order: int) -> list[Fraction]:
-        out = []
-        for k in range(order + 1):
-            acc = Fraction(self.num[k] if k < len(self.num) else 0)
-            for j in range(1, min(k, len(self.den) - 1) + 1):
-                acc -= self.den[j] * out[k - j]
-            out.append(acc / self.den[0])
-        return out
+    def series(self, order: int) -> list[int]:
+        return self.num.series_quotient(self.den, order)
 
     def __str__(self):
-        return f"({format_poly(self.num, 'q')}) / ({format_poly(self.den, 'q')})"
+        return f"({self.num}) / ({self.den})"
 
 
 MIN_STABLE_FOR_GUESS = 6
@@ -171,49 +160,34 @@ def rational_guess(series: TruncatedSeries, max_degree: int = 4):
         raise InsufficientDataError(
             f"need {MIN_STABLE_FOR_GUESS} stable coefficients, have {len(stable)}"
         )
-    target = [Fraction(c) for c in stable]
     for total in range(max_degree + 1):
         for dq in range(total + 1):
             dp = total - dq
             if dp + dq + 2 > len(stable):
                 continue
-            fit = _fit_rational(target, dp, dq)
+            fit = _fit_rational(stable, dp, dq)
             if fit is not None:
                 return fit
     return None
 
 
-def _fit_rational(target, dp, dq):
-    """Solve c * (1 + q1 q + ...) = p exactly; verify on all of target."""
-    n = len(target)
-    # unknowns: q_1..q_dq then p_0..p_dp
-    rows = []
-    rhs = []
-    for k in range(n):
-        row = [Fraction(0)] * (dq + dp + 1)
-        for j in range(1, dq + 1):
-            if k - j >= 0:
-                row[j - 1] = target[k - j]
-        if k <= dp:
-            row[dq + k] = Fraction(-1)
-        rows.append(row)
-        rhs.append(-target[k])
-    sol = solve(rows, rhs)
-    if sol is None:
-        return None
-    den = [Fraction(1)] + sol[:dq]
-    num = sol[dq:]
-    num_i, den_i = _int_coeffs(num), _int_coeffs(den)
-    if num_i is None or den_i is None:
-        return None
-    cand = RationalFunction(num_i, den_i)
-    check = cand.series(n - 1)
-    if all(a == b for a, b in zip(check, target)):
-        return cand
-    return None
+def _fit_rational(c, dp, dq):
+    """num / den with deg num <= dp, deg den <= dq, den(0) = 1 and integer
+    coefficients whose series matches every coefficient of c, or None.
 
-
-def _int_coeffs(fracs):
-    if any(f.denominator != 1 for f in fracs):
-        return None  # keep den(0)=1 and integer coefficients
-    return tuple(int(f) for f in fracs)
+    den = 1 + x_1 q + ... + x_dq q^dq solves the dq x dq Toeplitz block
+    sum_j x_j c[k-j] = -c[k], k = dp+1..dp+dq; a singular block is no fit.
+    """
+    ks = range(dp + 1, dp + dq + 1)
+    try:
+        inv = inverse([[c[k - j] if k >= j else 0 for j in range(1, dq + 1)] for k in ks])
+    except ValidationError:
+        return None
+    x = [sum(a * -c[k] for a, k in zip(row, ks)) for row in inv]
+    if any(v.denominator != 1 for v in x):
+        return None  # keep den(0) = 1 and integer coefficients
+    den = UniPoly([1] + [int(v) for v in x])
+    prod = (den * UniPoly(c)).coeffs
+    if any(prod[dp + 1:len(c)]):
+        return None
+    return RationalFunction(UniPoly(prod[:dp + 1]), den)

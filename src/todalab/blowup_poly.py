@@ -75,36 +75,30 @@ class CosetChain:
         if row is None:
             tree = self.steps[k]
             values, transported = propagate(self.C, tree.parents, tree.letters, sigma)
-            row = {}
+            top = max(values) + 1
+            coeffs = {}
             for length, e, sig in zip(tree.lengths, values, transported):
-                poly = row.setdefault(sig, {})
-                poly[e] = poly.get(e, 0) + (-1 if length % 2 else 1)
-            self._rows[(k, sigma)] = row
+                if sig not in coeffs:
+                    coeffs[sig] = [0] * top
+                coeffs[sig][e] += -1 if length % 2 else 1
+            row = self._rows[(k, sigma)] = {sig: UniPoly(c) for sig, c in coeffs.items()}
         return row
 
     def p_epsilon(self, eps) -> UniPoly:
         eps = tuple(eps)
         if len(eps) != len(self.C):
             raise ValidationError(f"sign vector length {len(eps)} != rank {len(self.C)}")
-        flow = {eps: {0: 1}}  # transported sign -> sum (-1)^{l(v)} q^{eta(v, eps)}
+        flow = {eps: UniPoly([1])}  # transported sign -> sum (-1)^{l(v)} q^{eta(v, eps)}
         for k in range(len(self.steps)):
             nxt = {}
             for sigma, poly in flow.items():
                 for sig, transfer in self._row(k, sigma).items():
-                    acc = nxt.setdefault(sig, {})
-                    for a, x in poly.items():
-                        for b, y in transfer.items():
-                            acc[a + b] = acc.get(a + b, 0) + x * y
-            flow = {}  # cancelled terms and signs carry nothing forward
-            for sig, acc in nxt.items():
-                poly = {e: c for e, c in acc.items() if c}
-                if poly:
-                    flow[sig] = poly
-        total = Counter()
-        for poly in flow.values():
-            total.update(poly)
-        sign = -1 if self.longest_length % 2 else 1
-        return UniPoly.from_dict({e: sign * c for e, c in total.items()})
+                    term = poly * transfer
+                    nxt[sig] = nxt[sig] + term if sig in nxt else term
+            # cancelled terms and signs carry nothing forward
+            flow = {sig: poly for sig, poly in nxt.items() if not poly.is_zero()}
+        total = sum(flow.values(), UniPoly())
+        return -total if self.longest_length % 2 else total
 
 
 def p_epsilon(lie_type: LieType, eps) -> UniPoly:

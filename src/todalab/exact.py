@@ -1,9 +1,11 @@
-"""Exact univariate polynomials and Fraction Gauss-Jordan elimination.
+"""Exact univariate polynomials, truncated power-series quotients and
+Fraction Gauss-Jordan inversion.
 
 Coefficients are ints or Fractions, low to high.  Integer polynomials stay
-integer under +, -, * and differentiation, and the class has no division,
-so int or Fraction inputs never produce a float.  Gauss-Jordan divides in
-Fraction.
+integer under +, -, * and differentiation.  The one division is
+``series_quotient``, which keeps ints when the denominator's constant term
+is 1 or -1 and gives Fractions otherwise, so int or Fraction inputs never
+produce a float.  Gauss-Jordan divides in Fraction.
 """
 
 from __future__ import annotations
@@ -69,92 +71,70 @@ class UniPoly:
     def __mul__(self, other):
         if not self.coeffs or not other.coeffs:
             return UniPoly()
-        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
+        b = other.coeffs
+        out = [0] * (len(self.coeffs) + len(b) - 1)
         for i, a in enumerate(self.coeffs):
-            for j, b in enumerate(other.coeffs):
-                out[i + j] += a * b
+            if a:
+                for j, y in enumerate(b, i):
+                    out[j] += a * y
         return UniPoly(out)
 
     def derivative(self) -> "UniPoly":
         return UniPoly([c * k for k, c in enumerate(self.coeffs)][1:])
 
+    def series_quotient(self, den: "UniPoly", order: int) -> list:
+        """Coefficients 0..order of the power series self / den, den(0) != 0."""
+        d0 = den(0)
+        inv = d0 if d0 in (1, -1) else Fraction(1, d0)  # 1/d0, an int for a unit
+        a, d = self.coeffs, den.coeffs
+        out = []
+        for k in range(order + 1):
+            acc = a[k] if k < len(a) else 0
+            for j in range(1, min(k, len(d) - 1) + 1):
+                acc -= d[j] * out[k - j]
+            out.append(acc * inv)
+        return out
+
     def __str__(self):
-        return format_poly(self.coeffs, "q")
+        """Highest power first: ``2*q^2 - q + 1``."""
+        if not self.coeffs:
+            return "0"
+        parts = []
+        for k in range(self.degree, -1, -1):
+            c = self.coeffs[k]
+            if c == 0:
+                continue
+            mag = abs(c)
+            if k == 0:
+                term = str(mag)
+            else:
+                base = "q" if k == 1 else f"q^{k}"
+                term = base if mag == 1 else f"{mag}*{base}"
+            if not parts:
+                parts.append(term if c > 0 else f"-{term}")
+            else:
+                parts.append(f"+ {term}" if c > 0 else f"- {term}")
+        return " ".join(parts)
 
     def __repr__(self):
         return f"UniPoly({list(self.coeffs)})"
 
 
-def format_poly(coeffs, var: str) -> str:
-    """Human-readable polynomial, highest power first: ``2*q^2 - q + 1``."""
-    if not coeffs:
-        return "0"
-    parts = []
-    for k in range(len(coeffs) - 1, -1, -1):
-        c = coeffs[k]
-        if c == 0:
-            continue
-        mag = abs(c)
-        if k == 0:
-            term = str(mag)
-        else:
-            base = var if k == 1 else f"{var}^{k}"
-            term = base if mag == 1 else f"{mag}*{base}"
-        if not parts:
-            parts.append(term if c > 0 else f"-{term}")
-        else:
-            parts.append(f"+ {term}" if c > 0 else f"- {term}")
-    return " ".join(parts)
-
-
-# -- Fraction Gauss-Jordan -----------------------------------------------------
-
-
-def _row_reduce(aug, ncols: int):
-    """Reduced row-echelon form of ``aug`` over Fraction on its first ``ncols``
-    columns.  Returns the rows and the pivot column of each leading row."""
-    rows = [[Fraction(x) for x in row] for row in aug]
-    m = len(rows)
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        if r == m:
-            break
-        piv = next((i for i in range(r, m) if rows[i][c] != 0), None)
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        inv = 1 / rows[r][c]
-        rows[r] = [x * inv for x in rows[r]]
-        for i in range(m):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-    return rows, pivots
-
-
 def inverse(mat) -> tuple[tuple[Fraction, ...], ...]:
-    """Exact inverse of a square matrix; raises ValidationError when singular."""
+    """Exact inverse of a square matrix by Fraction Gauss-Jordan; raises
+    ValidationError when singular."""
     n = len(mat)
-    rows, pivots = _row_reduce(
-        [list(mat[i]) + [int(i == j) for j in range(n)] for i in range(n)], n)
-    if len(pivots) < n:
-        raise ValidationError("singular matrix")
+    rows = [[Fraction(x) for x in mat[i]] + [Fraction(int(i == j)) for j in range(n)]
+            for i in range(n)]
+    for c in range(n):
+        piv = next((i for i in range(c, n) if rows[i][c] != 0), None)
+        if piv is None:
+            raise ValidationError("singular matrix")
+        rows[c], rows[piv] = rows[piv], rows[c]
+        inv = 1 / rows[c][c]
+        rows[c] = [x * inv for x in rows[c]]
+        for i in range(n):
+            if i != c and rows[i][c] != 0:
+                f = rows[i][c]
+                rows[i] = [a - f * b for a, b in zip(rows[i], rows[c])]
     return tuple(tuple(row[n:]) for row in rows)
-
-
-def solve(rows, rhs) -> list[Fraction] | None:
-    """One exact solution of the possibly overdetermined system rows * x = rhs.
-
-    Free unknowns are set to zero; returns None when the system is inconsistent.
-    """
-    ncols = len(rows[0])
-    reduced, pivots = _row_reduce([list(r) + [b] for r, b in zip(rows, rhs)], ncols)
-    if any(row[ncols] != 0 for row in reduced[len(pivots):]):
-        return None
-    sol = [Fraction(0)] * ncols
-    for row, c in zip(reduced, pivots):
-        sol[c] = row[ncols]
-    return sol

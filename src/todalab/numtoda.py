@@ -181,10 +181,11 @@ class TauMinors:
 
 
 def _sign_changes(minors: TauMinors, j: int, window, grid: int) -> int:
-    """Sign changes of tau_j on an even grid over the window; a grid zero
-    counts as positive on its right and never ends a crossing."""
+    """Sign changes of tau_j on an even grid over the window.  Exact grid zeros
+    are dropped first: passing through zero is one crossing, touching it none."""
     v = minors.grid_values(j, np.linspace(window[0], window[1], grid))
-    return int(np.count_nonzero((v[1:] != 0) & ((v[:-1] >= 0) != (v[1:] > 0))))
+    s = v[v != 0] > 0
+    return int(np.count_nonzero(s[1:] != s[:-1]))
 
 
 def count_zero_crossings(minors: TauMinors, j: int, window=(-12.0, 12.0),

@@ -58,7 +58,7 @@ class LieType:
         """Parse strings like ``"B3"``, ``"g2"`` or ``"A2(1)"`` (affine)."""
         s = text.strip()
         affine = False
-        for suffix in ("(1)", "^(1)", "~"):
+        for suffix in ("(1)", "~"):
             if s.endswith(suffix):
                 affine = True
                 s = s[: -len(suffix)]

@@ -298,7 +298,7 @@ def check_affine(groups, scope):
     if stable != want:
         bad.append(f"stable coeffs {stable}")
     guess = rational_guess(series)
-    if guess is None or guess.num != (1, -1) or guess.den != (1, 1):
+    if guess is None or (guess.num.coeffs, guess.den.coeffs) != ((1, -1), (1, 1)):
         bad.append(f"rational guess {guess}")
     return not bad, (f"eta=length through 12, {len(stable)} stable coefficients, "
                      f"recovered (1 - q) / (1 + q)") if not bad else "; ".join(bad)

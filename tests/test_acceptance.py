@@ -11,6 +11,8 @@ from types import SimpleNamespace
 import pytest
 
 from todalab import numtoda, verify
+from todalab.blowup_poly import CosetChain, FactoredForm
+from todalab.exact import UniPoly
 
 TITLES = {
     1: "closed-form blow-up polynomials (A1-A5, B2-B4, C2-C4, D4, D5, G2, F4, E6-E8)",
@@ -39,6 +41,30 @@ def test_criterion(number, full_results):
 
 def test_all_criteria_present(full_results):
     assert sorted(full_results) == list(range(1, 14))
+
+
+def test_closed_form_failure_names_the_type(monkeypatch):
+    monkeypatch.setattr(verify, "closed_form_p", lambda t: FactoredForm((1,) * t.rank))
+    passed, detail = verify.check_closed_forms(None, "fast")
+    assert not passed
+    # A1's p(q) is q - 1, so A1 alone passes
+    assert detail.startswith("8 types, exact equality; A2: q^2 - 1 != q^2 - 2*q + 1; A3: ")
+    assert detail.endswith("; G2: q^4 - 2*q^2 + 1 != q^2 - 2*q + 1")
+
+
+def test_vanishing_failure_names_the_type(monkeypatch):
+    monkeypatch.setattr(CosetChain, "p_epsilon", lambda self, eps: UniPoly([1]))
+    passed, detail = verify.check_vanishing(None, "fast")
+    assert not passed
+    assert detail.startswith("all mixed signs vanish over 9 types; A1 +: 1; A2 ++: 1; A2 +-: 1; ")
+    assert detail.endswith("; G2 -+: 1")
+
+
+def test_affine_failure_names_the_guess(monkeypatch):
+    monkeypatch.setattr(verify, "rational_guess", lambda series: None)
+    passed, detail = verify.check_affine(None, "fast")
+    assert not passed
+    assert detail == "rational guess None"
 
 
 def test_real_root_failure_names_the_type(monkeypatch):

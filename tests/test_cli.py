@@ -162,6 +162,11 @@ class TestAffine:
         assert doc["rational_guess"] == "(-q + 1) / (q + 1)"
         assert doc["counts_per_length"][:3] == [1, 2, 2]
 
+    def test_zero_series_guess(self, capsys):
+        doc = run_json(capsys, "affine", "--rank", "1", "--sign", "+-", "--lmax", "15",
+                       "--guess")
+        assert doc["rational_guess"] == "(0) / (1)"
+
     def test_insufficient_data_reported(self, capsys):
         doc = run_json(capsys, "affine", "--rank", "1", "--lmax", "6", "--guess")
         assert doc["rational_guess"] is None
@@ -331,6 +336,12 @@ class TestErrorsAndPlumbing:
             assert (code, out) == (2, "")
             assert err == ("error [unsupported-type]: A2(1) is affine; "
                            "use extended_cartan / the affine module\n")
+
+    def test_caret_affine_spelling_is_not_a_type(self, capsys):
+        # "A2(1)" is the affine spelling; "A2^(1)" never parsed
+        code, out, err = run(capsys, "pq", "--type", "A2^(1)")
+        assert (code, out) == (1, "")
+        assert err == "error [validation]: cannot parse rank in Lie type 'A2^(1)'\n"
 
     @pytest.mark.parametrize("q", ["25", "9", "49", "81"])
     def test_brute_force_refuses_prime_powers(self, capsys, q):

@@ -185,6 +185,8 @@ class TestCrossings:
         ([1.0, 0.0, -1.0], 1),   # a grid zero never ends a crossing
         ([0.0, 0.0, 0.0], 0),
         ([-1e300, 1e300, -1e300], 2),
+        ([-1.0, 0.0, 1.0], 1),   # passing through an exact zero crosses once
+        ([-1.0, 0.0, -1.0], 0),  # touching an exact zero does not cross
     ])
     def test_sign_change_rule(self, values, want):
         class Grid:
