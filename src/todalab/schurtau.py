@@ -3,8 +3,11 @@
 Everything here is exact rational arithmetic.  The complete homogeneous
 polynomials h_k live in the weighted time variables of each type (only odd
 times for B/C/D, only t1 and t5 for G2, plus the extra parameter s for D);
-the Schur polynomial S_(i1<...<ik) is the Wronskian determinant
-det(h_{i_a - b + 1}), which works because dh_n/dt1 = h_{n-1}.
+the Schur polynomial S_(i1<...<ik) is the Jacobi-Trudi determinant
+det(h_{i_a - b}).  Because dh_n/dt1 = h_{n-1}, the t1-Wronskian of h_top,
+h_{top-1}, ..., h_{top-k+1} is the leading k x k block of the Hankel matrix
+(h_{top-i-j}), so every tau system reads its tau_k as leading blocks of one
+matrix and never differentiates.
 
 The per-type tau lists, their minimal degrees, tangent cones, the Hirota
 bilinear check, and the real-root experiment all sit on top.  The experiment
@@ -17,7 +20,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, isqrt, lcm
+from math import gcd, isqrt, lcm, prod
 
 from .errors import (
     CapExceededError,
@@ -33,10 +36,11 @@ from .rootdata import LieType, cartan_matrix, compact_dual_info, tau_multiplicit
 ZERO = Fraction(0)
 ONE = Fraction(1)
 
-# Refusal threshold on the height of 2rho.  Measured cold CLI runs: tau
-# systems A9 (165) 3.3 s, D7 (182) 3.4 s, A10 (220) 15 s, B7 (252) 14 s.
-# The real-root experiment counts per tau factor, so the tau build bounds it:
-# the worst admitted run, D7 at MAX_SAMPLES, took 2.8 s and 20 MB cold.
+# Refusal threshold on the height of 2rho.  Measured cold `schur --type X`
+# runs on 2 vCPUs (median of 3): A9 (165) 1.2 s, D7 (182) 1.5 s; with the
+# cap lifted, one run each, A10 (220) 5.4 s and B7 (252) 5.8 s.  The
+# real-root experiment counts per tau factor, so the tau build bounds it:
+# the worst admitted run, D7 at MAX_SAMPLES, took 3.6 s and 20 MB cold.
 MAX_TAU_HEIGHT = 200
 MAX_SAMPLES = 50
 
@@ -308,7 +312,7 @@ def sturm_real_roots(f: UniPoly) -> int:
     return variations(at_minus) - variations(at_plus)
 
 
-# -- complete homogeneous polynomials and Schur Wronskians -------------------
+# -- complete homogeneous polynomials and Schur determinants ------------------
 
 
 def _require_tau_type(t: LieType):
@@ -384,7 +388,7 @@ def _det(entries) -> ExactPoly:
 
 
 def schur_wronskian(indices, ring: PolyRing) -> ExactPoly:
-    """S_(i1<...<ik) = det(h_{i_a - b + 1}) over the ring's active times.
+    """S_(i1<...<ik) = det(h_{i_a - b}), a and b from 0, over the ring's active times.
 
     That matrix is the transpose of the t1-Wronskian of h_{i_1}, ..., h_{i_k},
     because dh_n/dt1 = h_{n-1}.
@@ -392,11 +396,11 @@ def schur_wronskian(indices, ring: PolyRing) -> ExactPoly:
     idx = list(indices)
     if any(a >= b for a, b in zip(idx, idx[1:])) or not idx:
         raise ValidationError(f"indices must be strictly increasing, got {indices}")
-    return wronskian(hk(i, ring) for i in idx)
+    return _det([[hk(i - b, ring) for b in range(len(idx))] for i in idx])
 
 
 def wronskian(fns) -> ExactPoly:
-    """Wronskian determinant in t1: rows are successive t1-derivatives."""
+    """Wronskian in t1, rows successive t1-derivatives: the Hankel blocks' reference."""
     fns = list(fns)
     k = len(fns)
     rows = [fns]
@@ -418,8 +422,34 @@ def _sqrt_fraction(c: Fraction) -> Fraction:
     return Fraction(rn, rd)
 
 
+def _long_divide(rem: ExactPoly, lead, step):
+    """Graded-lex long division: the quotient q that reduces ``rem`` to zero.
+
+    Each step picks the monomial m with m * lead equal to the leading term of
+    ``rem`` (``lead`` is an (exponents, coefficient) pair) and subtracts
+    ``step(q, m)``, whose leading term is m * lead.  The leading monomial of
+    ``rem`` falls at every step, so the division ends.  None means that a
+    leading monomial of ``rem`` is not a multiple of lead's.
+    """
+    lead_e, lead_c = lead
+    q = rem.ring.zero()
+    while not rem.is_zero():
+        e, c = rem.leading()
+        t = tuple(a - b for a, b in zip(e, lead_e))
+        if any(x < 0 for x in t):
+            return None
+        m = rem.ring.monomial(t, c / lead_c)
+        rem = rem - step(q, m)
+        q = q + m
+    return q
+
+
 def poly_sqrt(p: ExactPoly) -> ExactPoly:
-    """Exact square root of a perfect-square polynomial (graded-lex iteration)."""
+    """Exact square root of a perfect-square polynomial.
+
+    With r the root's leading term and q the terms found after it, each new
+    term m takes m * (2(r + q) + m) off the residual p - (r + q)^2.
+    """
     if p.is_zero():
         return p
     lead_e, lead_c = p.leading()
@@ -428,17 +458,10 @@ def poly_sqrt(p: ExactPoly) -> ExactPoly:
     half = tuple(x // 2 for x in lead_e)
     c = _sqrt_fraction(lead_c)
     r = p.ring.monomial(half, c)
-    twice_lead = 2 * c
-    for _ in range(10 * len(p.terms) + 40):
-        err = p - r * r
-        if err.is_zero():
-            return r
-        e, coeff = err.leading()
-        q = tuple(a - b for a, b in zip(e, half))
-        if any(x < 0 for x in q):
-            raise NotAPerfectSquareError("stray monomial below the square root")
-        r = r + p.ring.monomial(q, coeff / twice_lead)
-    raise NotAPerfectSquareError("square-root iteration did not terminate")
+    q = _long_divide(p - r * r, (half, 2 * c), lambda q, m: m * (2 * (r + q) + m))
+    if q is None:
+        raise NotAPerfectSquareError("stray monomial below the square root")
+    return r + q
 
 
 def _squarefree_decompose(n: int):
@@ -474,36 +497,18 @@ def poly_sqrt_content(p: ExactPoly):
     if lead_c < 0:
         content = -content
     root = poly_sqrt(p * (1 / content))
-    return normalize_trailing_positive(root), content
-
-
-def normalize_trailing_positive(p: ExactPoly) -> ExactPoly:
-    """Flip the overall sign so the graded-lex minimal monomial is positive."""
-    if p.is_zero():
-        return p
-    _, c = p.trailing()
-    return -p if c < 0 else p
+    # flip the overall sign so the graded-lex minimal monomial is positive
+    return (-root if root.trailing()[1] < 0 else root), content
 
 
 def exact_divide(p: ExactPoly, d: ExactPoly) -> ExactPoly:
     """Quotient p/d when the division is exact; raises ValidationError else."""
     if d.is_zero():
         raise ZeroDivisionError("division by the zero polynomial")
-    ring = p.ring
-    q = ring.zero()
-    lead_e, lead_c = d.leading()
-    rem = p
-    for _ in range(10 * (len(p.terms) + len(d.terms)) + 40):
-        if rem.is_zero():
-            return q
-        e, c = rem.leading()
-        t = tuple(a - b for a, b in zip(e, lead_e))
-        if any(x < 0 for x in t):
-            raise ValidationError("inexact polynomial division")
-        mono = ring.monomial(t, c / lead_c)
-        q = q + mono
-        rem = rem - mono * d
-    raise ValidationError("polynomial division did not terminate")
+    q = _long_divide(p, d.leading(), lambda q, m: m * d)
+    if q is None:
+        raise ValidationError("inexact polynomial division")
+    return q
 
 
 # -- tau systems --------------------------------------------------------------
@@ -516,12 +521,6 @@ class TauSystem:
     taus: tuple[ExactPoly, ...]
     notes: tuple[str, ...] = ()
 
-    def product(self) -> ExactPoly:
-        acc = self.ring.one()
-        for tau in self.taus:
-            acc = acc * tau
-        return acc
-
 
 def tau_functions(t: LieType) -> TauSystem:
     """The nilpotent tau polynomials (types A, B, C, D, G2), refused before any
@@ -533,54 +532,45 @@ def tau_functions(t: LieType) -> TauSystem:
             f"{t}: tau system refused, height of 2rho {height} exceeds {MAX_TAU_HEIGHT}")
     ring = ring_for(t)
     s, l = t.series, t.rank
+    if s == "D":
+        taus, notes = _tau_functions_d(ring, l)
+        return TauSystem(t, ring, tuple(taus), tuple(notes))
+    # tau_k is the leading k x k block of the Hankel matrix (h_{top-i-j})
+    top = {"A": l, "B": 2 * l, "C": 2 * l - 1, "G": 6}[s]
+    h = [hk(top - n, ring) for n in range(2 * l - 1)]
+    taus = [_det([h[i:i + k] for i in range(k)]) for k in range(1, l + 1)]
     notes = []
-    if s == "A":
-        taus = []
-        for k in range(1, l + 1):
-            sign = -1 if (k * (k - 1) // 2) % 2 else 1
-            taus.append(sign * schur_wronskian(range(l - k + 1, l + 1), ring))
-    elif s == "B":
-        taus = [wronskian(hk(2 * l - j, ring) for j in range(k)) for k in range(1, l)]
-        inner = wronskian(hk(2 * l - j, ring) for j in range(l))
-        root, content = poly_sqrt_content(inner)
-        taus.append(root)
+    if s == "B":
+        taus[-1], content = poly_sqrt_content(taus[-1])
         notes.append(f"tau_{l}: Wronskian = ({content}) * tau_{l}^2, trailing sign +")
-    elif s == "C":
-        taus = [wronskian(hk(2 * l - 1 - j, ring) for j in range(k)) for k in range(1, l + 1)]
     elif s == "G":
-        taus = [schur_wronskian([6], ring), schur_wronskian([5, 6], ring)]
+        taus[1] = -taus[1]
         notes.append("tau_2 = S_(5,6) with the standard Wronskian sign "
                      "(reproduces the displayed polynomial)")
-    else:  # D
-        taus, d_notes = _tau_functions_d(ring, l)
-        notes.extend(d_notes)
     return TauSystem(t, ring, tuple(taus), tuple(notes))
 
 
 def _tau_functions_d(ring: PolyRing, l: int):
-    """D-series tau functions: Wronskians of s-shifted h's plus one sqrt."""
+    """D-series tau functions: leading blocks of the f_{i+j+1} part of one
+    bordered matrix, whose determinant is a square."""
     s_var = ring.var("s")
-
-    def f(j):
-        # generating sequence; df_j/dt1 = f_{j+1}
-        if l % 2 == 0:
-            return s_var * hk(l - j, ring) + 2 * hk(2 * l - 1 - j, ring)
-        if j == 1:
-            return s_var * s_var + 2 * hk(2 * l - 2, ring)
-        return 2 * hk(2 * l - 1 - j, ring)
-
-    taus = [wronskian(f(j + 1) for j in range(k)) for k in range(1, l - 1)]
-    pair = wronskian(f(j + 1) for j in range(l - 1))
+    # generating sequence with df_j/dt1 = f_{j+1}; the list holds f_1, f_2, ...
+    if l % 2 == 0:
+        f = [s_var * hk(l - j, ring) + 2 * hk(2 * l - 1 - j, ring) for j in range(1, 2 * l - 2)]
+    else:
+        f = [s_var * s_var + 2 * hk(2 * l - 2, ring)]
+        f += [2 * hk(2 * l - 1 - j, ring) for j in range(2, 2 * l - 2)]
 
     border = [s_var + hk(l - 1, ring)] + [hk(l - a, ring) for a in range(2, l)]
     corner = ring.zero() if l % 2 == 0 else ring.one()
-    m = [[f(a + b + 1) for b in range(l - 1)] + [border[a]] for a in range(l - 1)]
+    m = [f[a:a + l - 1] + [border[a]] for a in range(l - 1)]
     m.append(border + [corner])
-    bordered = _det(m)
+    # the leading k x k block is the t1-Wronskian of f_1, ..., f_k
+    taus = [_det([row[:k] for row in m[:k]]) for k in range(1, l)]
+    pair = taus.pop()
 
-    tau_l, content = poly_sqrt_content(bordered)
-    tau_prev = exact_divide(pair, tau_l)
-    taus.extend([tau_prev, tau_l])
+    tau_l, content = poly_sqrt_content(_det(m))
+    taus.extend([exact_divide(pair, tau_l), tau_l])
     notes = [
         f"tau_{l}: bordered determinant = ({content}) * tau_{l}^2, trailing sign +; "
         f"tau_{l-1} = Wr(...)/tau_{l}",
@@ -599,10 +589,10 @@ def tangent_cone(system: TauSystem):
     The flag is set when the product's minimal degree exceeds the sum of the
     factor minimal degrees, i.e. when lowest parts cancelled.
     """
-    prod = system.product()
-    d = prod.min_degree()
+    product = prod(system.taus)
+    d = product.min_degree()
     expected = sum(minimal_degrees(system))
-    return prod.lowest_part(), d, d != expected
+    return product.lowest_part(), d, d != expected
 
 
 def nu_degrees(system: TauSystem) -> tuple[int, ...]:

@@ -248,7 +248,7 @@ def check_degree_bookkeeping(groups, scope):
     for name, want in (("B2", 7), ("G2", 16), ("A2", 4)):
         t = LieType.parse(name)
         system = tau_functions(t)
-        deg_t1 = system.product().slice_t1(dict.fromkeys(system.ring.names, 0)).degree
+        deg_t1 = math.prod(system.taus).slice_t1(dict.fromkeys(system.ring.names, 0)).degree
         if deg_t1 != want or deg_t1 != two_rho_height(t):
             bad.append(f"{name} t1-degree {deg_t1} != {want}")
     return not bad, f"minimal-degree lists and degree identities over {len(names)} types" + (

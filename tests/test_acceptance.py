@@ -6,6 +6,8 @@ combinatorial and algebraic, 1e-6 against numerical closed forms, 1e-8
 invariant drift, and a 90% modal threshold for the real-root experiment.
 """
 
+from dataclasses import replace
+from fractions import Fraction
 from types import SimpleNamespace
 
 import pytest
@@ -13,6 +15,8 @@ import pytest
 from todalab import numtoda, verify
 from todalab.blowup_poly import CosetChain, FactoredForm
 from todalab.exact import UniPoly
+from todalab.rootdata import LieType
+from todalab.schurtau import tau_functions
 
 TITLES = {
     1: "closed-form blow-up polynomials (A1-A5, B2-B4, C2-C4, D4, D5, G2, F4, E6-E8)",
@@ -65,6 +69,41 @@ def test_affine_failure_names_the_guess(monkeypatch):
     passed, detail = verify.check_affine(None, "fast")
     assert not passed
     assert detail == "rational guess None"
+
+
+def test_tau_literal_failure_names_the_type(monkeypatch):
+    # G2's tau_2 with the Hankel sign instead of S_(5,6)'s
+    def hankel_sign_g2(t):
+        system = tau_functions(t)
+        if t.series != "G":
+            return system
+        return replace(system, taus=(system.taus[0], -system.taus[1]))
+
+    monkeypatch.setattr(verify, "tau_functions", hankel_sign_g2)
+    passed, detail = verify.check_tau_literals(None, "fast")
+    assert not passed
+    assert detail == "A2/B2/C2/G2 tau polynomials exact; mismatch in ['G2']"
+
+
+def test_degree_failure_names_the_type(monkeypatch):
+    a1 = tau_functions(LieType.parse("A1"))
+    monkeypatch.setattr(verify, "tau_functions", lambda t: a1)
+    passed, detail = verify.check_degree_bookkeeping(None, "fast")
+    assert not passed
+    assert detail == (
+        "minimal-degree lists and degree identities over 7 types; "
+        "A2 degrees (1,); A3 degrees (1,); B2 degrees (1,); B3 degrees (1,); "
+        "C2 degrees (1,); C3 degrees (1,); G2 degrees (1,); "
+        "B2 t1-degree 1 != 7; G2 t1-degree 1 != 16; A2 t1-degree 1 != 4")
+
+
+def test_hirota_failure_names_the_type(monkeypatch):
+    # a residual left for the last tau of each type
+    monkeypatch.setattr(verify, "hirota_residual", lambda system, k: (
+        Fraction(1), system.ring.one() if k == system.lie_type.rank else system.ring.zero()))
+    passed, detail = verify.check_hirota(None, "fast")
+    assert not passed
+    assert detail == "nonzero residuals: A2 k=2, B2 k=2, C2 k=2, G2 k=2"
 
 
 def test_real_root_failure_names_the_type(monkeypatch):

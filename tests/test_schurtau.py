@@ -1,3 +1,4 @@
+import math
 import random
 import time
 from fractions import Fraction
@@ -151,7 +152,8 @@ class TestTauLiterals:
             tau_functions(T("F4"))
 
     def test_d_pair_product_consistency(self):
-        # the split tau_{l-1} * tau_l must reproduce the paired Wronskian
+        # tau_k for k <= l-2 is the Wronskian of f_1, ..., f_k, and the split
+        # tau_{l-1} * tau_l must reproduce the paired Wronskian
         for name in ("D3", "D4", "D5"):
             system = tau_functions(T(name))
             l = system.lie_type.rank
@@ -165,8 +167,37 @@ class TestTauLiterals:
                     return s_var * s_var + 2 * hk(2 * l - 2, ring)
                 return 2 * hk(2 * l - 1 - j, ring)
 
+            for k in range(1, l - 1):
+                assert system.taus[k - 1] == wronskian(f(j + 1) for j in range(k))
             pair = wronskian(f(j + 1) for j in range(l - 1))
             assert system.taus[l - 2] * system.taus[l - 1] == pair
+
+    @pytest.mark.parametrize("name", [f"A{l}" for l in range(1, 8)]
+                             + [f"B{l}" for l in range(2, 6)]
+                             + [f"C{l}" for l in range(2, 6)] + ["G2"])
+    def test_hankel_blocks_match_wronskians(self, name):
+        # tau_k is the t1-Wronskian of h_top, ..., h_{top-k+1}, built here by
+        # differentiation; B's tau_l is the square root of the last one, and
+        # G2's tau_2 is S_(5,6), that Wronskian with the opposite sign
+        system = S(name)
+        t = system.lie_type
+        l = t.rank
+        top = {"A": l, "B": 2 * l, "C": 2 * l - 1, "G": 6}[t.series]
+        want = [wronskian(hk(top - j, system.ring) for j in range(k)) for k in range(1, l + 1)]
+        if t.series == "B":
+            want[-1] = poly_sqrt_content(want[-1])[0]
+        if t.series == "G":
+            want[1] = -want[1]
+        assert system.taus == tuple(want)
+
+    @pytest.mark.parametrize("l", range(1, 8))
+    def test_a_taus_are_signed_rectangular_schur_polynomials(self, l):
+        # tau_k = (-1)^{k(k-1)/2} S_(l-k+1, ..., l): reversing the Jacobi-Trudi
+        # rows of the k x (l+1-k) rectangle gives the Hankel block
+        system = tau_functions(LieType("A", l))
+        for k, tau in enumerate(system.taus, start=1):
+            sign = -1 if k * (k - 1) // 2 % 2 else 1
+            assert tau == sign * schur_wronskian(range(l - k + 1, l + 1), system.ring)
 
 
 EXPECTED_MIN_DEGREES = {
@@ -207,7 +238,7 @@ class TestDegrees:
     def test_product_t1_degree_is_two_rho(self):
         for name in ("A2", "B2", "G2", "C3"):
             system = tau_functions(T(name))
-            assert on_t1_axis(system.product()).degree == two_rho_height(T(name))
+            assert on_t1_axis(math.prod(system.taus)).degree == two_rho_height(T(name))
 
     def test_zero_polynomial_rejected(self):
         r = ring_for(T("A2"))
@@ -361,6 +392,25 @@ class TestSqrtAndDivision:
         r = ring_for(T("A2"))
         with pytest.raises(ValidationError):
             exact_divide(r.var("t1") + r.one(), r.var("t2"))
+
+    def test_long_division_needs_no_step_cap(self):
+        # 100 quotient terms from a 2-term dividend and a 2-term divisor
+        r = ring_for(T("A2"))
+        t1 = r.var("t1")
+        quotient = exact_divide(t1 ** 100 - 1, t1 - 1)
+        assert quotient == sum((t1 ** k for k in range(100)), r.zero())
+        with pytest.raises(ValidationError, match="^inexact polynomial division$"):
+            exact_divide(t1 ** 100 - 2, t1 - 1)
+
+    def test_long_square_root(self):
+        r = ring_for(T("A2"))
+        t1 = r.var("t1")
+        root = sum((t1 ** k for k in range(60)), r.zero())
+        assert poly_sqrt(root * root) == root
+        with pytest.raises(NotAPerfectSquareError, match="^stray monomial"):
+            poly_sqrt(root * root + t1)
+        with pytest.raises(NotAPerfectSquareError, match="^stray monomial"):
+            poly_sqrt(t1 ** 2 + t1)
 
 
 def power(p, k):
