@@ -3,14 +3,14 @@
 Tau functions of the semisimple type-A lattice are leading principal minors
 of exp(t L0); through Cauchy-Binet they are exponential sums, so zero
 crossings can be counted as sign changes on a grid without ever integrating
-through a pole.  The generic ODE integrator handles the
-(a_i, b_i) system for any finite type, stopping at the first divergence.
+through a pole; spectra with a gap of at most EIGEN_GAP are refused.  The
+generic ODE integrator (scipy's solve_ivp) handles the (a_i, b_i) system
+for any finite type, stopping at the first divergence.
 """
 
 from __future__ import annotations
 
 import itertools
-import logging
 import math
 from dataclasses import dataclass, field
 
@@ -26,9 +26,7 @@ from .errors import (
 from .rootdata import LieType, cartan_matrix, symmetrizer
 from .signflow import eta
 
-log = logging.getLogger(__name__)
-
-EIGEN_GAP = 1e-6
+EIGEN_GAP = 1e-6  # smallest spectral gap TauMinors accepts
 DIVERGENCE_DELTA = 1e-8  # blow-up when |a_i| exceeds 1/delta
 ODE_TOL = 1e-10  # RK45 rtol and atol
 ODE_SAMPLES = 2000  # trajectory sample times over the span
@@ -84,17 +82,17 @@ def _check_lax(L: np.ndarray):
 
 
 class TauMinors:
-    """tau_j(t) = j-th leading principal minor of exp(sum_k t_k L0^k).
+    """tau_j(t) = j-th leading principal minor of exp(t L0).
 
     With the eigendecomposition L0 = V diag(lam) V^{-1}, Cauchy-Binet turns
-    the minor into sum over j-subsets S of c_{j,S} * exp(sum_{s in S} mu_s),
-    mu_s = sum_k t_k lam_s^k.  Near-degenerate spectra fall back to expm.
+    the minor into sum over j-subsets S of c_{j,S} * exp(t sum_{s in S} lam_s).
+    A spectrum with a gap of at most EIGEN_GAP is refused: there V is too
+    ill-conditioned for the coefficients c_{j,S}.
     """
 
     def __init__(self, L0):
         L0 = np.asarray(L0, dtype=float)
         _check_lax(L0)
-        self.L0 = L0
         self.n = L0.shape[0]
         if self.n - 1 > MAX_RANK:
             raise CapExceededError(
@@ -106,18 +104,12 @@ class TauMinors:
             )
         order = np.argsort(lam.real)
         lam, V = lam.real[order], V[:, order].real
-        gaps = np.diff(lam)
-        if len(lam) > 1 and gaps.min() < 1e-12:
-            raise DegenerateSpectrumError(f"repeated eigenvalues {lam}")
-        self.method = "eigen" if (len(lam) == 1 or gaps.min() > EIGEN_GAP) else "expm"
-        log.debug("tau minors via %s for spectrum %s", self.method, lam)
-        if self.method == "expm":
-            self._grid_key = None  # the last grid and its exponentials
-            return
-        self._lam = lam
+        gap = np.abs(np.diff(lam)).min(initial=np.inf)  # abs: sorted (0., -0.) differ by -0.
+        if gap <= EIGEN_GAP:
+            raise DegenerateSpectrumError(
+                f"repeated eigenvalues: gap {gap:.3g} at or below {EIGEN_GAP:g} in {lam}")
         Vinv = np.linalg.inv(V)
         # Cauchy-Binet: tau_j(t) = sum_S c_S exp(t * sum(lam[S]))
-        self._subsets = []   # per j: index array, one row per S
         self._coeffs = []    # per j: c_S
         self._rates = []     # per j: sum of eigenvalues over S
         for j in range(1, self.n):
@@ -127,52 +119,20 @@ class TauMinors:
                 if abs(c) > 1e-14:
                     subsets.append(S)
                     coeffs.append(c)
-            self._subsets.append(np.array(subsets))
             self._coeffs.append(np.array(coeffs))
             self._rates.append(np.array([lam[list(S)].sum() for S in subsets]))
 
-    def grid_values(self, j: int, ts, higher_times=()) -> np.ndarray:
-        """tau_j on a whole time grid; higher_times gives t_2.. for the hierarchy."""
-        ts = np.asarray(ts, dtype=float)
-        if self.method == "expm":
-            return np.linalg.det(self._expm_grid(ts, tuple(higher_times))[:, :j, :j])
-        mu = np.outer(ts, self._rates[j - 1])
-        for k, tk in enumerate(higher_times, start=2):
-            mu += tk * (self._lam ** k)[self._subsets[j - 1]].sum(axis=1)
+    def grid_values(self, j: int, ts) -> np.ndarray:
+        """tau_j on a whole time grid."""
+        mu = np.outer(np.asarray(ts, dtype=float), self._rates[j - 1])
         shift = mu.max(axis=1, keepdims=True)
         np.clip(shift, 0.0, None, out=shift)  # rescale only to avoid overflow
         # one dot product per time: a row's sum does not depend on the grid
         terms = np.exp(mu - shift)[:, None, :] @ self._coeffs[j - 1][:, None]
         return terms[:, 0, 0] * np.exp(np.minimum(shift[:, 0], 600.0))
 
-    def _expm_grid(self, ts, higher_times):
-        """exp(t L0 + sum_k t_k L0^k) for every t, kept for the last grid so
-        that all minors on one grid share one matrix exponential per time."""
-        key = (ts.tobytes(), higher_times)
-        if self._grid_key != key:
-            from scipy.linalg import expm
-
-            M = ts[:, None, None] * self.L0
-            P = self.L0
-            for tk in higher_times:
-                P = P @ self.L0
-                M = M + tk * P
-            self._grid_key, self._grid = key, expm(M)
-        return self._grid
-
-    def values(self, t, higher_times=()) -> np.ndarray:
-        """[tau_1(t), ..., tau_l(t)]."""
-        return np.array([self.value(j, t, higher_times) for j in range(1, self.n)])
-
-    def value(self, j: int, t: float, higher_times=()) -> float:
-        return float(self.grid_values(j, [t], higher_times)[0])
-
     def log_derivative(self, j: int, t: float) -> float:
         """d/dt log tau_j(t), i.e. the tau-side reconstruction of b_j."""
-        if self.method == "expm":
-            h = 1e-6
-            f = lambda x: self.value(j, x)
-            return (np.log(abs(f(t + h))) - np.log(abs(f(t - h)))) / (2 * h)
         mu = self._rates[j - 1] * t
         if mu.max() > 600.0:
             mu = mu - mu.max()  # common positive factor cancels in the ratio
@@ -353,10 +313,13 @@ def signs_vs_eta_report(L0, window=(-14.0, 14.0)) -> SignsVsEtaReport:
     eta(w*, eps) is replayed on one reduced word of w0, so no group is built.
     """
     L0 = np.asarray(L0, dtype=float)
-    minors = TauMinors(L0)
+    _check_lax(L0)
     _, a = lax_data(L0)
     if np.any(a == 0):
-        raise ValidationError("initial a_i must be nonzero to define a sign pattern")
+        i = int(np.flatnonzero(a == 0)[0]) + 1
+        raise ValidationError(
+            f"initial a_i must be nonzero to define a sign pattern, got a_{i} = 0")
+    minors = TauMinors(L0)
     eps = tuple(1 if x > 0 else -1 for x in a)
     l = L0.shape[0] - 1
     t = LieType("A", l)

@@ -40,7 +40,7 @@ ONE = Fraction(1)
 # runs on 2 vCPUs (median of 3): A9 (165) 1.2 s, D7 (182) 1.5 s; with the
 # cap lifted, one run each, A10 (220) 5.4 s and B7 (252) 5.8 s.  The
 # real-root experiment counts per tau factor, so the tau build bounds it:
-# the worst admitted run, D7 at MAX_SAMPLES, took 3.6 s and 20 MB cold.
+# the worst admitted run, D7 at MAX_SAMPLES, took 3.9 s and 20 MB cold.
 MAX_TAU_HEIGHT = 200
 MAX_SAMPLES = 50
 
@@ -217,14 +217,22 @@ class ExactPoly:
             if name not in values:
                 raise ValidationError(f"missing substitution for {name}")
             vals[j] = Fraction(values[name])
-        coeffs = {}
+        # integers over one common denominator: lcm of the coefficient
+        # denominators times q_j^E_j per variable (v_j = p_j/q_j, E_j its top
+        # exponent), so a term is c * prod p_j^e_j * q_j^(E_j - e_j)
+        top = {j: max((e[j] for e in self.terms), default=0) for j in vals}
+        powers = {j: [v.numerator ** k * v.denominator ** (top[j] - k)
+                      for k in range(top[j] + 1)]
+                  for j, v in vals.items() if top[j]}
+        den = lcm(*(c.denominator for c in self.terms.values()))
+        nums = {}
         for e, c in self.terms.items():
-            f = c
-            for j, v in vals.items():
-                if e[j]:
-                    f *= v ** e[j]
-            coeffs[e[pos]] = coeffs.get(e[pos], ZERO) + f
-        return UniPoly.from_dict(coeffs)
+            f = c.numerator * (den // c.denominator)
+            for j, pw in powers.items():
+                f *= pw[e[j]]
+            nums[e[pos]] = nums.get(e[pos], 0) + f
+        den *= prod(v.denominator ** top[j] for j, v in vals.items())
+        return UniPoly.from_dict({k: Fraction(n, den) for k, n in nums.items()})
 
     def to_json(self) -> dict:
         monos = sorted(self.terms.items(), key=lambda ec: (sum(ec[0]), ec[0]))

@@ -6,6 +6,7 @@ combinatorial and algebraic, 1e-6 against numerical closed forms, 1e-8
 invariant drift, and a 90% modal threshold for the real-root experiment.
 """
 
+import functools
 from dataclasses import replace
 from fractions import Fraction
 from types import SimpleNamespace
@@ -13,10 +14,12 @@ from types import SimpleNamespace
 import pytest
 
 from todalab import numtoda, verify
-from todalab.blowup_poly import CosetChain, FactoredForm
+from todalab.blowup_poly import CosetChain, FactoredForm, brute_force_so_order
 from todalab.exact import UniPoly
 from todalab.rootdata import LieType
 from todalab.schurtau import tau_functions
+from todalab.signflow import eta_table
+from todalab.weyl import WeylGroup
 
 TITLES = {
     1: "closed-form blow-up polynomials (A1-A5, B2-B4, C2-C4, D4, D5, G2, F4, E6-E8)",
@@ -34,6 +37,8 @@ TITLES = {
     12: "numerics: closed forms to 1e-6, one blow-up detected, A2 total = 2, drift <= 1e-8",
     13: "property suites: involution/braid, eta increments, graph vs p, Betti matching",
 }
+
+groups = functools.cache(lambda name: WeylGroup.generate(LieType.parse(name)))
 
 
 @pytest.mark.parametrize("number", sorted(TITLES))
@@ -62,6 +67,52 @@ def test_vanishing_failure_names_the_type(monkeypatch):
     assert not passed
     assert detail.startswith("all mixed signs vanish over 9 types; A1 +: 1; A2 ++: 1; A2 +-: 1; ")
     assert detail.endswith("; G2 -+: 1")
+
+
+def test_word_independence_failure_names_the_type(monkeypatch):
+    # an eta that reads the first letter of the word
+    monkeypatch.setattr(verify, "eta", lambda C, word, eps: word[0] if word else 0)
+    passed, detail = verify.check_word_independence(groups, "fast")
+    assert not passed
+    assert detail == ("580 word evaluations constant per element; "
+                      "A3 +++ id=1: {2}; A3 +++ id=2: {1}; A3 +++ id=5: {1}")
+
+
+def test_eta_table_failure_names_the_type(monkeypatch):
+    monkeypatch.setattr(verify, "eta_table", lambda g, eps: (
+        eta_table(g, eps) if g.lie_type.series == "A" else SimpleNamespace(values=[0] * len(g))))
+    passed, detail = verify.check_eta_tables(groups, "fast")
+    assert not passed
+    assert detail == "A2 table [0, 1, 1, 1, 1, 2], G2 table [0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0]"
+
+
+def test_components_failure_names_the_type(monkeypatch):
+    # every vertex its own component
+    monkeypatch.setattr(verify, "components",
+                        lambda graph: [[v] for v in range(len(graph.group))])
+    passed, detail = verify.check_components(groups, "fast")
+    assert not passed
+    assert detail == "A2: 6 components, partition WRONG; A3: 24 components; A1: 2 components"
+
+
+def test_chevalley_failure_names_the_type(monkeypatch):
+    # one point too many on every SO(4) count
+    monkeypatch.setattr(verify, "brute_force_so_order",
+                        lambda n, q: brute_force_so_order(n, q) + (n == 4))
+    passed, detail = verify.check_chevalley_orders(groups, "fast")
+    assert not passed
+    assert detail.startswith("26 quadric counts equal q^r p(q), 4 non-split forms refused; "
+                             "A3 q=3: 577 != 576; A3 q=5: 14401 != 14400; ")
+    assert detail.endswith("; C3 q=17: 117361120032 != 117361115136")
+
+
+def test_property_suite_failure_names_the_type(monkeypatch):
+    # a parity shortcut that never flips a sign
+    monkeypatch.setattr(verify, "reflect_sign_by_exponent", lambda C, i, eps: eps)
+    passed, detail = verify.check_property_suites(groups, "fast")
+    assert not passed
+    assert detail == "; ".join(["A2: parity shortcut != exponent rule"] * 4
+                               + ["A3: parity shortcut != exponent rule"])
 
 
 def test_affine_failure_names_the_guess(monkeypatch):

@@ -75,12 +75,12 @@ class TestTauMinors:
     def test_cosh_case(self):
         m = numtoda.TauMinors(np.array([[0.0, 1.0], [1.0, 0.0]]))
         for t in (-2.0, -0.5, 0.0, 1.3, 4.0):
-            assert abs(m.value(1, t) - math.cosh(t)) < 1e-12
+            assert abs(m.grid_values(1, [t])[0] - math.cosh(t)) < 1e-12
 
     def test_sinh_type_case(self):
         m = numtoda.TauMinors(np.array([[2.0, 1.0], [-3.0, -2.0]]))
         for t in (-1.0, 0.3, 2.0):
-            assert abs(m.value(1, t) - (math.cosh(t) + 2 * math.sinh(t))) < 1e-12
+            assert abs(m.grid_values(1, [t])[0] - (math.cosh(t) + 2 * math.sinh(t))) < 1e-12
 
     def test_tau_at_zero_is_one(self):
         rng = np.random.default_rng(5)
@@ -88,67 +88,33 @@ class TestTauMinors:
             b = rng.normal(size=3)
             a = rng.uniform(0.3, 2.0, size=3)  # positive a: real simple spectrum
             m = numtoda.TauMinors(numtoda.lax_matrix(b, a))
-            assert np.allclose(m.values(0.0), 1.0, atol=1e-11)
+            assert np.allclose([m.grid_values(j, [0.0])[0] for j in (1, 2, 3)], 1.0, atol=1e-11)
 
     def test_degenerate_spectrum_rejected(self):
         with pytest.raises(DegenerateSpectrumError):
             numtoda.TauMinors(numtoda.lax_matrix([0.0], [-1.0]))  # eigenvalues +-i
 
-    def test_near_degenerate_uses_expm(self):
-        m = numtoda.TauMinors(numtoda.lax_matrix([0.0], [1e-14]))
-        assert m.method == "expm"
-        assert abs(m.value(1, 1.0) - 1.0) < 1e-6
+    def test_near_degenerate_refused(self):
+        # a = 1e-14 puts the eigenvalues at +-1e-7: gap 2e-07
+        with pytest.raises(DegenerateSpectrumError,
+                           match=r"repeated eigenvalues: gap 2e-07 at or below 1e-06"):
+            numtoda.TauMinors(numtoda.lax_matrix([0.0], [1e-14]))
 
-    def test_multi_time_matches_expm(self):
-        L = numtoda.lax_matrix([0.4, -0.2], [1.0, 0.7])
+    def test_grid_matches_expm(self):
+        L = numtoda.lax_matrix([0.4, -0.2, 0.1], [1.0, 0.7, 0.5])
         m = numtoda.TauMinors(L)
-        for t1, t2 in ((0.3, 0.1), (-0.5, 0.2)):
-            g = expm(t1 * L + t2 * (L @ L))
-            want = [np.linalg.det(g[:j, :j]) for j in (1, 2)]
-            got = m.values(t1, higher_times=[t2])
-            assert np.allclose(got, want, rtol=1e-9, atol=1e-12)
-
-    @pytest.mark.parametrize("b, a, method", [
-        ([0.4, -0.2, 0.1], [1.0, 0.7, 0.5], "eigen"),
-        ([0.0, 0.0, 0.0], [1e-13, 1e-13, 1e-13], "expm"),
-    ])
-    def test_grid_with_higher_times_matches_expm(self, b, a, method):
-        L = numtoda.lax_matrix(b, a)
-        m = numtoda.TauMinors(L)
-        assert m.method == method
         ts = np.linspace(-1.5, 1.5, 7)
-        higher = (0.2, -0.05)
         for j in (1, 2, 3):
-            want = [np.linalg.det(expm(t * L + higher[0] * (L @ L)
-                                       + higher[1] * (L @ L @ L))[:j, :j]) for t in ts]
-            assert np.allclose(m.grid_values(j, ts, higher), want, rtol=1e-9, atol=1e-12)
-            assert m.value(j, ts[2], higher) == m.grid_values(j, ts[2:3], higher)[0]
-
-    def test_expm_minors_share_one_exponential_per_time(self, monkeypatch):
-        import scipy.linalg
-
-        m = numtoda.TauMinors(numtoda.lax_matrix([0.0, 0.0], [1e-14, 1e-14]))
-        assert m.method == "expm"
-        calls = []
-        real = scipy.linalg.expm
-
-        def counting_expm(M):
-            calls.append(M.shape)
-            return real(M)
-
-        monkeypatch.setattr(scipy.linalg, "expm", counting_expm)
-        m.values(0.7)
-        ts = np.linspace(0.0, 1.0, 5)
-        np.stack([m.grid_values(j, ts) for j in (1, 2)])
-        assert calls == [(1, 3, 3), (5, 3, 3)]
+            want = [np.linalg.det(expm(t * L)[:j, :j]) for t in ts]
+            assert np.allclose(m.grid_values(j, ts), want, rtol=1e-9, atol=1e-12)
 
     def test_log_derivative_matches_finite_difference(self):
         m = numtoda.TauMinors(numtoda.example_a2_all_negative())
         h = 1e-6
         for t in (-0.7, 0.2, 1.1):
             for j in (1, 2):
-                fd = (math.log(abs(m.value(j, t + h)))
-                      - math.log(abs(m.value(j, t - h)))) / (2 * h)
+                fd = (math.log(abs(m.grid_values(j, [t + h])[0]))
+                      - math.log(abs(m.grid_values(j, [t - h])[0]))) / (2 * h)
                 assert abs(m.log_derivative(j, t) - fd) < 1e-5
 
 
@@ -218,7 +184,7 @@ class TestOde:
         # the event bracket straddles the tau sign change
         minors = numtoda.TauMinors(numtoda.lax_matrix(b0, a0))
         lo, hi = traj.events[0].bracket
-        assert minors.value(1, lo) * minors.value(1, hi) < 0
+        assert minors.grid_values(1, [lo])[0] * minors.grid_values(1, [hi])[0] < 0
 
     def test_a2_positive_sorts_spectrum(self):
         b0, a0 = [1.0, -1.0], [1.0, 1.0]
@@ -259,14 +225,18 @@ class TestOde:
 class TestTauOdeConsistency:
     @pytest.mark.parametrize("b0, a0, method", [
         ([-3.0, -3.0, 0.0], [-1.0, -1.0, -1.0], "eigen"),
+        # gap 3.16e-07 <= EIGEN_GAP: the minors are refused, so no tau track
         ([0.0, 0.0, 0.0], [1e-13, 1e-13, 1e-13], "expm"),
     ])
     def test_tau_track_equals_pointwise_minors(self, b0, a0, method):
         traj = numtoda.ode_integrate(LieType("A", 3), a0, b0, (0.0, 3.0))
+        if method == "expm":
+            assert traj.tau is None
+            return
         minors = numtoda.TauMinors(numtoda.lax_matrix(b0, a0))
-        assert minors.method == method
         assert traj.tau.shape == (len(traj.t), 3)
-        assert np.array_equal(traj.tau, np.stack([minors.values(t) for t in traj.t]))
+        pointwise = [[minors.grid_values(j, [t])[0] for j in (1, 2, 3)] for t in traj.t]
+        assert np.array_equal(traj.tau, np.array(pointwise))
 
     def test_b_is_log_derivative_of_tau(self):
         L = numtoda.example_a2_all_negative()
@@ -316,6 +286,16 @@ class TestSignsVsEta:
     def test_zero_a_rejected(self):
         with pytest.raises(ValidationError):
             numtoda.signs_vs_eta_report(numtoda.lax_matrix([0.5], [0.0]))
+
+    def test_zero_a_refused_before_the_minors(self, monkeypatch):
+        def no_minors(L0):
+            raise AssertionError("TauMinors built for a refused sign pattern")
+
+        monkeypatch.setattr(numtoda, "TauMinors", no_minors)
+        L0 = spread_all_negative(14)
+        L0[4, 3] = 0.0  # a_4
+        with pytest.raises(ValidationError, match=r"sign pattern, got a_4 = 0$"):
+            numtoda.signs_vs_eta_report(L0)
 
     @pytest.mark.parametrize("rank", [1, 2, 3, 4, 5])
     def test_longest_word_is_w0(self, rank, group):
