@@ -56,7 +56,7 @@ __version__ = "0.1.0"
 
 
 def __getattr__(name):
-    """Import ``numtoda`` (and with it numpy and scipy) on first access only."""
+    """Import ``numtoda`` (and with it numpy) on first access only."""
     if name == "numtoda":
         return importlib.import_module(f"{__name__}.numtoda")
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -27,7 +27,13 @@ from .blowup_poly import (
     so_factors,
 )
 from .errors import CapExceededError, TodaLabError, ValidationError
-from .rootdata import LieType, compact_dual_info, conventions_table, require_finite
+from .rootdata import (
+    LieType,
+    check_flow_input,
+    compact_dual_info,
+    conventions_table,
+    require_finite,
+)
 from .schurtau import (
     hirota_residual,
     minimal_degrees,
@@ -310,7 +316,8 @@ def cmd_ode(args):
     b0 = _floats(args.b, "--b")
     if len(a0) != t.rank or len(b0) != t.rank:
         raise ValidationError(f"need {t.rank} comma-separated values for --a and --b")
-    from . import numtoda  # numpy and scipy load for this command only
+    check_flow_input(t, a0, b0, (args.t0, args.t1))  # refuse before numpy loads
+    from . import numtoda  # numpy loads for this command only
 
     traj = numtoda.ode_integrate(t, a0, b0, (args.t0, args.t1))
     if args.format == "csv":
@@ -374,7 +381,7 @@ def cmd_chevalley(args):
 
 
 def cmd_verify(args):
-    from . import verify  # loads numpy through numtoda; scipy only when criterion 12 runs
+    from . import verify  # loads numpy through numtoda
 
     results = verify.run(args.scope)
     n_fail = sum(1 for r in results if not r.passed)

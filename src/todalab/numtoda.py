@@ -4,8 +4,8 @@ Tau functions of the semisimple type-A lattice are leading principal minors
 of exp(t L0); through Cauchy-Binet they are exponential sums, so zero
 crossings can be counted as sign changes on a grid without ever integrating
 through a pole; spectra with a gap of at most EIGEN_GAP are refused.  The
-generic ODE integrator (scipy's solve_ivp) handles the (a_i, b_i) system
-for any finite type, stopping at the first divergence.
+(a_i, b_i) system of any finite type is integrated by the Dormand-Prince
+5(4) port in `_rk45`, which stops at the first divergence.
 """
 
 from __future__ import annotations
@@ -23,17 +23,14 @@ from .errors import (
     StepCollapseError,
     ValidationError,
 )
-from .rootdata import LieType, cartan_matrix, symmetrizer
+from . import _rk45
+from .rootdata import MAX_FLOW_RANK, LieType, cartan_matrix, check_flow_input, symmetrizer
 from .signflow import eta
 
 EIGEN_GAP = 1e-6  # smallest spectral gap TauMinors accepts
 DIVERGENCE_DELTA = 1e-8  # blow-up when |a_i| exceeds 1/delta
 ODE_TOL = 1e-10  # RK45 rtol and atol
 ODE_SAMPLES = 2000  # trajectory sample times over the span
-MAX_TIME_SPAN = 1e3  # |t1 - t0| above this is refused before integrating
-# rank above this is refused before any work: type A sums 2^(l+1) Cauchy-Binet
-# terms for the tau minors (A12 0.6 s, A14 1.4 s, A16 4.3 s in-process)
-MAX_RANK = 14
 
 
 def lax_matrix(b, a) -> np.ndarray:
@@ -94,9 +91,9 @@ class TauMinors:
         L0 = np.asarray(L0, dtype=float)
         _check_lax(L0)
         self.n = L0.shape[0]
-        if self.n - 1 > MAX_RANK:
+        if self.n - 1 > MAX_FLOW_RANK:
             raise CapExceededError(
-                f"A{self.n - 1}: rank {self.n - 1} exceeds the cap {MAX_RANK}")
+                f"A{self.n - 1}: rank {self.n - 1} exceeds the cap {MAX_FLOW_RANK}")
         lam, V = np.linalg.eig(L0)
         if np.max(np.abs(lam.imag)) > 1e-9:
             raise DegenerateSpectrumError(
@@ -221,57 +218,46 @@ def toda_rhs(C):
     return rhs
 
 
+def divergence_event(l: int):
+    """(t, y) -> max_i |a_i| - 1/DIVERGENCE_DELTA, which rises through 0 at a blow-up."""
+    threshold = 1.0 / DIVERGENCE_DELTA
+
+    def divergence(_t, y):
+        return np.max(np.abs(y[l:])) - threshold
+
+    return divergence
+
+
 def ode_integrate(t: LieType, a0, b0, t_span=(0.0, 10.0)) -> Trajectory:
     """Adaptive RK45 integration of db = a, da = -(C b) a with divergence events.
 
     Integration stops (status 'blow-up') when any |a_i| reaches
     1/DIVERGENCE_DELTA; the trajectory is sampled at ODE_SAMPLES times.  A
     solver failure without divergence raises StepCollapseError (suspected
-    stiff region).  Ranks above MAX_RANK and spans longer than MAX_TIME_SPAN
-    raise CapExceededError before integrating.
+    stiff region).  Ranks above MAX_FLOW_RANK, non-finite data and empty or
+    overlong spans are refused before integrating (`check_flow_input`).
     """
-    if t.rank > MAX_RANK:
-        raise CapExceededError(f"{t}: rank {t.rank} exceeds the cap {MAX_RANK}")
-    C = cartan_matrix(t)
+    l = t.rank
     a0 = np.asarray(a0, dtype=float)
     b0 = np.asarray(b0, dtype=float)
-    l = t.rank
     if a0.shape != (l,) or b0.shape != (l,):
         raise ValidationError(f"need rank-{l} initial data")
-    if not (np.all(np.isfinite(a0)) and np.all(np.isfinite(b0))):
-        raise ValidationError(
-            f"initial data must be finite, got a={a0.tolist()} b={b0.tolist()}")
-    t0, t1 = t_span
-    if not (math.isfinite(t0) and math.isfinite(t1)) or t0 == t1:
-        raise ValidationError(f"time span must be finite with t0 != t1, got ({t0}, {t1})")
-    if abs(t1 - t0) > MAX_TIME_SPAN:
-        raise CapExceededError(
-            f"time span |t1 - t0| = {abs(t1 - t0):g} exceeds the cap {MAX_TIME_SPAN:g}")
-    from scipy.integrate import solve_ivp  # after the checks: a refusal costs no scipy import
-
-    threshold = 1.0 / DIVERGENCE_DELTA
-
-    def divergence(_t, y):
-        return np.max(np.abs(y[l:])) - threshold
-
-    divergence.terminal = True
-    divergence.direction = 1
+    check_flow_input(t, a0.tolist(), b0.tolist(), t_span)
+    C = cartan_matrix(t)
     y0 = np.concatenate([b0, a0])
-    t_eval = np.linspace(t0, t1, ODE_SAMPLES)
+    t_eval = np.linspace(*t_span, ODE_SAMPLES)
     # overflow inside a collapsing step is reported as StepCollapseError below
     with np.errstate(over="ignore", invalid="ignore"):
-        sol = solve_ivp(toda_rhs(C), t_span, y0, method="RK45",
-                        rtol=ODE_TOL, atol=ODE_TOL, events=[divergence], t_eval=t_eval,
-                        dense_output=False)
+        sol = _rk45.solve(toda_rhs(C), t_span, y0, t_eval, divergence_event(l), ODE_TOL)
     if sol.status == -1:
         raise StepCollapseError(
-            f"integrator failed at t={sol.t[-1] if len(sol.t) else t_span[0]}: {sol.message}"
-        )
+            f"integrator failed at t={sol.t[-1] if len(sol.t) else t_span[0]}: "
+            f"{_rk45.TOO_SMALL_STEP}")
     events = []
     status = "complete"
-    if sol.status == 1 and len(sol.t_events[0]):
-        te = float(sol.t_events[0][0])
-        ye = sol.y_events[0][0]
+    if sol.status == 1:
+        te = float(sol.t_events[0])
+        ye = sol.y_events[0]
         blow_idx = int(np.argmax(np.abs(ye[l:]))) + 1
         # |a| ~ c/(t - t*)^2 puts the pole within sqrt(c * delta) of the
         # trigger; 100*sqrt(delta) straddles the tau sign change for any

@@ -25,7 +25,7 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import UnsupportedTypeError, ValidationError
+from .errors import CapExceededError, UnsupportedTypeError, ValidationError
 from .exact import inverse
 
 SERIES_MIN_RANK = {"A": 1, "B": 2, "C": 2, "D": 3, "E": 6, "F": 4, "G": 2}
@@ -33,6 +33,10 @@ SERIES_MAX_RANK = {"E": 8, "F": 4, "G": 2}
 # A-D ranks above this are refused on parsing: commands build rank-sized
 # tuples before their own caps, and every cap refuses far below it
 MAX_CLASSICAL_RANK = 10**6
+# the Toda flow refuses a rank above this before any work: type A sums 2^(l+1)
+# Cauchy-Binet terms for the tau minors (A12 0.6 s, A14 1.4 s, A16 4.3 s in-process)
+MAX_FLOW_RANK = 14
+MAX_TIME_SPAN = 1e3  # the flow refuses |t1 - t0| above this before integrating
 
 
 @dataclass(frozen=True)
@@ -79,6 +83,21 @@ class LieType:
 def require_finite(t: LieType):
     if t.affine:
         raise UnsupportedTypeError(f"{t} is affine; use extended_cartan / the affine module")
+
+
+def check_flow_input(t: LieType, a0: list[float], b0: list[float], t_span):
+    """Refuse Toda-flow input before numpy loads: the rank cap, non-finite
+    initial data, an empty or non-finite span and the span cap."""
+    if t.rank > MAX_FLOW_RANK:
+        raise CapExceededError(f"{t}: rank {t.rank} exceeds the cap {MAX_FLOW_RANK}")
+    if not all(map(math.isfinite, a0 + b0)):
+        raise ValidationError(f"initial data must be finite, got a={a0} b={b0}")
+    t0, t1 = t_span
+    if not (math.isfinite(t0) and math.isfinite(t1)) or t0 == t1:
+        raise ValidationError(f"time span must be finite with t0 != t1, got ({t0}, {t1})")
+    if abs(t1 - t0) > MAX_TIME_SPAN:
+        raise CapExceededError(
+            f"time span |t1 - t0| = {abs(t1 - t0):g} exceeds the cap {MAX_TIME_SPAN:g}")
 
 
 def cartan_matrix(t: LieType) -> tuple[tuple[int, ...], ...]:

@@ -283,7 +283,7 @@ class TestErrorsAndPlumbing:
          "--b", ",".join(["0"] * 2000)),
     ])
     def test_oversize_input_refused_exit_2(self, capsys, argv):
-        importlib.import_module("todalab.numtoda")  # time the refusal, not scipy's import
+        importlib.import_module("todalab.numtoda")  # time the refusal, not numpy's import
         start = time.perf_counter()
         code, out, err = run(capsys, *argv)
         assert time.perf_counter() - start < 1.0
@@ -431,7 +431,8 @@ class TestErrorsAndPlumbing:
         assert doc["types"]["G2"]["cartan"] == [[2, -1], [-3, 2]]
 
 
-# Exact commands, successful and refused; none may load numpy or scipy.
+# Exact commands, successful and refused; none may load numpy or scipy.  The
+# numerical commands load numpy, and scipy never.
 EXACT_COMMANDS = [
     ["pq", "--type", "A2"],
     ["pq", "--type", "E7"],
@@ -453,14 +454,19 @@ def run(argv):
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         return todalab.cli.main(argv)
 
-def heavy():
-    return sorted(m for m in sys.modules if m.partition(".")[0] in ("numpy", "scipy"))
+def heavy(*names):
+    return sorted(m for m in sys.modules if m.partition(".")[0] in names)
 
 print(json.dumps([run(argv) for argv in json.loads(sys.argv[1])]))
-print(json.dumps(heavy()))
-print(run(["ode", "--type", "A1", "--a", "nan", "--b", "0"]), "scipy" in sys.modules)
+print(json.dumps(heavy("numpy", "scipy")))
+print(run(["ode", "--type", "A1", "--a", "nan", "--b", "0"]),
+      run(["ode", "--type", "A1", "--a", "1", "--b", "0", "--t1", "0"]), json.dumps(heavy("numpy")))
 print(callable(todalab.numtoda.ode_integrate))
-print(run(["ode", "--type", "A1", "--a", "1", "--b", "0"]), bool(heavy()))
+print(run(["ode", "--type", "A1", "--a", "1", "--b", "0"]),
+      run(["ode", "--type", "A2", "--a", "-1,-1", "--b", "1,-1", "--format", "csv"]),
+      bool(heavy("numpy")), json.dumps(heavy("scipy")))
+import todalab.verify
+print(all(r.passed for r in todalab.verify.run("fast")), json.dumps(heavy("scipy")))
 """
 
 
@@ -470,12 +476,13 @@ def test_numpy_and_scipy_load_only_for_numerical_commands():
                           capture_output=True, text=True, timeout=120,
                           env={**os.environ, "PYTHONPATH": src})
     assert proc.returncode == 0, proc.stderr
-    codes, loaded, rejected, resolves, numeric = proc.stdout.splitlines()
+    codes, loaded, rejected, resolves, numeric, verified = proc.stdout.splitlines()
     assert json.loads(codes) == [0, 2, 0, 0, 0, 0, 0, 0, 0, 0]
     assert json.loads(loaded) == []
-    assert rejected == "1 False"  # bad ode input is refused before scipy loads
+    assert rejected == "1 1 []"  # bad ode input is refused before numpy loads
     assert resolves == "True"
-    assert numeric == "0 True"
+    assert numeric == "0 0 True []"  # the eigen path and a blow-up load no scipy
+    assert verified == "True []"
 
 
 def test_package_getattr_rejects_unknown_names():

@@ -217,7 +217,7 @@ class TestOde:
 
     @pytest.mark.parametrize("series", "ABD")
     def test_rank_cap_refuses_before_integrating(self, series):
-        l = numtoda.MAX_RANK + 1
+        l = numtoda.MAX_FLOW_RANK + 1
         with pytest.raises(CapExceededError, match=f"rank {l} exceeds the cap"):
             numtoda.ode_integrate(LieType(series, l), [1.0] * l, [0.0] * l, (0.0, 1.0))
 
