@@ -14,7 +14,7 @@ a power series whose low coefficients stabilize as the length cutoff grows.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import CapExceededError, InsufficientDataError, ValidationError
 from .exact import UniPoly, inverse
@@ -69,8 +69,7 @@ class AffineWeylGroup(LabelTree):
         return self
 
 
-@dataclass(frozen=True)
-class TruncatedSeries:
+class TruncatedSeries(NamedTuple):
     """Partial alternating sum over the affine group, with stability marks.
 
     coefficient k is marked stable when no element of length in
@@ -132,8 +131,7 @@ def p_series(t: LieType, eps, lmax: int,
                            2 * (t.rank + 1))
 
 
-@dataclass(frozen=True)
-class RationalFunction:
+class RationalFunction(NamedTuple):
     """num(q)/den(q) with integer coefficients, den(0) = 1."""
 
     num: UniPoly

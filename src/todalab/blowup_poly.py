@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import AssumptionViolatedError, CapExceededError, InvalidQError, ValidationError
 from .exact import UniPoly
@@ -26,8 +26,7 @@ from .signflow import EtaTable, propagate
 from .weyl import LabelTree
 
 
-@dataclass(frozen=True)
-class FactoredForm:
+class FactoredForm(NamedTuple):
     """prod_i (q^{d_i} - 1), stored as the exponent list (d_1, ..., d_g)."""
 
     exponents: tuple[int, ...]

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -155,22 +155,24 @@ def count_zero_crossings(minors: TauMinors, j: int, window=(-12.0, 12.0),
     return coarse
 
 
-@dataclass(frozen=True)
-class BlowupEvent:
+class BlowupEvent(NamedTuple):
     tau_index: int          # 1-based index of the blowing-up a_i / vanishing tau_i
     bracket: tuple[float, float]
     time: float
 
 
-@dataclass
 class Trajectory:
-    lie_type: LieType
-    t: np.ndarray
-    a: np.ndarray           # shape (len(t), l)
-    b: np.ndarray
-    events: list[BlowupEvent] = field(default_factory=list)
-    status: str = "complete"
-    tau: np.ndarray | None = None  # minor-based tau tracks (type A only)
+    """A sampled solution: ``a`` and ``b`` have shape (len(t), l); ``tau``
+    holds the minor-based tau tracks (type A only) once they are set."""
+
+    __slots__ = ("lie_type", "t", "a", "b", "events", "status", "tau")
+
+    def __init__(self, lie_type: LieType, t: np.ndarray, a: np.ndarray, b: np.ndarray,
+                 events: list[BlowupEvent] | None = None, status: str = "complete",
+                 tau: np.ndarray | None = None):
+        self.lie_type, self.t, self.a, self.b = lie_type, t, a, b
+        self.events = [] if events is None else events
+        self.status, self.tau = status, tau
 
     def invariant_drift(self, a_bound: float = np.inf) -> float:
         """Max |I(t) - I(0)|, restricted to samples with max|a_i| <= a_bound
@@ -278,8 +280,7 @@ def ode_integrate(t: LieType, a0, b0, t_span=(0.0, 10.0)) -> Trajectory:
     return traj
 
 
-@dataclass(frozen=True)
-class SignsVsEtaReport:
+class SignsVsEtaReport(NamedTuple):
     lie_type: LieType
     eps: tuple[int, ...]
     crossings_per_tau: tuple[int, ...]

@@ -22,8 +22,8 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .errors import CapExceededError, UnsupportedTypeError, ValidationError
 from .exact import inverse
@@ -39,23 +39,25 @@ MAX_FLOW_RANK = 14
 MAX_TIME_SPAN = 1e3  # the flow refuses |t1 - t0| above this before integrating
 
 
-@dataclass(frozen=True)
-class LieType:
-    """A series letter, a rank, and an affine flag."""
-
+class _LieTypeFields(NamedTuple):
     series: str
     rank: int
     affine: bool = False
 
-    def __post_init__(self):
-        if self.series not in SERIES_MIN_RANK:
-            raise ValidationError(f"unknown series {self.series!r}")
-        lo = SERIES_MIN_RANK[self.series]
-        hi = SERIES_MAX_RANK.get(self.series, MAX_CLASSICAL_RANK)
-        if not (lo <= self.rank <= hi):
-            raise ValidationError(
-                f"rank {self.rank} out of range [{lo},{hi}] for series {self.series}"
-            )
+
+class LieType(_LieTypeFields):
+    """A series letter, a rank, and an affine flag."""
+
+    __slots__ = ()
+
+    def __new__(cls, series: str, rank: int, affine: bool = False):
+        if series not in SERIES_MIN_RANK:
+            raise ValidationError(f"unknown series {series!r}")
+        lo = SERIES_MIN_RANK[series]
+        hi = SERIES_MAX_RANK.get(series, MAX_CLASSICAL_RANK)
+        if not (lo <= rank <= hi):
+            raise ValidationError(f"rank {rank} out of range [{lo},{hi}] for series {series}")
+        return super().__new__(cls, series, rank, affine)
 
     @classmethod
     def parse(cls, text: str) -> "LieType":
@@ -137,33 +139,21 @@ def cartan_matrix(t: LieType) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(row) for row in C)
 
 
-def _highest_root(t: LieType):
-    """The finite Cartan matrix C, its symmetrizer d and the highest root
-    theta of an affine type.  theta is long, so (theta, theta) = 2 max(d)
-    in the form (alpha_i, alpha_j) = C[i][j] * d_j."""
-    if not t.affine:
-        raise UnsupportedTypeError(f"expected an untwisted affine type, got {t}")
-    finite = LieType(t.series, t.rank)
-    return cartan_matrix(finite), symmetrizer(finite), positive_roots(finite).positive[-1]
-
-
 def extended_cartan(t: LieType) -> tuple[tuple[int, ...], ...]:
     """The (l+1) x (l+1) extended Cartan matrix of the untwisted affine type t.
 
-    Row 0 is -<theta, alpha_j^vee>; column 0 is -<alpha_i, theta^vee>
-    = -2 (alpha_i, theta) / (theta, theta) = -(alpha_i, theta) / max(d).
+    With theta the highest root, row 0 is -<theta, alpha_j^vee>; column 0 is
+    -<alpha_i, theta^vee> = -2 (alpha_i, theta) / (theta, theta)
+    = -(alpha_i, theta) / max(d), as theta is long: (theta, theta) = 2 max(d)
+    in the form (alpha_i, alpha_j) = C[i][j] * d_j of the symmetrizer d.
     """
-    C, d, theta = _highest_root(t)
+    if not t.affine:
+        raise UnsupportedTypeError(f"expected an untwisted affine type, got {t}")
+    finite = LieType(t.series, t.rank)
+    C, d, theta = cartan_matrix(finite), symmetrizer(finite), positive_roots(finite).positive[-1]
     row0 = (2,) + tuple(-sum(th * row[j] for th, row in zip(theta, C)) for j in range(t.rank))
     col0 = (-sum(c * dj * th for c, dj, th in zip(row, d, theta)) // max(d) for row in C)
     return (row0,) + tuple((c0,) + row for c0, row in zip(col0, C))
-
-
-def affine_marks(t: LieType) -> tuple[int, ...]:
-    """The comarks: the null vector m of the extended Cartan matrix (C m = 0)
-    with m_0 = 1, i.e. the coordinates of theta^vee in the simple coroots."""
-    _, d, theta = _highest_root(t)
-    return (1,) + tuple(th * dj // max(d) for th, dj in zip(theta, d))
 
 
 def langlands_dual(t: LieType) -> LieType:
@@ -236,8 +226,7 @@ def symmetrizer(t: LieType) -> tuple[int, ...]:
     return tuple(x // g for x in scaled)
 
 
-@dataclass(frozen=True)
-class CompactDual:
+class CompactDual(NamedTuple):
     """The maximal compact subgroup of the Langlands-dual group, as data.
 
     ``degrees`` are the basic invariant degrees d_1..d_g appearing as
@@ -335,12 +324,15 @@ def weyl_order_log10(t: LieType) -> float:
     return math.log10(weyl_order(t))
 
 
-@dataclass(frozen=True)
 class RootSystem:
     """Positive roots (coordinates in the simple-root basis), simples first."""
 
-    simple: tuple[tuple[int, ...], ...]
-    positive: tuple[tuple[int, ...], ...]
+    __slots__ = ("simple", "positive")
+
+    def __init__(self, simple: tuple[tuple[int, ...], ...],
+                 positive: tuple[tuple[int, ...], ...]):
+        self.simple = simple
+        self.positive = positive
 
     def __len__(self):
         return len(self.positive)

@@ -18,9 +18,9 @@ remainder sequence.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isqrt, lcm, prod
+from typing import NamedTuple
 
 from .errors import (
     CapExceededError,
@@ -186,10 +186,6 @@ class ExactPoly:
     def lowest_part(self) -> "ExactPoly":
         d = self.min_degree()
         return ExactPoly(self.ring, {e: c for e, c in self.terms.items() if sum(e) == d})
-
-    def weighted_degrees(self) -> set[int]:
-        w = self.ring.weights
-        return {sum(x * y for x, y in zip(e, w)) for e in self.terms}
 
     def leading(self):
         """(exponents, coefficient) maximal in graded-lex order."""
@@ -522,8 +518,7 @@ def exact_divide(p: ExactPoly, d: ExactPoly) -> ExactPoly:
 # -- tau systems --------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class TauSystem:
+class TauSystem(NamedTuple):
     lie_type: LieType
     ring: PolyRing
     taus: tuple[ExactPoly, ...]
@@ -664,8 +659,7 @@ def hirota_residual(system: TauSystem, k: int):
 # -- real-root experiment -----------------------------------------------------
 
 
-@dataclass(frozen=True)
-class RealRootReport:
+class RealRootReport(NamedTuple):
     lie_type: LieType
     samples: int
     seed: int

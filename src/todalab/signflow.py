@@ -9,7 +9,7 @@ taken at a node currently carrying a minus sign; those are the blow-ups.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import ValidationError
 from .rootdata import cartan_matrix
@@ -40,9 +40,9 @@ def all_minus(rank: int) -> tuple[int, ...]:
 
 
 def _flip_sets(C):
-    """For each node i, the set of j whose sign flips when s_i fires at a minus."""
+    """For each node i, the j whose sign flips when s_i fires at a minus."""
     n = len(C)
-    return [frozenset(j for j in range(n) if C[j][i] % 2 != 0) for i in range(n)]
+    return [tuple(j for j in range(n) if C[j][i] % 2 != 0) for i in range(n)]
 
 
 def reflect_sign(C, i: int, eps) -> tuple[int, ...]:
@@ -89,8 +89,7 @@ def eta(C, word, eps) -> int:
     return count
 
 
-@dataclass(frozen=True)
-class EtaTable:
+class EtaTable(NamedTuple):
     """eta(w, eps) for every group element, plus the transported signs."""
 
     group: WeylGroup
@@ -128,9 +127,11 @@ def propagate(C, parents, letters, eps):
         i = letters[eid]
         sig = transported[par]
         if sig[i] < 0:
-            fs = flips[i]
             values[eid] = values[par] + 1
-            transported[eid] = tuple(-s if j in fs else s for j, s in enumerate(sig))
+            new = list(sig)
+            for j in flips[i]:
+                new[j] = -new[j]
+            transported[eid] = tuple(new)
         else:
             values[eid] = values[par]
             transported[eid] = sig

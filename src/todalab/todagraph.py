@@ -9,15 +9,14 @@ Betti numbers of the compact group.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .exact import UniPoly
 from .signflow import EtaTable, eta_table, format_signs
 from .weyl import WeylGroup
 
 
-@dataclass(frozen=True)
-class BlowupGraph:
+class BlowupGraph(NamedTuple):
     group: WeylGroup
     eps: tuple[int, ...]
     table: EtaTable
@@ -100,8 +99,7 @@ def graph_to_dict(graph: BlowupGraph) -> dict:
     }
 
 
-@dataclass(frozen=True)
-class MatchingReport:
+class MatchingReport(NamedTuple):
     """Whether the edge set is a partial matching, and the Betti candidates.
 
     The incidence numbers on the edges are +/-2, so over the rationals each

@@ -13,9 +13,9 @@ from __future__ import annotations
 import functools
 import math
 import time
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product as iproduct
+from typing import NamedTuple
 
 import numpy as np
 
@@ -56,8 +56,7 @@ INVARIANT_DRIFT_TOL = 1e-8
 MODAL_FRACTION_MIN = 0.9
 
 
-@dataclass
-class CheckResult:
+class CheckResult(NamedTuple):
     number: int
     title: str
     passed: bool

@@ -165,8 +165,10 @@ class LabelTree(WordTree):
     """The numbers game (Bjorner-Brenti ch. 4): w is keyed by the Dynkin labels
     m of w^{-1} lambda, started at the labels of lambda.
 
-    w * s_i has m_j - m_i * C[i][j], and s_i is skipped exactly when
-    m_i <= 0: a descent when m_i < 0, and at m_i = 0 s_i fixes the key.
+    w * s_i has m_j - m_i * C[i][j], so only m_i and the labels of the
+    Cartan neighbours of i change; each row's nonzero (j, C[i][j]) pairs
+    are stored once.  s_i is skipped exactly when m_i <= 0: a descent when
+    m_i < 0, and at m_i = 0 s_i fixes the key.
     From rho no label is ever 0, so the tree is the whole group; from the
     fundamental weight omega_k over the leading (k+1) x (k+1) block it is
     the minimal right coset representatives of W_{J_(k-1)} in W_{J_k}.
@@ -176,10 +178,14 @@ class LabelTree(WordTree):
         super().__init__(tuple(labels), len(cartan))
         self.lie_type = lie_type
         self.cartan = cartan
+        self._row_support = [tuple((j, c) for j, c in enumerate(row) if c) for row in cartan]
 
     def _mul(self, m, i):
         mi = m[i]
-        return tuple(mj - mi * c for mj, c in zip(m, self.cartan[i]))
+        out = list(m)
+        for j, c in self._row_support[i]:
+            out[j] -= mi * c
+        return tuple(out)
 
     def _descent(self, m, i):
         return m[i] <= 0

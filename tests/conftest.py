@@ -3,6 +3,10 @@ import pytest
 from todalab.rootdata import LieType
 from todalab.weyl import WeylGroup
 
+# every finite type of rank 1-8
+FINITE_TYPES = ([f"{s}{l}" for s, lo in (("A", 1), ("B", 2), ("C", 2), ("D", 3))
+                 for l in range(lo, 9)] + ["E6", "E7", "E8", "F4", "G2"])
+
 
 def word_str(word) -> str:
     """Test oracle for a word label, 1-based letters: "e", "121", or dotted

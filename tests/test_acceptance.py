@@ -7,7 +7,6 @@ invariant drift, and a 90% modal threshold for the real-root experiment.
 """
 
 import functools
-from dataclasses import replace
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -128,7 +127,7 @@ def test_tau_literal_failure_names_the_type(monkeypatch):
         system = tau_functions(t)
         if t.series != "G":
             return system
-        return replace(system, taus=(system.taus[0], -system.taus[1]))
+        return system._replace(taus=(system.taus[0], -system.taus[1]))
 
     monkeypatch.setattr(verify, "tau_functions", hankel_sign_g2)
     passed, detail = verify.check_tau_literals(None, "fast")

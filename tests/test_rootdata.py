@@ -6,7 +6,6 @@ from todalab.errors import UnsupportedTypeError, ValidationError
 from todalab.exact import inverse as _invert_exact
 from todalab.rootdata import (
     LieType,
-    affine_marks,
     cartan_matrix,
     compact_dual_info,
     conventions_table,
@@ -28,6 +27,14 @@ ALL_SMALL = ["A1", "A2", "A3", "A4", "A5", "A6", "B2", "B3", "B4", "B5", "B6",
 
 def T(name):
     return LieType.parse(name)
+
+
+def affine_marks(t):
+    """The comarks: the null vector m of the extended Cartan matrix (C m = 0)
+    with m_0 = 1, i.e. the coordinates of theta^vee in the simple coroots."""
+    finite = LieType(t.series, t.rank)
+    d, theta = symmetrizer(finite), positive_roots(finite).positive[-1]
+    return (1,) + tuple(th * dj // max(d) for th, dj in zip(theta, d))
 
 
 class TestLieType:

@@ -2,6 +2,8 @@ from itertools import product
 
 import pytest
 
+from conftest import FINITE_TYPES
+from todalab.blowup_poly import CosetChain
 from todalab.errors import ValidationError
 from todalab.rootdata import LieType, cartan_matrix, compact_dual_info
 from todalab.signflow import (
@@ -11,6 +13,7 @@ from todalab.signflow import (
     eta_table,
     format_signs,
     parse_signs,
+    propagate,
     reflect_sign,
     reflect_sign_by_exponent,
 )
@@ -135,6 +138,22 @@ class TestEta:
                     word = g.word(eid)
                     assert table.values[eid] == eta(C, word, eps)
                     assert table.transported[eid] == act_word(C, word, eps)
+
+    @pytest.mark.parametrize("name", FINITE_TYPES)
+    def test_propagate_matches_reflect_sign_replay(self, name):
+        # the coset-chain trees, node by node: each child is its parent's
+        # sign under reflect_sign, one blow-up more when the letter sits at a minus
+        t = LieType.parse(name)
+        C = cartan_matrix(t)
+        for tree in CosetChain(t).steps:
+            for eps in signs(t.rank):
+                values, transported = propagate(C, tree.parents, tree.letters, eps)
+                assert values[0] == 0 and transported[0] == eps
+                for eid in range(1, len(tree)):
+                    par, i = tree.parents[eid], tree.letters[eid]
+                    sig = transported[par]
+                    assert transported[eid] == reflect_sign(C, i, sig)
+                    assert values[eid] == values[par] + (sig[i] < 0)
 
     def test_bounds_and_increments(self, group):
         g = group("B3")

@@ -1,15 +1,17 @@
 import hashlib
 import math
+import random
 from collections import Counter
 
 import pytest
 
-from conftest import word_str
+from conftest import FINITE_TYPES, word_str
 from todalab.affine import AffineWeylGroup
 from todalab.errors import CapExceededError, ValidationError
 from todalab.rootdata import (
     LieType,
     cartan_matrix,
+    extended_cartan,
     positive_roots,
     reflect_root,
     symmetrizer,
@@ -26,6 +28,11 @@ CLOSED_ORDERS = {
     "D3": 24, "D4": 192, "D5": 1920, "D6": 23040,
     "G2": 12, "F4": 1152, "E6": 51840,
 }
+
+
+# untwisted affine types for the numbers game on the extended Cartan matrix
+AFFINE_TYPES = [f"A{l}(1)" for l in range(1, 21)] + ["B3(1)", "C2(1)", "D4(1)", "E6(1)",
+                                                     "F4(1)", "G2(1)"]
 
 
 def closed_order(name):
@@ -127,6 +134,25 @@ class TestLabelTree:
         while tree.grow():
             pass
         assert Counter(tree.lengths) == Counter(group(name).lengths)
+
+    @pytest.mark.parametrize("name", FINITE_TYPES + AFFINE_TYPES)
+    def test_sparse_move_matches_dense_row(self, name):
+        # w * s_i touches only the Cartan neighbours of i; the dense formula
+        # m_j - m_i * C[i][j] over the whole row is the oracle, on every
+        # leading block of a finite type and on the extended matrices
+        t = LieType.parse(name)
+        if t.affine:
+            matrices = [extended_cartan(t)]
+        else:
+            C = cartan_matrix(t)
+            matrices = [[row[:k] for row in C[:k]] for k in range(1, t.rank + 1)]
+        rng = random.Random(name)
+        for C in matrices:
+            tree = LabelTree(t, C, (1,) * len(C))
+            for _ in range(20):
+                m = tuple(rng.randint(-9, 9) for _ in C)
+                for i, row in enumerate(C):
+                    assert tree._mul(m, i) == tuple(mj - m[i] * c for mj, c in zip(m, row))
 
     def test_fundamental_weight_stabilizer_is_skipped(self):
         # from omega_2 of A2, s_1 fixes the labels (0, 1) and is not taken
