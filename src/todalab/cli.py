@@ -42,7 +42,7 @@ from .schurtau import (
     tau_functions,
 )
 from .signflow import all_minus, eta_table, format_signs, parse_signs
-from .todagraph import build_graph, graph_to_dict, matching_report, to_dot
+from .todagraph import build_graph, fill_rows, graph_to_dict, matching_report, to_dot
 from .weyl import DEFAULT_CAP, WeylGroup, check_order
 
 SCHEMA_VERSION = 1
@@ -130,10 +130,10 @@ class IndentEncoder(json.JSONEncoder):
             inner = nl + "  "
             if all(type(x) is int for x in o):  # not bool: int.__repr__(True) is "1"
                 body = ("," + inner).join(map(_int, o))
-            elif _int_rows(o):  # e.g. graph edges: one "%d" template per row
-                cell = inner + "  "
+            elif _int_rows(o):  # e.g. graph edges: "%d" templates filled per slice of rows
+                cell, sep = inner + "  ", "," + inner
                 row = f"[{cell}{(',' + cell).join(['%d'] * len(o[0]))}{inner}]"
-                body = ("," + inner).join(map(row.__mod__, o))
+                body = sep.join(fill_rows(row, sep, o))
             else:
                 render = self._render
                 body = ("," + inner).join([

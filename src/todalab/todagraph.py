@@ -9,6 +9,7 @@ Betti numbers of the compact group.
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import NamedTuple
 
 from .exact import UniPoly
@@ -49,23 +50,46 @@ def build_graph(group: WeylGroup, eps) -> BlowupGraph:
 
 
 def components(graph: BlowupGraph) -> list[list[int]]:
-    """Undirected connected components, each sorted, ordered by smallest member."""
+    """Undirected connected components, each sorted, ordered by smallest member.
+
+    Union-find with path halving, rooted at the smallest id of each set, so
+    parent[v] <= v throughout: one pass in id order then resolves every
+    vertex from its already-resolved parent.
+    """
     parent = list(range(graph.num_vertices))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
     for a, b in graph.edges:
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[max(ra, rb)] = min(ra, rb)
-    groups = {}
-    for v in range(graph.num_vertices):
-        groups.setdefault(find(v), []).append(v)
-    return [sorted(groups[r]) for r in sorted(groups)]
+        while parent[a] != a:
+            parent[a] = a = parent[parent[a]]
+        while parent[b] != b:
+            parent[b] = b = parent[parent[b]]
+        if a < b:
+            parent[b] = a
+        elif b < a:
+            parent[a] = b
+    groups = {}  # a root is its set's smallest id, so its first vertex
+    for v in range(len(parent)):
+        root = parent[v] = parent[parent[v]]
+        groups.setdefault(root, []).append(v)
+    return list(groups.values())
+
+
+ROWS_PER_SLICE = 4096
+
+
+def fill_rows(row: str, sep: str, rows) -> list[str]:
+    """``sep.join(row % r for r in rows)`` cut into slices of ``ROWS_PER_SLICE`` rows.
+
+    Each slice fills one joined template from its rows' flattened cells, so
+    no string is made per row; ``sep.join`` of the slices is the whole text.
+    """
+    size = ROWS_PER_SLICE
+    block = sep.join([row] * size)
+    out = []
+    for start in range(0, len(rows), size):
+        piece = rows[start:start + size]
+        text = block if len(piece) == size else sep.join([row] * len(piece))
+        out.append(text % tuple(chain.from_iterable(piece)))
+    return out
 
 
 def to_dot(graph: BlowupGraph) -> str:
@@ -82,7 +106,7 @@ def to_dot(graph: BlowupGraph) -> str:
     rows = zip(graph.group.word_labels(), graph.table.values, graph.table.sign_labels())
     lines += [f'  n{eid} [label="{word}|eta={value}|{sign}"];'
               for eid, (word, value, sign) in enumerate(rows)]
-    lines += [f"  n{a} -> n{b};" for a, b in graph.edges]
+    lines += fill_rows("  n%d -> n%d;", "\n", graph.edges)
     lines += ["}", ""]  # the final newline, without copying the joined text
     return "\n".join(lines)
 

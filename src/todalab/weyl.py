@@ -3,20 +3,25 @@
 A group element is an integer id.  Ids run in (length, key) order, so the
 identity is id 0 and the longest element the last id; ``multiply``,
 ``inverse``, ``act_on_word`` and ``longest_element`` all return ids.
-Behind each id the group keeps the element's permutation of the root list
-(stored as ``bytes``: root index -> root index), which makes equality
-canonical and lets ``bytes.translate`` do permutation composition at C
-speed.  Generation is a breadth-first closure over the simple reflections
-(``WordTree``); the BFS tree also hands every element a witness reduced word
-for free.  ``LabelTree`` runs the same tree on Dynkin labels instead of root
+Behind each id the group keeps the element's permutation of the 2N roots
+(``perms``: 2N ``bytes``, root index -> root index).  The simple roots sit
+at indices 0..rank-1 and form a basis, so the first ``rank`` bytes, the
+images of the simple roots, already fix the element: ``index`` is keyed by
+that prefix, which sorts as the whole permutation does.  Composition is
+``bytes.translate`` at C speed, on a 256-byte table ``p + tail`` formed
+only where one is read (the BFS frontier, ``multiply`` and the
+right-multiplication tables).  Generation is a breadth-first closure over
+the simple reflections (``WordTree``) that dedupes children by their
+prefix and forms the whole permutation once, for the child it keeps; the
+BFS tree also hands every element a witness reduced word for free.
+``LabelTree`` runs the same tree on Dynkin labels instead of root
 permutations: it walks the coset chain of ``blowup_poly`` and the affine
 Weyl groups of ``affine``.
 
 Whole-group passes work on ids, not keys: Bruhat covers come from one
-right-multiplication table of ids per reflection (``reflection_tables``,
-whose simple tables look elements up by the images of the simple roots
-alone), and the witness-word labels from one walk over the tree's parents
-and letters.
+right-multiplication table of ids per reflection (``reflection_tables``),
+and the witness-word labels from one walk over the tree's parents and
+letters.
 """
 
 from __future__ import annotations
@@ -72,10 +77,13 @@ class WordTree:
 
     Element ids run in (length, key) order; node k > 0 is node
     ``parents[k]`` followed by the letter ``letters[k]``, so the tree hands
-    every element a witness reduced word.  A subclass supplies the identity
-    key, the generator count, a ``lie_type`` and two primitives:
-    ``_mul(key, i)``, the key of w * s_i, and ``_descent(key, i)``, whether
-    l(w * s_i) < l(w).
+    every element a witness reduced word.  ``index`` maps the index key of
+    each element to its id.  A subclass supplies the identity key, the
+    generator count, a ``lie_type`` and two primitives on the table
+    ``_table(key)`` of w: ``_mul(t, i)``, the index key of w * s_i, and
+    ``_descent(t, i)``, whether l(w * s_i) < l(w).  By default the table,
+    the stored key and the index key are all the key itself;
+    ``_key(q, t, i)`` gives the stored key of w * s_i when it is not q.
     """
 
     def __init__(self, identity, generators: int):
@@ -91,29 +99,38 @@ class WordTree:
     def __len__(self):
         return len(self.keys)
 
+    def _table(self, key):
+        return key
+
+    def _key(self, q, t, i):
+        return q
+
     def grow(self, cap=None) -> bool:
         """Add the next length level; False once the group is exhausted.
 
-        Within a level new keys are sorted, and the first (parent, letter)
-        found in frontier x generator order becomes the tree edge.
+        Within a level new index keys are sorted, and the first (parent,
+        letter) found in frontier x generator order becomes the tree edge;
+        the stored key is formed once, for that edge.
         """
-        mul, descent = self._mul, self._descent
+        mul, descent, table = self._mul, self._descent, self._table
+        keys = self.keys
         new = {}
-        for eid in range(self._top, len(self.keys)):
-            key = self.keys[eid]
+        for eid in range(self._top, len(keys)):
+            t = table(keys[eid])
             for i in range(self.generators):
-                if descent(key, i):
+                if descent(t, i):
                     continue
-                q = mul(key, i)
+                q = mul(t, i)
                 if q not in new:
-                    new[q] = (eid, i)
-        if cap is not None and len(self.keys) + len(new) > cap:
+                    new[q] = (eid, i, t)
+        if cap is not None and len(keys) + len(new) > cap:
             raise CapExceededError(f"{self.lie_type}: group exceeds cap={cap} during generation")
-        self._top = len(self.keys)
+        self._top = len(keys)
+        key = self._key
         for q in sorted(new):
-            par, i = new[q]
-            self.index[q] = len(self.keys)
-            self.keys.append(q)
+            par, i, t = new[q]
+            self.index[q] = len(keys)
+            keys.append(key(q, t, i))
             self.lengths.append(self.lengths[par] + 1)
             self.parents.append(par)
             self.letters.append(i)
@@ -134,7 +151,8 @@ class WordTree:
         key = self.keys[0]
         for i in word:
             self._check_letter(i)
-            key = self._mul(key, i)
+            t = self._table(key)
+            key = self._key(self._mul(t, i), t, i)
         return key
 
     def is_reduced(self, word) -> bool:
@@ -142,9 +160,10 @@ class WordTree:
         key = self.keys[0]
         for i in word:
             self._check_letter(i)
-            if self._descent(key, i):
+            t = self._table(key)
+            if self._descent(t, i):
                 return False
-            key = self._mul(key, i)
+            key = self._key(self._mul(t, i), t, i)
         return True
 
     def all_reduced_words(self, eid: int) -> frozenset:
@@ -152,11 +171,11 @@ class WordTree:
         memo = self._words_memo
         got = memo.get(eid)
         if got is None:
-            key = self.keys[eid]
+            t = self._table(self.keys[eid])
             got = memo[eid] = frozenset(
                 wd + (i,)
-                for i in range(self.generators) if self._descent(key, i)
-                for wd in self.all_reduced_words(self.index[self._mul(key, i)])
+                for i in range(self.generators) if self._descent(t, i)
+                for wd in self.all_reduced_words(self.index[self._mul(t, i)])
             )
         return got
 
@@ -192,23 +211,41 @@ class LabelTree(WordTree):
 
 
 class WeylGroup(WordTree):
-    """Fully enumerated Weyl group of a finite type, keyed by root permutations."""
+    """Fully enumerated Weyl group of a finite type, keyed by the images of
+    the simple roots.
+
+    ``perms[k]`` is the 2N-byte root permutation of element k and
+    ``index`` maps its first ``rank`` bytes to k.  ``simple_perms`` are
+    256-byte ``bytes.translate`` tables; the table of w is ``p + tail``.
+    """
 
     def __init__(self, lie_type: LieType, roots, simple_perms):
-        super().__init__(_PAD, len(simple_perms))
+        n, rank = len(roots), len(simple_perms)
+        super().__init__(_PAD[:n], rank)
+        self.index = {_PAD[:rank]: 0}
         self.lie_type = lie_type
         self.roots = roots                  # positives then negatives, same order
-        self.num_positive = len(roots) // 2
+        self.num_positive = n // 2
         self.simple_perms = simple_perms
         self.perms = self.keys              # list[bytes], id order = (length, perm)
+        self._tail = _PAD[n:]
+        self._heads = [s[:rank] for s in simple_perms]  # s_i(alpha_j), j < rank
+        self._bodies = [s[:n] for s in simple_perms]
         self._reflections = None
         self._labels = None
 
-    def _mul(self, p: bytes, i: int) -> bytes:
-        return self.simple_perms[i].translate(p)
+    def _table(self, p: bytes) -> bytes:
+        return p + self._tail
 
-    def _descent(self, p: bytes, i: int) -> bool:
-        return p[i] >= self.num_positive     # w(alpha_i) < 0
+    def _mul(self, t: bytes, i: int) -> bytes:
+        # (w s_i)(alpha_j) = w(s_i alpha_j): the prefix of w * s_i
+        return self._heads[i].translate(t)
+
+    def _key(self, q: bytes, t: bytes, i: int) -> bytes:
+        return self._bodies[i].translate(t)
+
+    def _descent(self, t: bytes, i: int) -> bool:
+        return t[i] >= self.num_positive     # w(alpha_i) < 0
 
     # -- construction ------------------------------------------------------
 
@@ -219,8 +256,8 @@ class WeylGroup(WordTree):
         Refuses up front, from the closed-form order, a group of more than
         ``cap`` elements or more than ``MAX_ELEMENTS`` whatever the cap; the
         per-level check in ``grow`` stays as a backstop.  E7 is opt-in by
-        raising the cap (cap=3_000_000): its 2.9e6 elements take about 30 s
-        and 1.8 GB of padded permutation tables.
+        raising the cap (cap=3_000_000): its 2.9e6 elements, each a 126-byte
+        permutation under a 7-byte index key, take about 10 s and 1.1 GB.
         """
         order = check_order(lie_type, cap)
         rs = positive_roots(lie_type)
@@ -276,15 +313,15 @@ class WeylGroup(WordTree):
         return len(self) - 1
 
     def multiply(self, a: int, b: int) -> int:
-        """Id of w_a * w_b."""
-        return self.index[self.perms[b].translate(self.perms[a])]
+        """Id of w_a * w_b, looked up by (w_a w_b)(alpha_j) = w_a(w_b(alpha_j))."""
+        return self.index[self.perms[b][:self.generators].translate(self._table(self.perms[a]))]
 
     def act_on_word(self, word) -> int:
         """Id of the product of the simple reflections of ``word``."""
-        return self.index[self.key_of_word(word)]
+        return self.index[self.key_of_word(word)[:self.generators]]
 
     def inverse(self, a: int) -> int:
-        return self.index[invert(self.perms[a])]
+        return self.index[invert(self.perms[a])[:self.generators]]
 
     # -- Bruhat covers ---------------------------------------------------------
 
@@ -315,17 +352,14 @@ class WeylGroup(WordTree):
         """Yield one right-multiplication id table per positive root,
         T[w] = id(w * r_beta); each table is an involution.
 
-        The simple tables R_i[w] = id(w * s_i) come from short keys: the
-        simple roots form a basis, so w is fixed by its first ``rank``
-        images, and (w s_i)(alpha_j) = w(s_i alpha_j) makes
-        ``simple_perms[i][:rank].translate(perm)`` the short key of w * s_i.
-        The conjugation walk of ``reflections()`` then gives
-        T_{s_i beta}[w] = R_i[T_beta[R_i[w]]], holding only the frontier.
+        The simple tables R_i[w] = id(w * s_i) are read from ``index`` by
+        the prefix of w * s_i, as ``grow`` forms it.  The conjugation walk
+        of ``reflections()`` then gives T_{s_i beta}[w] = R_i[T_beta[R_i[w]]],
+        holding only the frontier.
         """
-        rank, perms = self.generators, self.perms
-        short = {p[:rank]: eid for eid, p in enumerate(perms)}
-        right = [[short[head(p)] for p in perms]
-                 for head in [s[:rank].translate for s in self.simple_perms]]
+        rank, index, tail = self.generators, self.index, self._tail
+        right = [[index[head(p + tail)] for p in self.perms]
+                 for head in [h.translate for h in self._heads]]
         npos = self.num_positive
         done = [k < rank for k in range(npos)]
         frontier = list(enumerate(right))  # simple root alpha_i sits at index i

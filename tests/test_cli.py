@@ -4,6 +4,7 @@ import io
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 import time
@@ -571,6 +572,16 @@ def encode(doc):
 @settings(derandomize=True, max_examples=300, deadline=None)
 @given(doc=DOCUMENTS)
 def test_encoder_matches_stdlib(doc):
+    assert encode(doc) == json.dumps(doc, sort_keys=True, indent=2)
+
+
+@pytest.mark.parametrize("count", [0, 1, 4095, 4096, 4097, 3 * 4096 + 7])
+def test_encoder_matches_stdlib_past_one_slice_of_rows(count):
+    # int rows are filled one template per slice of 4096; DOCUMENTS never
+    # builds a list that long
+    rng = random.Random(count)
+    edges = [(rng.randrange(10 ** 6), rng.randrange(-10 ** 40, 10 ** 40)) for _ in range(count)]
+    doc = {"edges": edges, "nested": [{"rows": tuple(edges)}, edges[:5]]}
     assert encode(doc) == json.dumps(doc, sort_keys=True, indent=2)
 
 

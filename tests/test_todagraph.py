@@ -1,3 +1,4 @@
+import random
 from itertools import product
 
 import pytest
@@ -98,6 +99,35 @@ class TestComponents:
         assert sorted(seen) == list(range(graph.num_vertices))
 
 
+    @pytest.mark.parametrize("seed", range(6))
+    def test_random_edges_match_search(self, seed, group):
+        # union-find against a depth-first search, on random edge sets over D4
+        rng = random.Random(seed)
+        graph = build_graph(group("D4"), all_minus(4))
+        n = graph.num_vertices
+        edges = tuple(sorted((rng.randrange(n), rng.randrange(n))
+                             for _ in range(rng.choice([10, n // 2, n, 3 * n]))))
+        graph = graph._replace(edges=edges)
+        adj = [[] for _ in range(n)]
+        for a, b in edges:
+            adj[a].append(b)
+            adj[b].append(a)
+        seen, want = set(), []
+        for v in range(n):
+            if v not in seen:
+                seen.add(v)
+                stack, comp = [v], []
+                while stack:
+                    x = stack.pop()
+                    comp.append(x)
+                    for y in adj[x]:
+                        if y not in seen:
+                            seen.add(y)
+                            stack.append(y)
+                want.append(sorted(comp))
+        assert components(graph) == want
+
+
 class TestPolynomialConsistency:
     @pytest.mark.parametrize("name", ["A1", "A2", "A3", "B2", "B3", "C3", "G2"])
     def test_alternating_sum_is_p(self, name, group):
@@ -158,6 +188,18 @@ class TestExports:
         g1 = to_dot(build_graph(group("A3"), all_minus(3)))
         g2 = to_dot(build_graph(group("A3"), all_minus(3)))
         assert g1 == g2
+
+    @pytest.mark.parametrize("name, eps", [("D5", (1, -1, 1, -1, 1)), ("B5", all_minus(5))])
+    def test_dot_matches_per_line_rendering(self, name, eps, group):
+        # 5672 and 8428 edges: edge lines are filled one template per 4096
+        graph = build_graph(group(name), eps)
+        assert len(graph.edges) > 4096
+        head, _, _ = to_dot(graph).partition("  n0 [")
+        rows = zip(graph.group.word_labels(), graph.table.values, graph.table.sign_labels())
+        lines = [f'  n{eid} [label="{word}|eta={value}|{sign}"];'
+                 for eid, (word, value, sign) in enumerate(rows)]
+        lines += [f"  n{a} -> n{b};" for a, b in graph.edges]
+        assert to_dot(graph) == head + "\n".join(lines) + "\n}\n"
 
     def test_json_schema(self, group):
         doc = graph_to_dict(build_graph(group("A2"), (-1, -1)))

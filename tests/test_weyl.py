@@ -220,7 +220,7 @@ def covers_by_translate(g):
     covers = []
     for eid, p in enumerate(g.perms):
         for t in g.reflections():
-            vid = g.index[t.translate(p)]
+            vid = g.index[t.translate(pad_table(p))[:g.generators]]
             if g.lengths[vid] == g.lengths[eid] + 1:
                 covers.append((eid, vid))
     covers.sort()
@@ -252,7 +252,8 @@ class TestBruhatCovers:
         tables = list(g.reflection_tables())
         assert len(tables) == g.num_positive
         assert all(t[x] == w for t in tables for w, x in enumerate(t))
-        want = {tuple(g.index[r.translate(p)] for p in g.perms) for r in g.reflections()}
+        want = {tuple(g.index[r.translate(pad_table(p))[:g.generators]] for p in g.perms)
+                for r in g.reflections()}
         assert set(map(tuple, tables)) == want
 
     def test_e6_pinned(self, group):
@@ -326,6 +327,67 @@ class TestWordLabels:
         assert {"9.10", "10.9", "10", "9", "123"} <= set(labels)
         for eid, label in enumerate(labels):
             assert ("." in label) == (max(g.word(eid), default=0) > 8 and g.lengths[eid] > 1)
+
+
+# every FINITE_TYPES group no larger than W(E6)
+UP_TO_E6 = [name for name in FINITE_TYPES
+            if weyl_order(LieType.parse(name)) <= weyl_order(LieType.parse("E6"))]
+
+
+def padded_bfs(name):
+    """Reference generation over 256-byte padded root permutations, deduped
+    and sorted by the whole table: (keys, lengths, parents, letters, simple)."""
+    t = LieType.parse(name)
+    C = cartan_matrix(t)
+    pos = list(positive_roots(t).positive)
+    roots = pos + [tuple(-c for c in b) for b in pos]
+    where = {b: i for i, b in enumerate(roots)}
+    simple = [pad_table(bytes(where[reflect_root(C, b, i)] for b in roots))
+              for i in range(t.rank)]
+    keys, lengths, parents, letters = [pad_table(b"")], [0], [-1], [-1]
+    top = 0
+    while True:
+        new = {}
+        for eid in range(top, len(keys)):
+            p = keys[eid]
+            for i, s in enumerate(simple):
+                if p[i] < len(pos):  # w(alpha_i) > 0: an ascent
+                    new.setdefault(s.translate(p), (eid, i))
+        if not new:
+            return keys, lengths, parents, letters, simple
+        top = len(keys)
+        for q in sorted(new):
+            par, i = new[q]
+            keys.append(q)
+            lengths.append(lengths[par] + 1)
+            parents.append(par)
+            letters.append(i)
+
+
+@pytest.mark.parametrize("name", UP_TO_E6)
+def test_prefix_index_matches_padded_bfs(name, group):
+    # the images of the simple roots fix w and sort as the whole permutation
+    g = group(name)
+    keys, lengths, parents, letters, simple = padded_bfs(name)
+    n, rank = len(g.roots), g.generators
+    assert all(len(p) == n for p in g.perms)
+    assert [pad_table(p) for p in g.perms] == keys
+    assert (g.lengths, g.parents, g.letters) == (lengths, parents, letters)
+    assert len({p[:rank] for p in g.perms}) == len(g)
+    assert g.index == {p[:rank]: eid for eid, p in enumerate(g.perms)}
+    # the group operations against their full-permutation definitions
+    full = {p: eid for eid, p in enumerate(keys)}
+    rng = random.Random(name)
+    for a in rng.sample(range(len(g)), min(len(g), 500)):
+        b = rng.randrange(len(g))
+        assert g.multiply(a, b) == full[keys[b].translate(keys[a])]
+        inverse = bytes(sorted(range(256), key=keys[a].__getitem__))
+        assert g.inverse(a) == full[inverse]
+        word = [rng.randrange(rank) for _ in range(rng.randrange(2 * g.num_positive))]
+        p = keys[0]
+        for i in word:
+            p = simple[i].translate(p)
+        assert g.act_on_word(word) == full[p]
 
 
 class TestCapsAndDeterminism:
