@@ -15,6 +15,7 @@ import io
 import itertools
 import json
 import math
+import operator
 import sys
 
 from . import __version__
@@ -42,7 +43,14 @@ from .schurtau import (
     tau_functions,
 )
 from .signflow import all_minus, eta_table, format_signs, parse_signs
-from .todagraph import build_graph, fill_rows, graph_to_dict, matching_report, to_dot
+from .todagraph import (
+    ROWS_PER_SLICE,
+    build_graph,
+    fill_rows,
+    graph_to_dict,
+    matching_report,
+    to_dot,
+)
 from .weyl import DEFAULT_CAP, WeylGroup, check_order
 
 SCHEMA_VERSION = 1
@@ -71,14 +79,19 @@ def _type_and_sign(args):
 
 
 def _emit(text: str, args):
+    _emit_pieces((text,), args)
+
+
+def _emit_pieces(pieces, args):
+    """Write the strings of ``pieces`` in turn to ``--out`` or stdout."""
     if getattr(args, "out", None):
         try:
             with open(args.out, "w", encoding="utf-8", newline="") as fh:
-                fh.write(text)
+                fh.writelines(pieces)
         except OSError as exc:
             raise ValidationError(f"cannot write --out {args.out!r}: {exc.strerror}") from exc
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(pieces)
 
 
 _JSON_DEFAULTS = {"skipkeys": False, "ensure_ascii": True, "check_circular": True,
@@ -96,11 +109,43 @@ def _float(x: float) -> str:
     return float.__repr__(x)
 
 
-def _int_rows(o) -> bool:
-    """Whether ``o`` holds only tuples of one nonzero length, of plain ints."""
-    return (type(o[0]) is tuple and set(map(type, o)) == {tuple}
-            and len(set(map(len, o))) == 1
-            and set(map(type, itertools.chain.from_iterable(o))) == {int})
+def _template_rows(o, inner: str):
+    """A ``%`` template for each item of ``o`` and an iterable of the items'
+    cells, when ``o`` is a run of like rows whose lines start with ``inner``;
+    else None.
+
+    Two kinds qualify: tuples of one nonzero length holding plain ints (graph
+    edges), and dicts with one nonempty set of str keys where under each key
+    every value is a str or every value is a plain int (vertex and eta
+    records).  Not bool: ``"%d" % True`` is "1".
+    """
+    cell = inner + "  "
+    first = o[0]
+    if type(first) is tuple:
+        if (set(map(type, o)) == {tuple} and len(set(map(len, o))) == 1
+                and set(map(type, itertools.chain.from_iterable(o))) == {int}):
+            return f"[{cell}{(',' + cell).join(['%d'] * len(first))}{inner}]", o
+        return None
+    if (type(first) is not dict or not first or set(map(type, o)) != {dict}
+            or set(map(len, o)) != {len(first)} or set(map(type, first)) != {str}):
+        return None
+    items, cols = [], []
+    for key in sorted(first):
+        cell_value = operator.itemgetter(key)
+        try:
+            kind = set(map(type, map(cell_value, o)))
+        except KeyError:  # a dict with other keys
+            return None
+        if kind == {str}:
+            cols.append(map(_ascii, map(cell_value, o)))
+            cell_format = ": %s"
+        elif kind == {int}:
+            cols.append(map(cell_value, o))
+            cell_format = ": %d"
+        else:
+            return None
+        items.append(_ascii(key).replace("%", "%%") + cell_format)
+    return f"{{{cell}{(',' + cell).join(items)}{inner}}}", zip(*cols)
 
 
 class IndentEncoder(json.JSONEncoder):
@@ -130,10 +175,9 @@ class IndentEncoder(json.JSONEncoder):
             inner = nl + "  "
             if all(type(x) is int for x in o):  # not bool: int.__repr__(True) is "1"
                 body = ("," + inner).join(map(_int, o))
-            elif _int_rows(o):  # e.g. graph edges: "%d" templates filled per slice of rows
-                cell, sep = inner + "  ", "," + inner
-                row = f"[{cell}{(',' + cell).join(['%d'] * len(o[0]))}{inner}]"
-                body = sep.join(fill_rows(row, sep, o))
+            elif (filled := _template_rows(o, inner)) is not None:
+                row, rows = filled  # one template filled per slice of rows
+                body = ("," + inner).join(fill_rows(row, "," + inner, rows))
             else:
                 render = self._render
                 body = ("," + inner).join([
@@ -170,12 +214,22 @@ def _emit_json(payload: dict, args):
 
 
 def _emit_csv(rows, header, args):
+    """Header and rows as CSV, rendered and written one slice of rows at a time."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\r\n")
     writer.writerow(header)
-    for row in rows:
-        writer.writerow(row)
-    _emit(buf.getvalue(), args)
+    rows = iter(rows)
+
+    def pieces():
+        while True:
+            writer.writerows(itertools.islice(rows, ROWS_PER_SLICE))
+            if not buf.tell():
+                return
+            yield buf.getvalue()
+            buf.seek(0)
+            buf.truncate()
+
+    _emit_pieces(pieces(), args)
 
 
 # -- subcommand handlers -------------------------------------------------------

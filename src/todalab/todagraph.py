@@ -9,7 +9,7 @@ Betti numbers of the compact group.
 
 from __future__ import annotations
 
-from itertools import chain
+from itertools import chain, islice
 from typing import NamedTuple
 
 from .exact import UniPoly
@@ -31,22 +31,24 @@ class BlowupGraph(NamedTuple):
 def build_graph(group: WeylGroup, eps) -> BlowupGraph:
     """Edges = Bruhat covers with equal eta and equal transported sign.
 
-    With K classes of (eta, transported sign) and key[w] = l(w) K + class(w),
-    a reflection table entry w -> v is such an edge exactly when
-    key[v] == key[w] + K, so only the edges are ever formed.
+    r_beta * w carries the sign w^{-1} r_beta eps, which is w's exactly when
+    r_beta fixes eps, so only the tables of the reflections fixing eps are
+    walked; they are closed under their own reflections.  With M = max eta + 1
+    and key[w] = l(w) M + eta(w), such a table's entry w -> v is an edge
+    exactly when key[v] == key[w] + M, so only the edges are ever formed.
     """
     table = eta_table(group, eps)
-    classes = {}  # (eta, transported sign) -> class id
-    cls = [classes.setdefault(key, len(classes)) for key in zip(table.values, table.transported)]
-    k = len(classes)
-    key = [n * k + c for n, c in zip(group.lengths, cls)]
+    rank, index, signs = group.generators, group.index, table.transported
+    fixed = [k for k, r in enumerate(group.reflections()) if signs[index[r[:rank]]] == table.eps]
+    m = max(table.values) + 1
+    key = [n * m + e for n, e in zip(group.lengths, table.values)]
     ids = list(range(len(group)))  # one int object per id, shared by the pairs
-    up = [x + k for x in key]
+    up = [x + m for x in key]
     edges = []
-    for t in group.reflection_tables():
+    for t in group.reflection_tables(fixed):
         edges += [(w, v) for w, v, x in zip(ids, t, up) if key[v] == x]
     edges.sort()
-    return BlowupGraph(group, tuple(eps), table, tuple(edges))
+    return BlowupGraph(group, table.eps, table, tuple(edges))
 
 
 def components(graph: BlowupGraph) -> list[list[int]]:
@@ -80,13 +82,15 @@ def fill_rows(row: str, sep: str, rows) -> list[str]:
     """``sep.join(row % r for r in rows)`` cut into slices of ``ROWS_PER_SLICE`` rows.
 
     Each slice fills one joined template from its rows' flattened cells, so
-    no string is made per row; ``sep.join`` of the slices is the whole text.
+    no string is made per row; ``rows`` may be any iterable, and only one
+    slice of it is held at a time.  ``sep.join`` of the slices is the whole
+    text.
     """
     size = ROWS_PER_SLICE
     block = sep.join([row] * size)
+    rows = iter(rows)
     out = []
-    for start in range(0, len(rows), size):
-        piece = rows[start:start + size]
+    while piece := list(islice(rows, size)):
         text = block if len(piece) == size else sep.join([row] * len(piece))
         out.append(text % tuple(chain.from_iterable(piece)))
     return out

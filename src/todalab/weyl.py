@@ -9,19 +9,23 @@ at indices 0..rank-1 and form a basis, so the first ``rank`` bytes, the
 images of the simple roots, already fix the element: ``index`` is keyed by
 that prefix, which sorts as the whole permutation does.  Composition is
 ``bytes.translate`` at C speed, on a 256-byte table ``p + tail`` formed
-only where one is read (the BFS frontier, ``multiply`` and the
-right-multiplication tables).  Generation is a breadth-first closure over
-the simple reflections (``WordTree``) that dedupes children by their
-prefix and forms the whole permutation once, for the child it keeps; the
-BFS tree also hands every element a witness reduced word for free.
+only where one is read (the BFS frontier and ``multiply``).  Generation
+is a breadth-first closure over the simple reflections (``WordTree``)
+that dedupes children by their prefix and forms the whole permutation
+once, for the child it keeps; the BFS tree also hands every element a
+witness reduced word for free.
 ``LabelTree`` runs the same tree on Dynkin labels instead of root
 permutations: it walks the coset chain of ``blowup_poly`` and the affine
 Weyl groups of ``affine``.
 
 Whole-group passes work on ids, not keys: Bruhat covers come from one
-right-multiplication table of ids per reflection (``reflection_tables``),
-and the witness-word labels from one walk over the tree's parents and
-letters.
+left-multiplication table of ids per reflection, T[w] = id(r_beta * w)
+(``reflection_tables``), and the witness-word labels from one walk over
+the tree's parents and letters.  The walker takes any set of positive
+roots closed under its own reflections: it reads the tables of the set's
+simple roots from ``index``, by the images r_beta(w(alpha_j)) of the
+simple roots, and composes the rest by conjugation.  The blow-up graph
+walks only the reflections that fix its sign.
 """
 
 from __future__ import annotations
@@ -78,8 +82,8 @@ class WordTree:
     Element ids run in (length, key) order; node k > 0 is node
     ``parents[k]`` followed by the letter ``letters[k]``, so the tree hands
     every element a witness reduced word.  ``index`` maps the index key of
-    each element to its id.  A subclass supplies the identity key, the
-    generator count, a ``lie_type`` and two primitives on the table
+    each element to its id, in id order.  A subclass supplies the identity
+    key, the generator count, a ``lie_type`` and two primitives on the table
     ``_table(key)`` of w: ``_mul(t, i)``, the index key of w * s_i, and
     ``_descent(t, i)``, whether l(w * s_i) < l(w).  By default the table,
     the stored key and the index key are all the key itself;
@@ -348,37 +352,44 @@ class WeylGroup(WordTree):
         self._reflections = refl
         return refl
 
-    def reflection_tables(self) -> Iterator[list[int]]:
-        """Yield one right-multiplication id table per positive root,
-        T[w] = id(w * r_beta); each table is an involution.
+    def reflection_tables(self, roots=None) -> Iterator[list[int]]:
+        """Yield one left-multiplication id table per root of ``roots``,
+        T[w] = id(r_beta * w); each table is an involution, and T[0] is
+        the id of r_beta itself.
 
-        The simple tables R_i[w] = id(w * s_i) are read from ``index`` by
-        the prefix of w * s_i, as ``grow`` forms it.  The conjugation walk
-        of ``reflections()`` then gives T_{s_i beta}[w] = R_i[T_beta[R_i[w]]],
-        holding only the frontier.
+        ``roots`` are positive-root indices closed under their own
+        reflections (default: every positive root).  Only the tables of the
+        set's simple roots, those whose reflection keeps every other root of
+        the set positive, are read from ``index``: r_beta * w sends alpha_j
+        to r_beta(w(alpha_j)), and ``index`` lists the prefixes in id order.
+        The conjugation walk r_{r_d beta} = r_d r_beta r_d then composes
+        T_{r_d beta}[w] = T_d[T_beta[T_d[w]]], holding only the simple
+        tables and the frontier.
         """
-        rank, index, tail = self.generators, self.index, self._tail
-        right = [[index[head(p + tail)] for p in self.perms]
-                 for head in [h.translate for h in self._heads]]
-        npos = self.num_positive
-        done = [k < rank for k in range(npos)]
-        frontier = list(enumerate(right))  # simple root alpha_i sits at index i
+        refl, index, npos = self.reflections(), self.index, self.num_positive
+        todo = set(range(npos) if roots is None else roots)
+        simple = [k for k in sorted(todo) if all(refl[k][j] < npos for j in todo if j != k)]
+        todo.difference_update(simple)
+        tables = [[index[q.translate(refl[k])] for q in index] for k in simple]
+        frontier = list(zip(simple, tables))
         while frontier:
             nxt = []
             for k, table in frontier:
                 yield table
-                for s, r in zip(self.simple_perms, right):
-                    j = s[k]  # index of s_i(beta_k)
-                    if j < npos and not done[j]:
-                        done[j] = True
-                        nxt.append((j, [r[table[x]] for x in r]))
+                for d, dt in zip(simple, tables):
+                    j = refl[d][k]  # index of r_d(beta_k)
+                    if j in todo:
+                        todo.remove(j)
+                        nxt.append((j, [dt[table[x]] for x in dt]))
             frontier = nxt
 
     def bruhat_covers(self) -> list[tuple[int, int]]:
         """All pairs (id(w), id(v)) with w -> v a Bruhat cover (l(v)=l(w)+1), sorted.
 
         The covers of w are the w*t of length l(w)+1 over the reflections t
-        (Bjorner-Brenti, ch. 2), read off ``reflection_tables()``.
+        (Bjorner-Brenti, ch. 2); as w*t = (w t w^{-1})*w they are also the
+        r_beta*w of length l(w)+1, read off the left tables of
+        ``reflection_tables()``.
         """
         lengths = self.lengths
         ids = list(range(len(self)))  # one int object per id, shared by the pairs

@@ -1,3 +1,4 @@
+import csv
 import hashlib
 import importlib
 import io
@@ -17,9 +18,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import todalab
+from conftest import word_str
 from todalab.blowup_poly import closed_form_p
 from todalab.cli import IndentEncoder, main
 from todalab.rootdata import LieType
+from todalab.signflow import all_minus, eta_table
+from todalab.weyl import WeylGroup
 
 
 def run(capsys, *argv):
@@ -421,6 +425,24 @@ class TestErrorsAndPlumbing:
         raw = target.read_bytes()
         assert raw == b"word,length,eta,sign\r\ne,0,0,-\r\n1,1,1,-\r\n"
 
+    def test_csv_slices_match_one_pass(self, tmp_path, capsys):
+        # D6 has 23,040 rows, so the CSV is written in six slices; stdout and
+        # --out carry the bytes of one csv.writer pass over all rows
+        g = WeylGroup.generate(LieType.parse("D6"))
+        table = eta_table(g, all_minus(6))
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\r\n")
+        writer.writerow(("word", "length", "eta", "sign"))
+        writer.writerows(zip(map(word_str, map(g.word, range(len(g)))), g.lengths,
+                             table.values, table.sign_labels()))
+        code, out, _ = run(capsys, "eta", "--type", "D6", "--format", "csv")
+        assert code == 0 and out == buf.getvalue()
+        target = tmp_path / "eta.csv"
+        code, out, _ = run(capsys, "eta", "--type", "D6", "--format", "csv",
+                           "--out", str(target))
+        assert code == 0 and out == ""
+        assert target.read_bytes() == buf.getvalue().encode()
+
     def test_out_file(self, tmp_path, capsys):
         target = tmp_path / "pq.json"
         code, out, _ = run(capsys, "pq", "--type", "A2", "--out", str(target))
@@ -582,6 +604,50 @@ def test_encoder_matches_stdlib_past_one_slice_of_rows(count):
     rng = random.Random(count)
     edges = [(rng.randrange(10 ** 6), rng.randrange(-10 ** 40, 10 ** 40)) for _ in range(count)]
     doc = {"edges": edges, "nested": [{"rows": tuple(edges)}, edges[:5]]}
+    assert encode(doc) == json.dumps(doc, sort_keys=True, indent=2)
+
+
+RECORD_LISTS = {
+    "vertices": [{"word": "e", "length": 0, "eta": 0, "sign": "--"},
+                 {"word": "12", "length": 2, "eta": 1, "sign": "+-"}],
+    "bools": [{"a": True, "b": 1}, {"a": False, "b": 2}],
+    "bool_among_ints": [{"a": 1}, {"a": True}],
+    "escaped": [{"s": 'é"\\\n\x00\x1f\u2028\U0001F600', "k%d": 1, "%%": "%s"},
+                {"s": "%d %s %%", "k%d": -2, "%%": ""}],
+    "mixed": [{"a": "1"}, {"a": 1}],
+    "missing": [{"a": 1, "b": 2}, {"a": 1}],
+    "extra": [{"a": 1}, {"a": 1, "b": 2}],
+    "other_keys": [{"a": 1, "b": 2}, {"a": 1, "c": 2}],
+    "nested_list": [{"a": [1, 2]}, {"a": [3]}],
+    "nested_dict": [{"a": {"b": 1}}, {"a": {"b": 2}}],
+    "empty": [{}, {}],
+    "floats": [{"a": 1.5}, {"a": 2}],
+    "none": [{"a": None}, {"a": 1}],
+    "subclass_values": [{"a": Text("x"), "b": Whole(3)}, {"a": "y", "b": 4}],
+    "subclass_key": [{Text("a"): 1}, {"a": 2}],
+    "big_ints": [{"n": 10 ** 40}, {"n": -(10 ** 40)}],
+    "dict_then_tuple": [{"a": 1}, (1, 2)],
+    "tuple_then_dict": [(1, 2), {"a": 1}],
+}
+
+
+@pytest.mark.parametrize("name", sorted(RECORD_LISTS))
+def test_encoder_matches_stdlib_on_record_lists(name):
+    # lists of dicts with one key set and only str or only plain int values
+    # under each key render from one template; every other list falls back
+    records = RECORD_LISTS[name]
+    doc = {"rows": records, "nested": [records, {"deeper": records}]}
+    assert encode(doc) == json.dumps(doc, sort_keys=True, indent=2)
+
+
+@pytest.mark.parametrize("count", [1, 4095, 4096, 4097])
+def test_encoder_matches_stdlib_past_one_slice_of_records(count):
+    rng = random.Random(count)
+    texts = ["e", "121", "-+-", "é", '"', "\\", "%s", "\u2028", "9.10"]
+    records = [{"word": rng.choice(texts), "length": rng.randrange(10 ** 6),
+                "eta": rng.randrange(-(10 ** 30), 10 ** 30), "sign": rng.choice(texts)}
+               for _ in range(count)]
+    doc = {"table": records, "nested": [{"rows": records}]}
     assert encode(doc) == json.dumps(doc, sort_keys=True, indent=2)
 
 

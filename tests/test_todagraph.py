@@ -71,14 +71,35 @@ class TestEdges:
         *((name, eps) for name in ["A1", "A2", "A3", "A4", "B2", "B3", "C3", "G2", "D4"]
           for eps in product((-1, 1), repeat=int(name[1:]))),
         ("D5", (-1, 1, -1, 1, -1)), ("F4", (-1, -1, -1, -1)), ("F4", (-1, 1, -1, 1)),
+        *((name, eps) for name in ["B4", "C4", "D5", "F4"]
+          for eps in product((-1, 1), repeat=int(name[1:]))
+          if (name, eps) not in {("D5", (-1, 1, -1, 1, -1)), ("F4", (-1, -1, -1, -1)),
+                                 ("F4", (-1, 1, -1, 1))}),
+        ("E6", (1,) * 6), ("E6", (1, -1) * 3),
     ])
     def test_edges_are_the_same_class_covers(self, name, eps, group):
-        # the class-key filter over the reflection tables against the sorted
-        # covers filtered by equal eta and equal transported sign
+        # the key filter over the tables of the sign-fixing reflections
+        # against the sorted covers filtered by equal eta and equal
+        # transported sign
         g = group(name)
         graph = build_graph(g, eps)
         cls = list(zip(graph.table.values, graph.table.transported))
         assert graph.edges == tuple(c for c in g.bruhat_covers() if cls[c[0]] == cls[c[1]])
+
+    @pytest.mark.parametrize("name", ["A1", "A3", "B3", "C3", "D4", "F4", "G2"])
+    def test_reflection_keeps_the_sign_iff_it_fixes_eps(self, name, group):
+        # r_beta * w carries w's transported sign exactly when r_beta fixes
+        # eps, for every (w, beta, eps); signs replayed along witness words
+        g = group(name)
+        C = cartan_matrix(g.lie_type)
+        rank = g.generators
+        left = {r: [g.multiply(r, w) for w in range(len(g))]
+                for r in (g.index[p[:rank]] for p in g.reflections())}
+        for eps in product((-1, 1), repeat=rank):
+            sign = [act_word(C, g.word(w), eps) for w in range(len(g))]
+            for r, products in left.items():
+                fixes = sign[r] == eps
+                assert all((sign[v] == sign[w]) == fixes for w, v in enumerate(products))
 
 class TestComponents:
     def test_a2_exact_partition(self, group):

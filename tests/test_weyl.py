@@ -2,6 +2,7 @@ import hashlib
 import math
 import random
 from collections import Counter
+from itertools import product
 
 import pytest
 
@@ -19,6 +20,7 @@ from todalab.rootdata import (
     weyl_order,
     weyl_order_log10,
 )
+from todalab.signflow import act_word
 from todalab.weyl import MAX_ELEMENTS, LabelTree, WeylGroup, check_order, pad_table
 
 CLOSED_ORDERS = {
@@ -246,15 +248,36 @@ class TestBruhatCovers:
 
     @pytest.mark.parametrize("name", ["A1", "A3", "B3", "G2", "D4", "F4"])
     def test_reflection_tables_are_the_reflections(self, name, group):
-        # one involution per positive root, T[w] = id(w * r_beta) for the
+        # one involution per positive root, T[w] = id(r_beta * w) for the
         # permutations of reflections()
         g = group(name)
         tables = list(g.reflection_tables())
         assert len(tables) == g.num_positive
         assert all(t[x] == w for t in tables for w, x in enumerate(t))
-        want = {tuple(g.index[r.translate(pad_table(p))[:g.generators]] for p in g.perms)
+        want = {tuple(g.index[p[:g.generators].translate(r)] for p in g.perms)
                 for r in g.reflections()}
         assert set(map(tuple, tables)) == want
+
+    @pytest.mark.parametrize("name", ["A3", "B3", "C3", "D4", "F4", "G2"])
+    def test_reflection_tables_of_root_sets_are_left_products(self, name, group):
+        # for all positive roots and for the roots whose reflection fixes a
+        # sign (a set closed under its own reflections): each root yields one
+        # table, T[w] = multiply(id(r_beta), w), and each table is an involution
+        g = group(name)
+        C = cartan_matrix(g.lie_type)
+        rank = g.generators
+        refl_ids = [g.index[r[:rank]] for r in g.reflections()]
+        root_sets = [None] + [
+            [k for k, r in enumerate(refl_ids) if act_word(C, g.word(r), eps) == eps]
+            for eps in product((1, -1), repeat=rank)]
+        for roots in root_sets:
+            want = range(g.num_positive) if roots is None else roots
+            tables = list(g.reflection_tables(roots))
+            got = sorted(refl_ids.index(t[0]) for t in tables)  # T[e] = id(r_beta)
+            assert got == sorted(want)
+            for t in tables:
+                assert t == [g.multiply(t[0], w) for w in range(len(g))]
+                assert all(t[x] == w for w, x in enumerate(t))
 
     def test_e6_pinned(self, group):
         # count and digest recorded from the translate-and-lookup loop
