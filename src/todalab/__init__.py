@@ -5,58 +5,42 @@ blow-up polynomial p(q) and its finite-Chevalley-group factorization,
 blow-up graphs, Wronskian Schur tau functions with real-root experiments,
 affine sign dynamics for the untwisted affine types, and a numerical
 verification layer for the type-A flow.
+
+``import todalab`` loads no submodule: each public name below is imported
+from its home module on first access, and so is each submodule (PEP 562).
 """
 
 import importlib
 
-from .rootdata import (
-    LieType,
-    CompactDual,
-    RootSystem,
-    cartan_matrix,
-    extended_cartan,
-    langlands_dual,
-    inverse_cartan,
-    tau_multiplicities,
-    dual_root_counts,
-    two_rho_height,
-    compact_dual_info,
-    positive_roots,
-)
-from .exact import UniPoly
-from .weyl import WeylGroup
-from .signflow import parse_signs, format_signs, reflect_sign, act_word, eta, eta_table
-from .blowup_poly import (
-    FactoredForm,
-    p_epsilon,
-    closed_form_p,
-    chevalley_order,
-    brute_force_so_order,
-    poincare_polynomial_k,
-)
-from .todagraph import build_graph, components, to_dot, graph_to_dict, matching_report
-from .schurtau import (
-    PolyRing,
-    ExactPoly,
-    ring_for,
-    hk,
-    schur_wronskian,
-    tau_functions,
-    minimal_degrees,
-    tangent_cone,
-    hirota_residual,
-    nu_degrees,
-    nu_check,
-    sturm_real_roots,
-    real_root_count_experiment,
-)
-from .affine import AffineWeylGroup, p_series, rational_guess
-
 __version__ = "0.1.0"
+
+_EXPORTS = {
+    "rootdata": ("LieType", "CompactDual", "RootSystem", "cartan_matrix", "extended_cartan",
+                 "langlands_dual", "inverse_cartan", "tau_multiplicities", "dual_root_counts",
+                 "two_rho_height", "compact_dual_info", "positive_roots"),
+    "exact": ("UniPoly",),
+    "weyl": ("WeylGroup",),
+    "signflow": ("parse_signs", "format_signs", "reflect_sign", "act_word", "eta",
+                 "eta_table"),
+    "blowup_poly": ("FactoredForm", "p_epsilon", "closed_form_p", "chevalley_order",
+                    "brute_force_so_order", "poincare_polynomial_k"),
+    "todagraph": ("build_graph", "components", "to_dot", "graph_to_dict", "matching_report"),
+    "schurtau": ("PolyRing", "ExactPoly", "ring_for", "hk", "schur_wronskian",
+                 "tau_functions", "minimal_degrees", "tangent_cone", "hirota_residual",
+                 "nu_degrees", "nu_check", "sturm_real_roots", "real_root_count_experiment"),
+    "affine": ("AffineWeylGroup", "p_series", "rational_guess"),
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
+__all__ = list(_HOME)
 
 
 def __getattr__(name):
-    """Import ``numtoda`` (and with it numpy) on first access only."""
-    if name == "numtoda":
-        return importlib.import_module(f"{__name__}.numtoda")
+    """A public name from its home module, or a submodule, imported on first access."""
+    if name in _HOME:
+        return getattr(importlib.import_module(f"{__name__}.{_HOME[name]}"), name)
+    try:
+        return importlib.import_module(f"{__name__}.{name}")
+    except ModuleNotFoundError as exc:
+        if exc.name != f"{__name__}.{name}":
+            raise  # a submodule that exists but misses a dependency
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

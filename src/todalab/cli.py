@@ -10,23 +10,15 @@ error, 2 computational error.
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import itertools
 import json
 import math
 import operator
 import sys
 
+# The parser needs only the core below; each handler imports the modules it
+# runs (and _emit_csv imports csv), so a cold command loads nothing else.
 from . import __version__
-from .affine import AffineWeylGroup, bott_counts, p_series, rational_guess
-from .blowup_poly import (
-    brute_force_so_order,
-    chevalley_order,
-    closed_form_p,
-    p_epsilon,
-    so_factors,
-)
 from .errors import CapExceededError, TodaLabError, ValidationError
 from .rootdata import (
     LieType,
@@ -35,22 +27,7 @@ from .rootdata import (
     conventions_table,
     require_finite,
 )
-from .schurtau import (
-    hirota_residual,
-    minimal_degrees,
-    nu_degrees,
-    real_root_count_experiment,
-    tau_functions,
-)
 from .signflow import all_minus, eta_table, format_signs, parse_signs
-from .todagraph import (
-    ROWS_PER_SLICE,
-    build_graph,
-    fill_rows,
-    graph_to_dict,
-    matching_report,
-    to_dot,
-)
 from .weyl import DEFAULT_CAP, WeylGroup, check_order
 
 SCHEMA_VERSION = 1
@@ -176,6 +153,8 @@ class IndentEncoder(json.JSONEncoder):
             if all(type(x) is int for x in o):  # not bool: int.__repr__(True) is "1"
                 body = ("," + inner).join(map(_int, o))
             elif (filled := _template_rows(o, inner)) is not None:
+                from .todagraph import fill_rows
+
                 row, rows = filled  # one template filled per slice of rows
                 body = ("," + inner).join(fill_rows(row, "," + inner, rows))
             else:
@@ -215,6 +194,11 @@ def _emit_json(payload: dict, args):
 
 def _emit_csv(rows, header, args):
     """Header and rows as CSV, rendered and written one slice of rows at a time."""
+    import csv
+    import io
+
+    from .todagraph import ROWS_PER_SLICE
+
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\r\n")
     writer.writerow(header)
@@ -244,6 +228,8 @@ def cmd_pq(args):
         # code path and one trace span (perfbench's refuse worker times it)
         WeylGroup.generate(t, args.cap)
         raise
+    from .blowup_poly import closed_form_p, p_epsilon
+
     poly = p_epsilon(t, eps)
     payload = {
         "type": str(t),
@@ -282,6 +268,8 @@ def cmd_eta(args):
 
 
 def cmd_graph(args):
+    from .todagraph import build_graph, graph_to_dict, matching_report, to_dot
+
     t, eps = _type_and_sign(args)
     graph = build_graph(WeylGroup.generate(t, args.cap), eps)
     if args.format == "dot":
@@ -302,6 +290,9 @@ def cmd_schur(args):
     for flag in ("samples", "seed"):
         if not args.experiment and getattr(args, flag) is not None:
             raise ValidationError(f"--{flag} needs --experiment")
+    from .schurtau import (hirota_residual, minimal_degrees, nu_degrees,
+                           real_root_count_experiment, tau_functions)
+
     t = LieType.parse(args.type)
     if args.experiment == "real-roots":
         rep = real_root_count_experiment(
@@ -331,6 +322,8 @@ def cmd_schur(args):
 
 
 def cmd_affine(args):
+    from .affine import AffineWeylGroup, bott_counts, p_series, rational_guess
+
     t = LieType("A", args.rank, affine=True)
     eps = parse_signs(args.sign) if args.sign else all_minus(args.rank + 1)
     if len(eps) != args.rank + 1:
@@ -410,6 +403,8 @@ def cmd_ode(args):
 def cmd_chevalley(args):
     if args.brute and args.q is None:
         raise ValidationError("--brute needs --q")
+    from .blowup_poly import brute_force_so_order, chevalley_order, closed_form_p, so_factors
+
     t = LieType.parse(args.type)
     info = compact_dual_info(t)
     # refuse --q before p, which can have a million factors, is formatted

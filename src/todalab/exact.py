@@ -5,12 +5,12 @@ Coefficients are ints or Fractions, low to high.  Integer polynomials stay
 integer under +, -, * and differentiation.  The one division is
 ``series_quotient``, which keeps ints when the denominator's constant term
 is 1 or -1 and gives Fractions otherwise, so int or Fraction inputs never
-produce a float.  Gauss-Jordan divides in Fraction.
+produce a float.  Gauss-Jordan divides in Fraction.  ``fractions`` (and
+with it ``decimal``) is imported where a Fraction is built, so a command
+that builds none never loads it.
 """
 
 from __future__ import annotations
-
-from fractions import Fraction
 
 from .errors import ValidationError
 
@@ -85,7 +85,12 @@ class UniPoly:
     def series_quotient(self, den: "UniPoly", order: int) -> list:
         """Coefficients 0..order of the power series self / den, den(0) != 0."""
         d0 = den(0)
-        inv = d0 if d0 in (1, -1) else Fraction(1, d0)  # 1/d0, an int for a unit
+        if d0 in (1, -1):
+            inv = d0  # 1/d0, an int for a unit
+        else:
+            from fractions import Fraction
+
+            inv = Fraction(1, d0)
         a, d = self.coeffs, den.coeffs
         out = []
         for k in range(order + 1):
@@ -123,6 +128,8 @@ class UniPoly:
 def inverse(mat) -> tuple[tuple[Fraction, ...], ...]:
     """Exact inverse of a square matrix by Fraction Gauss-Jordan; raises
     ValidationError when singular."""
+    from fractions import Fraction
+
     n = len(mat)
     rows = [[Fraction(x) for x in mat[i]] + [Fraction(int(i == j)) for j in range(n)]
             for i in range(n)]

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import math
 import operator
-from fractions import Fraction
 from typing import NamedTuple
 
 from .errors import CapExceededError, UnsupportedTypeError, ValidationError
@@ -175,7 +174,7 @@ def tau_multiplicities(t: LieType) -> tuple[int, ...]:
     inv = inverse_cartan(t)
     out = []
     for k, row in enumerate(inv):
-        v = 2 * sum(row, Fraction(0))
+        v = 2 * sum(row)
         if v.denominator != 1 or v <= 0:
             raise ValidationError(f"non-integer tau multiplicity nu_{k+1}={v} for {t}")
         out.append(int(v))
@@ -188,7 +187,7 @@ def dual_root_counts(t: LieType) -> tuple[int, ...]:
     l = t.rank
     out = []
     for k in range(l):
-        v = 2 * sum((inv[j][k] for j in range(l)), Fraction(0))
+        v = 2 * sum(inv[j][k] for j in range(l))
         if v.denominator != 1 or v <= 0:
             raise ValidationError(f"non-integer root count n_{k+1}={v} for {t}")
         out.append(int(v))
@@ -209,6 +208,8 @@ def symmetrizer(t: LieType) -> tuple[int, ...]:
     Characterized by d_j * C[i][j] = d_i * C[j][i], which makes the matrix
     (alpha_i, alpha_j) = C[i][j] * d_j symmetric.
     """
+    from fractions import Fraction
+
     C = cartan_matrix(t)
     l = t.rank
     d = [None] * l

@@ -510,6 +510,97 @@ def test_numpy_and_scipy_load_only_for_numerical_commands():
     assert verified == "True []"
 
 
+COLD_RUN = """
+import runpy, sys
+try:
+    runpy.run_module("todalab.cli", run_name="__main__", alter_sys=True)  # as python -m
+except SystemExit as exc:
+    assert exc.code == 0, exc.code
+sys.stderr.write("\\n".join(sorted(sys.modules)))
+"""
+
+
+def cold_imports(script, *argv):
+    """The names in ``sys.modules`` that a fresh interpreter running ``script``
+    on ``argv`` writes to stderr.  Not ``-X importtime``: it misses modules
+    loaded through ``importlib.import_module``."""
+    src = str(Path(todalab.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-c", script, *argv], capture_output=True,
+                          text=True, timeout=60, env={**os.environ, "PYTHONPATH": src})
+    assert proc.returncode == 0, proc.stderr
+    return set(proc.stderr.splitlines())
+
+
+# The exact core every command needs: the parser reads weyl's default cap and
+# parses types and signs (cli itself runs as __main__).
+CLI_CORE = {"todalab", "todalab.errors", "todalab.exact", "todalab.rootdata",
+            "todalab.weyl", "todalab.signflow"}
+
+
+@pytest.mark.parametrize("argv, runs", [
+    ("pq --type A2", {"todalab.blowup_poly"}),
+    ("eta --type G2 --format csv", {"todalab.todagraph"}),  # its slice size
+    ("graph --type A3 --format dot", {"todalab.todagraph"}),
+    ("chevalley --type A2 --q 5 --brute", {"todalab.blowup_poly"}),
+])
+def test_cold_commands_load_only_the_modules_they_run(argv, runs):
+    loaded = cold_imports(COLD_RUN, *argv.split())
+    assert {m for m in loaded if m.partition(".")[0] == "todalab"} == CLI_CORE | runs
+    assert not loaded & {"fractions", "decimal"}  # no command here builds a Fraction
+    assert ("csv" in loaded) == argv.endswith("csv")
+
+
+def test_import_todalab_loads_no_submodule():
+    script = "import sys, todalab; sys.stderr.write('\\n'.join(sys.modules))"
+    assert {m for m in cold_imports(script) if m.startswith("todalab")} == {"todalab"}
+
+
+# What ``import todalab`` re-exported eagerly before its names turned lazy.
+PACKAGE_EXPORTS = {
+    "rootdata": ["LieType", "CompactDual", "RootSystem", "cartan_matrix", "extended_cartan",
+                 "langlands_dual", "inverse_cartan", "tau_multiplicities", "dual_root_counts",
+                 "two_rho_height", "compact_dual_info", "positive_roots"],
+    "exact": ["UniPoly"],
+    "weyl": ["WeylGroup"],
+    "signflow": ["parse_signs", "format_signs", "reflect_sign", "act_word", "eta",
+                 "eta_table"],
+    "blowup_poly": ["FactoredForm", "p_epsilon", "closed_form_p", "chevalley_order",
+                    "brute_force_so_order", "poincare_polynomial_k"],
+    "todagraph": ["build_graph", "components", "to_dot", "graph_to_dict", "matching_report"],
+    "schurtau": ["PolyRing", "ExactPoly", "ring_for", "hk", "schur_wronskian",
+                 "tau_functions", "minimal_degrees", "tangent_cone", "hirota_residual",
+                 "nu_degrees", "nu_check", "sturm_real_roots", "real_root_count_experiment"],
+    "affine": ["AffineWeylGroup", "p_series", "rational_guess"],
+}
+
+
+@pytest.mark.parametrize("home, name", [(home, name) for home, names in
+                                        PACKAGE_EXPORTS.items() for name in names])
+def test_package_exports_resolve_to_their_home_module(home, name):
+    namespace = {}
+    exec(f"from todalab import {name}", namespace)
+    assert namespace[name] is getattr(importlib.import_module(f"todalab.{home}"), name)
+
+
+def test_package_star_import_gives_every_export():
+    namespace = {}
+    exec("from todalab import *", namespace)
+    assert sorted(set(namespace) - {"__builtins__"}) \
+        == sorted(name for names in PACKAGE_EXPORTS.values() for name in names)
+
+
+def test_package_attributes_import_submodules():
+    src = Path(todalab.__file__).resolve().parent
+    stems = sorted(p.stem for p in src.glob("*.py") if p.stem != "__init__")
+    script = ("import sys, todalab\n"
+              "for stem in sys.argv[1:]:\n"
+              "    print(stem, getattr(todalab, stem) is sys.modules['todalab.' + stem])\n")
+    proc = subprocess.run([sys.executable, "-c", script, *stems], capture_output=True,
+                          text=True, timeout=60, env={**os.environ, "PYTHONPATH": str(src.parent)})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == [x for stem in stems for x in (stem, "True")]
+
+
 def test_package_getattr_rejects_unknown_names():
     with pytest.raises(AttributeError, match="no_such_module"):
         todalab.no_such_module
