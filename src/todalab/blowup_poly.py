@@ -19,7 +19,7 @@ import math
 from collections import Counter
 from typing import NamedTuple
 
-from .errors import AssumptionViolatedError, CapExceededError, InvalidQError, ValidationError
+from .errors import CapExceededError, InvalidQError, ValidationError
 from .exact import UniPoly
 from .rootdata import LieType, cartan_matrix, compact_dual_info
 from .signflow import EtaTable, propagate
@@ -166,47 +166,55 @@ def chevalley_order(t: LieType, q: int) -> int:
 
 # -- brute-force oracles over F_q -------------------------------------------
 
-MAX_SO_WORK = 1_000_000  # products; every count under it takes under 1 s
+MAX_COUNT_WORK = 1_000_000  # products; every count under it takes under 1 s
 
 
-def so_factors(t: LieType) -> tuple[int, ...]:
-    """The n of each SO(n) factor of the compact dual, read off its name."""
-    parts = compact_dual_info(t).name.split("x")
-    if not all(part.startswith("SO(") for part in parts):
-        raise ValidationError(f"{t}: the compact dual {'x'.join(parts)} is not a product "
-                              f"of SO(n) groups; brute-force counts cover A, C, D and E8")
-    return tuple(int(part[3:-1]) for part in parts)
+def sphere_counts(n: int, q: int, group: str = "sphere") -> list[int]:
+    """c_0..c_n, c_j = #{x in F_q^j : x_1^2 - x_2^2 + x_3^2 - ... = 1}, from a running
+    convolution of the squares mod q whose sign alternates, q prime.  x^2 - y^2 is a
+    hyperbolic plane H, so every form in the chain is split for every q.
+    """
+    check_odd_prime_power(q)
+    work = q + max(n - 2, 0) * q * (q + 1) // 2  # the squares, then n-2 convolutions
+    if work > MAX_COUNT_WORK:
+        raise CapExceededError(
+            f"{group} count over F_{q} needs {work} products, over the cap {MAX_COUNT_WORK}")
+    if smallest_prime_factor(q) != q:
+        raise InvalidQError(f"q={q} is not prime; Z/{q} is not the field F_{q}")
+    squares = Counter(x * x % q for x in range(q))
+    counts, sums = [0, squares[1]], [squares[a] for a in range(q)]  # sums: x_1^2
+    for j in range(2, n + 1):  # x_j^2 enters with sign (-1)^(j-1); a - s wraps below 0
+        shifts = [(s if j % 2 else -s % q, c) for s, c in squares.items()]
+        counts.append(sum(c * sums[1 - s] for s, c in shifts))
+        if j < n:
+            sums = [sum(c * sums[a - s] for s, c in shifts) for a in range(q)]
+    return counts[:n + 1]
+
+
+def brute_force_order(t: LieType, q: int, counts: list[int] | None = None) -> int:
+    """|K(F_q)| of the split form read off ``sphere_counts`` (taken here unless passed in).
+
+    Each group is transitive on a sphere (Witt) with the group of the shorter form as
+    stabilizer, so SO(n) = prod_{j=2..n} c_j, U(n) as GL(n) (pairs f(v) = 1 in H^k) =
+    prod_{k<=n} c_2k, SU(n) as SL(n) = GL(n)/(q-1), compact Sp(n) as Sp(2n) = prod_{k<=n} c_4k.
+    """
+    dual = compact_dual_info(t).name  # SO(5)xSO(6), U(3), Sp(1)xSp(3), SU(8), ...
+    spheres = []  # (group, the sphere lengths its order multiplies)
+    for group, n in (factor[:-1].split("(") for factor in dual.split("x")):
+        n = int(n)
+        spheres.append((group, range(2, n + 1) if group == "SO" else
+                        range(4, 4 * n + 1, 4) if group == "Sp" else range(2, 2 * n + 1, 2)))
+    if counts is None:
+        counts = sphere_counts(max(lengths[-1] for _, lengths in spheres), q, dual)
+    return math.prod(math.prod(counts[j] for j in lengths) // (q - 1 if group == "SU" else 1)
+                     for group, lengths in spheres)
 
 
 def brute_force_so_order(n: int, q: int) -> int:
-    """|SO(n, F_q)| for prime q by counting quadric points; the independent check on q^r p(q).
-
-    SO(k) is transitive on the sphere S_k = {x in F_q^k : x.x = 1} (Witt) with
-    stabilizer SO(k-1), so |SO(n)| = prod_{k=2..n} |S_k| by orbit-stabilizer,
-    each |S_k| read off a running convolution of the squares mod q.  The order formula is the split
-    group's, and x.x is split unless n = 2 mod 4 and q = 3 mod 4 (-1 is then
-    not a square): that case is refused, and so is a q that is not prime, as
-    the arithmetic is mod q.
-    """
-    check_odd_prime_power(q)
+    """|SO(n, F_q)| of the split form, q prime: prod_{j=2..n} c_j of ``sphere_counts``."""
     if n < 2:
         raise ValidationError(f"SO(n) counts need n >= 2, got {n}")
-    work = q + (n - 2) * q * (q + 1) // 2  # the squares, then n-2 convolutions
-    if work > MAX_SO_WORK:
-        raise CapExceededError(
-            f"SO({n}) count over F_{q} needs {work} products, over the cap {MAX_SO_WORK}")
-    if smallest_prime_factor(q) != q:
-        raise InvalidQError(f"q={q} is not prime; Z/{q} is not the field F_{q}")
-    if n % 4 == 2 and q % 4 == 3:
-        raise AssumptionViolatedError(f"-1 is not a square in F_{q}, so x.x on F_{q}^{n} "
-                                      f"is not split; the SO({n}) count assumes a split form")
-    squares = Counter(x * x % q for x in range(q))
-    order, sums = 1, [squares[a] for a in range(q)]  # sums: x_1^2 + ... + x_(k-1)^2
-    for k in range(2, n + 1):
-        order *= sum(c * sums[(1 - s) % q] for s, c in squares.items())  # |S_k|
-        if k < n:  # sums[a - s] wraps mod q through negative indices
-            sums = [sum(c * sums[a - s] for s, c in squares.items()) for a in range(q)]
-    return order
+    return math.prod(sphere_counts(n, q, f"SO({n})")[2:])
 
 
 def poincare_polynomial_k(t: LieType) -> UniPoly:

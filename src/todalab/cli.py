@@ -325,7 +325,7 @@ def cmd_affine(args):
     from .affine import AffineWeylGroup, bott_counts, p_series, rational_guess
 
     t = LieType("A", args.rank, affine=True)
-    eps = parse_signs(args.sign) if args.sign else all_minus(args.rank + 1)
+    eps = all_minus(args.rank + 1) if args.sign is None else parse_signs(args.sign)
     if len(eps) != args.rank + 1:
         raise ValidationError(
             f"affine sign vector needs length {args.rank + 1}, got {len(eps)}"
@@ -403,7 +403,7 @@ def cmd_ode(args):
 def cmd_chevalley(args):
     if args.brute and args.q is None:
         raise ValidationError("--brute needs --q")
-    from .blowup_poly import brute_force_so_order, chevalley_order, closed_form_p, so_factors
+    from .blowup_poly import brute_force_order, chevalley_order, closed_form_p
 
     t = LieType.parse(args.type)
     info = compact_dual_info(t)
@@ -422,8 +422,7 @@ def cmd_chevalley(args):
         payload["q"] = args.q
         payload["order"] = order
         if args.brute:
-            payload["brute_force_order"] = math.prod(
-                brute_force_so_order(n, args.q) for n in so_factors(t))
+            payload["brute_force_order"] = brute_force_order(t, args.q)
             payload["matches"] = payload["brute_force_order"] == payload["order"]
     _emit_json(payload, args)
     return 0
@@ -513,7 +512,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--q", type=int, help="odd prime power")
     p.add_argument("--brute", action="store_true",
-                   help="cross-check by counting quadric points (A, C, D, E8; q prime)")
+                   help="cross-check by counting sphere points (every type; q prime)")
     p.set_defaults(fn=cmd_chevalley)
 
     p = sub.add_parser("verify", help="run the self-verification matrix")

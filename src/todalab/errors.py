@@ -23,10 +23,6 @@ class InvalidQError(TodaLabError):
     code = "invalid-q"
 
 
-class AssumptionViolatedError(TodaLabError):
-    code = "assumption-violated"
-
-
 class NotAPerfectSquareError(TodaLabError):
     code = "not-a-perfect-square"
 

@@ -23,14 +23,14 @@ from .affine import AffineWeylGroup, p_series, rational_guess
 from .blowup_poly import (
     CosetChain,
     alternating_eta_sum,
-    brute_force_so_order,
+    brute_force_order,
     chevalley_order,
     closed_form_p,
     p_epsilon,
     poincare_polynomial_k,
-    so_factors,
+    sphere_counts,
 )
-from .errors import AssumptionViolatedError, ValidationError
+from .errors import ValidationError
 from .rootdata import LieType, cartan_matrix, compact_dual_info, two_rho_height
 from .schurtau import (
     hirota_residual,
@@ -155,21 +155,18 @@ def check_components(groups, scope):
 
 
 def check_chevalley_orders(groups, scope):
-    names = _types(["A1", "A2", "A3", "C2", "C3", "D3"],
-                   ["A4", "A5", "A6", "A7", "C4", "C5", "C6", "D4", "D5", "D6", "E8"], scope)
-    non_split = {"A1", "A5", "C2", "C5", "C6", "D6"}  # an SO(n), n = 2 mod 4, at q = 3 mod 4
-    bad, refused = [], 0
-    for name, q in iproduct(names, (3, 5, 7, 13, 17)):
+    names = _types(["A1", "A2", "A3", "B2", "C2", "C3", "D3", "G2"],
+                   ["A4", "A5", "A6", "A7", "B3", "B4", "B5", "B6", "B7", "B8", "C4", "C5",
+                    "C6", "D4", "D5", "D6", "E6", "E7", "E8", "F4"], scope)
+    counts = {q: sphere_counts(16, q) for q in (3, 5, 7, 13, 17)}  # 16: SO(16), Sp(4), SU(8)
+    bad = []
+    for name, q in iproduct(names, counts):
         t = LieType.parse(name)
-        try:
-            got = math.prod(brute_force_so_order(n, q) for n in so_factors(t))
-        except AssumptionViolatedError:
-            got, refused = None, refused + 1
-        want = None if name in non_split and q % 4 == 3 else chevalley_order(t, q)
+        got, want = brute_force_order(t, q, counts[q]), chevalley_order(t, q)
         if got != want:
             bad.append(f"{name} q={q}: {got} != {want}")
-    return not bad, f"{len(names) * 5 - refused} quadric counts equal q^r p(q), " \
-        f"{refused} non-split forms refused" + "".join(f"; {b}" for b in bad)
+    return not bad, f"{len(names) * len(counts)} sphere-point counts equal q^r p(q)" \
+        + "".join(f"; {b}" for b in bad)
 
 
 def _expected_tau_literals():

@@ -13,7 +13,7 @@ from types import SimpleNamespace
 import pytest
 
 from todalab import numtoda, verify
-from todalab.blowup_poly import CosetChain, FactoredForm, brute_force_so_order
+from todalab.blowup_poly import CosetChain, FactoredForm, sphere_counts
 from todalab.exact import UniPoly
 from todalab.rootdata import LieType
 from todalab.schurtau import tau_functions
@@ -26,8 +26,8 @@ TITLES = {
     3: "eta independent of the reduced word (A3, B3, C3, G2; all words, all signs)",
     4: "pinned eta tables for A2 and G2",
     5: "graph components: A2 -> 4 (exact partition), A3 -> 10, A1 -> 2",
-    6: "q^r p(q) equals |SO(n, F_q)| counted on quadrics (A1-A7, C2-C6, D3-D6, E8; "
-       "q=3,5,7,13,17; non-split forms refused)",
+    6: "q^r p(q) equals |K(F_q)| counted on spheres (A1-A7, B2-B8, C2-C6, D3-D6, E6-E8, "
+       "F4, G2; q=3,5,7,13,17; every form split)",
     7: "tau-function literals for A2, B2, C2, G2",
     8: "minimal degrees match; sum = eta(w*) = deg p; t1-degree of product = |2rho|",
     9: "Hirota residuals vanish with fitted constants (A2-A3, B2-B3, C2-C3, D4, G2)",
@@ -95,14 +95,19 @@ def test_components_failure_names_the_type(monkeypatch):
 
 
 def test_chevalley_failure_names_the_type(monkeypatch):
-    # one point too many on every SO(4) count
-    monkeypatch.setattr(verify, "brute_force_so_order",
-                        lambda n, q: brute_force_so_order(n, q) + (n == 4))
+    # one point too many on the length-4 sphere: SO(4), U(2) and SU(2) read it
+    def one_too_many(n, q):
+        counts = sphere_counts(n, q)
+        counts[4] += 1
+        return counts
+
+    monkeypatch.setattr(verify, "sphere_counts", one_too_many)
     passed, detail = verify.check_chevalley_orders(groups, "fast")
     assert not passed
-    assert detail.startswith("26 quadric counts equal q^r p(q), 4 non-split forms refused; "
-                             "A3 q=3: 577 != 576; A3 q=5: 14401 != 14400; ")
-    assert detail.endswith("; C3 q=17: 117361120032 != 117361115136")
+    assert detail.startswith("40 sphere-point counts equal q^r p(q); "
+                             "A3 q=3: 600 != 576; A3 q=5: 14520 != 14400; ")
+    assert "; B2 q=3: 50 != 48; " in detail and "; C3 q=17: " in detail
+    assert detail.endswith("; G2 q=17: 23980609 != 23970816")
 
 
 def test_property_suite_failure_names_the_type(monkeypatch):

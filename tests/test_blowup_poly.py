@@ -1,6 +1,7 @@
 import math
 import re
 import time
+from collections import Counter
 from itertools import product
 
 import pytest
@@ -9,17 +10,19 @@ from hypothesis import given, strategies as st
 from todalab.blowup_poly import (
     CosetChain,
     FactoredForm,
+    MAX_COUNT_WORK,
     alternating_eta_sum,
+    brute_force_order,
     brute_force_so_order,
     chevalley_order,
     closed_form_p,
     is_prime_power,
     p_epsilon,
     poincare_polynomial_k,
-    so_factors,
+    smallest_prime_factor,
+    sphere_counts,
 )
 from todalab.errors import (
-    AssumptionViolatedError,
     CapExceededError,
     InvalidQError,
     UnsupportedTypeError,
@@ -212,9 +215,11 @@ class TestBruteForce:
         assert brute_force_so_order(2, 13) == 12
         assert brute_force_so_order(2, 17) == 16
 
-    def test_so2_needs_sqrt_minus_one(self):
-        with pytest.raises(AssumptionViolatedError):
-            brute_force_so_order(2, 7)  # 7 = 3 mod 4
+    def test_so2_split_at_every_q(self):
+        # x^2 - y^2 is split even where -1 is not a square (q = 3 mod 4)
+        assert brute_force_so_order(2, 3) == 2
+        assert brute_force_so_order(2, 7) == 6
+        assert brute_force_so_order(6, 3) == chevalley_order(T("A5"), 3)
 
     def test_so3_pinned(self):
         assert brute_force_so_order(3, 3) == 24
@@ -252,17 +257,68 @@ class TestBruteForce:
             assert brute_force_so_order(3, q) == chevalley_order(T("A2"), q)
         assert brute_force_so_order(3, 7) == 336 == chevalley_order(T("A2"), 7)
 
-    def test_so_factors(self):
-        assert so_factors(T("A1")) == (2,)
-        assert so_factors(T("A7")) == (8,)
-        assert so_factors(T("C5")) == (5, 6)
-        assert so_factors(T("D4")) == (4, 4)
-        assert so_factors(T("E8")) == (16,)
-        for name, dual in (("B3", "U(3)"), ("E6", "Sp(4)"), ("E7", "SU(8)"),
-                           ("F4", "Sp(1)xSp(3)"), ("G2", "SU(2)xSU(2)")):
-            with pytest.raises(ValidationError, match=f"{name}: the compact dual "
-                               f"{re.escape(dual)} is not"):
-                so_factors(T(name))
+
+ORDER_TYPES = ([f"A{l}" for l in range(1, 9)] + [f"B{l}" for l in range(2, 9)]
+               + [f"C{l}" for l in range(2, 9)] + [f"D{l}" for l in range(3, 9)]
+               + ["E6", "E7", "E8", "F4", "G2"])
+
+
+def invertible_by_entries(q, n):
+    """(|GL(n, Z/q)|, |SL(n, Z/q)|) by enumerating every n x n matrix (n = 2, 3)."""
+    def det(m):
+        if n == 2:
+            return m[0] * m[3] - m[1] * m[2]
+        return (m[0] * (m[4] * m[8] - m[5] * m[7]) - m[1] * (m[3] * m[8] - m[5] * m[6])
+                + m[2] * (m[3] * m[7] - m[4] * m[6]))
+
+    dets = Counter(det(m) % q for m in product(range(q), repeat=n * n))
+    return sum(dets.values()) - dets[0], dets[1]
+
+
+def sphere_by_points(j, q):
+    """#{x in (Z/q)^j : x_1^2 - x_2^2 + x_3^2 - ... = 1} by enumeration."""
+    signs = [1 if i % 2 == 0 else -1 for i in range(j)]
+    return sum(1 for x in product(range(q), repeat=j)
+               if sum(s * v * v for s, v in zip(signs, x)) % q == 1)
+
+
+class TestSphereCounts:
+    @pytest.mark.parametrize("name", ORDER_TYPES)
+    def test_matches_chevalley_order(self, name):
+        for q in (3, 5, 7, 11, 13, 17):
+            assert brute_force_order(T(name), q) == chevalley_order(T(name), q)
+
+    @pytest.mark.parametrize("q", [3, 5, 7])
+    def test_gl2_and_sl2_match_entry_enumeration(self, q):
+        gl2, sl2 = invertible_by_entries(q, 2)
+        assert brute_force_order(T("B2"), q) == gl2  # U(2), counted as GL(2)
+        assert brute_force_order(T("G2"), q) == sl2 ** 2  # SU(2)xSU(2) as SL(2)^2
+
+    def test_gl3_matches_entry_enumeration(self):
+        assert brute_force_order(T("B3"), 3) == invertible_by_entries(3, 3)[0] == 11232
+
+    @pytest.mark.parametrize("q", [3, 5, 7, 11, 13, 17])
+    def test_matches_point_enumeration(self, q):
+        longest = max(j for j in range(12) if q ** j <= 10 ** 5)
+        assert sphere_counts(longest, q) == [sphere_by_points(j, q) for j in range(longest + 1)]
+
+    # the longest sphere each family's dual reads: n for SO(n), 2n for U(n) and
+    # SU(n), 4n for Sp(n); the cap counts the convolutions up to it
+    @pytest.mark.parametrize("name, dual, longest", [
+        ("A2", "SO(3)", 3), ("B3", "U(3)", 6), ("C3", "SO(3)xSO(4)", 4),
+        ("D4", "SO(4)xSO(4)", 4), ("E6", "Sp(4)", 16), ("E7", "SU(8)", 16),
+        ("E8", "SO(16)", 16), ("F4", "Sp(1)xSp(3)", 12), ("G2", "SU(2)xSU(2)", 4)])
+    def test_first_prime_over_the_cap_refused_at_once(self, name, dual, longest):
+        def work(q):
+            return q + (longest - 2) * q * (q + 1) // 2
+
+        q = next(q for q in range(3, 10 ** 4, 2)
+                 if smallest_prime_factor(q) == q and work(q) > MAX_COUNT_WORK)
+        start = time.perf_counter()
+        with pytest.raises(CapExceededError, match=re.escape(
+                f"{dual} count over F_{q} needs {work(q)} products, over the cap")):
+            brute_force_order(T(name), q)
+        assert time.perf_counter() - start < 0.01
 
 
 class TestPoincare:

@@ -182,6 +182,12 @@ class TestAffine:
         assert code == 1
         assert "validation" in err
 
+    def test_empty_sign_refused(self, capsys):
+        # as in pq, eta and graph: an empty --sign is not the default all-minus
+        code, out, err = run(capsys, "affine", "--rank", "2", "--sign=", "--lmax", "4")
+        assert (code, out) == (1, "")
+        assert err == "error [validation]: empty sign vector\n"
+
 
 class TestOde:
     def test_csv_trajectory(self, capsys):
@@ -226,10 +232,11 @@ class TestChevalley:
         assert doc["dual_compact"] == "SO(16)"
         assert doc["matches"] is True
 
-    def test_brute_non_split_refused(self, capsys):
-        code, out, err = run(capsys, "chevalley", "--type", "A5", "--q", "3", "--brute")
-        assert (code, out) == (2, "")
-        assert err.startswith("error [assumption-violated]: ")
+    def test_brute_non_split_pairs_answer(self, capsys):
+        # SO(6) at q = 3 mod 4: the count runs on the split form, as the order does
+        doc = run_json(capsys, "chevalley", "--type", "A5", "--q", "3", "--brute")
+        assert doc["brute_force_order"] == doc["order"]
+        assert doc["matches"] is True
 
     def test_refused_q_does_not_format_p(self, capsys):
         # the digits cap refuses before p, a product of a million factors, is
@@ -244,10 +251,19 @@ class TestChevalley:
         assert err.startswith("error [cap-exceeded]: |K(F_3)| of A1000000 may have ")
         assert peak < 60_000_000
 
-    def test_brute_refuses_non_so_dual(self, capsys):
-        code, out, err = run(capsys, "chevalley", "--type", "B3", "--q", "5", "--brute")
-        assert (code, out) == (1, "")
-        assert err.startswith("error [validation]: B3: the compact dual U(3) ")
+    @pytest.mark.parametrize("name, dual", [
+        ("B3", "U(3)"), ("E6", "Sp(4)"), ("E7", "SU(8)"), ("F4", "Sp(1)xSp(3)"),
+        ("G2", "SU(2)xSU(2)")])
+    def test_brute_answers_duals_beyond_so(self, capsys, name, dual):
+        doc = run_json(capsys, "chevalley", "--type", name, "--q", "7", "--brute")
+        assert doc["dual_compact"] == dual
+        assert doc["matches"] is True
+
+    def test_brute_cap_names_the_whole_dual(self, capsys):
+        code, out, err = run(capsys, "chevalley", "--type", "C3", "--q", "1009", "--brute")
+        assert (code, out) == (2, "")
+        assert err == ("error [cap-exceeded]: SO(3)xSO(4) count over F_1009 needs "
+                       "1020099 products, over the cap 1000000\n")
 
 
 class TestErrorsAndPlumbing:
