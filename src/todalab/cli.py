@@ -13,7 +13,6 @@ import argparse
 import itertools
 import json
 import math
-import operator
 import sys
 
 # The parser needs only the core below; each handler imports the modules it
@@ -27,7 +26,7 @@ from .rootdata import (
     conventions_table,
     require_finite,
 )
-from .signflow import all_minus, eta_table, format_signs, parse_signs
+from .signflow import Records, all_minus, eta_table, format_signs, parse_signs
 from .weyl import DEFAULT_CAP, WeylGroup, check_order
 
 SCHEMA_VERSION = 1
@@ -91,46 +90,42 @@ def _template_rows(o, inner: str):
     cells, when ``o`` is a run of like rows whose lines start with ``inner``;
     else None.
 
-    Two kinds qualify: tuples of one nonzero length holding plain ints (graph
-    edges), and dicts with one nonempty set of str keys where under each key
-    every value is a str or every value is a plain int (vertex and eta
-    records).  Not bool: ``"%d" % True`` is "1".
+    Two kinds qualify: ``Records`` whose every column holds only str or only
+    plain ints (vertex and eta rows), checked once per column, and tuples of
+    one nonzero length holding plain ints (graph edges).  Not bool:
+    ``"%d" % True`` is "1".
     """
     cell = inner + "  "
+    if type(o) is Records:
+        items, cols = [], []
+        for key, col in sorted(o.columns.items()):
+            kind = set(map(type, col))
+            if kind == {str}:
+                cols.append(map(_ascii, col))
+                cell_format = ": %s"
+            elif kind == {int}:
+                cols.append(col)
+                cell_format = ": %d"
+            else:
+                return None
+            items.append(_ascii(key).replace("%", "%%") + cell_format)
+        return f"{{{cell}{(',' + cell).join(items)}{inner}}}", zip(*cols)
     first = o[0]
-    if type(first) is tuple:
-        if (set(map(type, o)) == {tuple} and len(set(map(len, o))) == 1
-                and set(map(type, itertools.chain.from_iterable(o))) == {int}):
-            return f"[{cell}{(',' + cell).join(['%d'] * len(first))}{inner}]", o
-        return None
-    if (type(first) is not dict or not first or set(map(type, o)) != {dict}
-            or set(map(len, o)) != {len(first)} or set(map(type, first)) != {str}):
-        return None
-    items, cols = [], []
-    for key in sorted(first):
-        cell_value = operator.itemgetter(key)
-        try:
-            kind = set(map(type, map(cell_value, o)))
-        except KeyError:  # a dict with other keys
-            return None
-        if kind == {str}:
-            cols.append(map(_ascii, map(cell_value, o)))
-            cell_format = ": %s"
-        elif kind == {int}:
-            cols.append(map(cell_value, o))
-            cell_format = ": %d"
-        else:
-            return None
-        items.append(_ascii(key).replace("%", "%%") + cell_format)
-    return f"{{{cell}{(',' + cell).join(items)}{inner}}}", zip(*cols)
+    if (type(first) is tuple and set(map(type, o)) == {tuple} and len(set(map(len, o))) == 1
+            and set(map(type, itertools.chain.from_iterable(o))) == {int}):
+        return f"[{cell}{(',' + cell).join(['%d'] * len(first))}{inner}]", o
+    return None
 
 
 class IndentEncoder(json.JSONEncoder):
     """Writes exactly what ``json.dumps(o, sort_keys=True, indent=2)`` writes.
 
-    With ``indent`` set the stdlib encodes through a generator of small
-    strings; this renders each container with one ``str.join`` instead.
-    Any other setting is refused, and so is a key that is not a ``str``.
+    ``iterencode`` yields the text slice by slice, so no whole text is built:
+    a list of plain ints is one slice, a run of template rows (see
+    ``_template_rows``) one slice per ``todagraph.ROWS_PER_SLICE`` rows, and
+    any other container comes in the slices of its items.  ``Records``
+    encode as their list of dicts.  Any other setting is refused, and so is
+    a key that is not a ``str``.
     """
 
     SETTINGS = {**_JSON_DEFAULTS, "sort_keys": True, "indent": 2}
@@ -141,55 +136,68 @@ class IndentEncoder(json.JSONEncoder):
                              f"json defaults otherwise, not {settings}")
         super().__init__(**settings)
 
-    def encode(self, o) -> str:
-        return self._render(o, "\n")
+    def iterencode(self, o, _one_shot=False):
+        return self._slices(o, "\n")
 
-    def _render(self, o, nl: str) -> str:
+    def _slices(self, o, nl: str):
         """``o`` at the depth whose lines start with ``nl``; its items go one level deeper."""
-        if isinstance(o, (list, tuple)):
+        if isinstance(o, (list, tuple, Records)):
             if not o:
-                return "[]"
+                yield "[]"
+                return
             inner = nl + "  "
+            sep = "," + inner
             if all(type(x) is int for x in o):  # not bool: int.__repr__(True) is "1"
-                body = ("," + inner).join(map(_int, o))
-            elif (filled := _template_rows(o, inner)) is not None:
+                yield f"[{inner}{sep.join(map(_int, o))}{nl}]"
+                return
+            head = "[" + inner
+            if (filled := _template_rows(o, inner)) is not None:
                 from .todagraph import fill_rows
 
                 row, rows = filled  # one template filled per slice of rows
-                body = ("," + inner).join(fill_rows(row, "," + inner, rows))
+                for text in fill_rows(row, sep, rows):
+                    yield head
+                    yield text
+                    head = sep
             else:
-                render = self._render
-                body = ("," + inner).join([
-                    _ascii(x) if type(x) is str else _int(x) if type(x) is int
-                    else render(x, inner) for x in o])
-            return f"[{inner}{body}{nl}]"
+                for x in o:
+                    yield head
+                    yield from self._slices(x, inner)
+                    head = sep
+            yield nl + "]"
+            return
         if isinstance(o, dict):
             if not o:
-                return "{}"
-            inner, render = nl + "  ", self._render
-            body = ("," + inner).join([  # _ascii raises TypeError on a key that is no str
-                _ascii(key) + ": " + (_ascii(x) if type(x) is str else _int(x)
-                                      if type(x) is int else render(x, inner))
-                for key, x in sorted(o.items())])
-            return f"{{{inner}{body}{nl}}}"
+                yield "{}"
+                return
+            inner = nl + "  "
+            head = "{" + inner
+            for key, x in sorted(o.items()):
+                yield head + _ascii(key) + ": "  # _ascii raises TypeError on a key that is no str
+                yield from self._slices(x, inner)
+                head = "," + inner
+            yield nl + "}"
+            return
         if isinstance(o, str):
-            return _ascii(o)
-        if o is None:
-            return "null"
-        if o is True:
-            return "true"
-        if o is False:
-            return "false"
-        if isinstance(o, int):
-            return _int(o)
-        if isinstance(o, float):
-            return _float(o)
-        return self._render(self.default(o), nl)
+            yield _ascii(o)
+        elif o is None:
+            yield "null"
+        elif o is True:
+            yield "true"
+        elif o is False:
+            yield "false"
+        elif isinstance(o, int):
+            yield _int(o)
+        elif isinstance(o, float):
+            yield _float(o)
+        else:
+            yield from self._slices(self.default(o), nl)
 
 
 def _emit_json(payload: dict, args):
     payload = {"schema_version": SCHEMA_VERSION, **payload}
-    _emit(json.dumps(payload, sort_keys=True, indent=2, cls=IndentEncoder) + "\n", args)
+    slices = IndentEncoder(sort_keys=True, indent=2).iterencode(payload)
+    _emit_pieces(itertools.chain(slices, ("\n",)), args)
 
 
 def _emit_csv(rows, header, args):
@@ -254,7 +262,7 @@ def cmd_eta(args):
     group = WeylGroup.generate(t, args.cap)
     table = eta_table(group, eps)
     if args.format == "json":
-        _emit_json({"type": str(t), "sign": format_signs(eps), "table": list(table.as_rows()),
+        _emit_json({"type": str(t), "sign": format_signs(eps), "table": table.as_rows(),
                     "max_eta": table.max_value()}, args)
         return 0
     rows = zip(group.word_labels(), group.lengths, table.values, table.sign_labels())

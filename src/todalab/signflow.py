@@ -89,6 +89,30 @@ def eta(C, word, eps) -> int:
     return count
 
 
+class Records:
+    """A list of like dicts kept as one column per key: row k is
+    {key: columns[key][k]}.  Iterating or indexing gives the dicts; the JSON
+    encoder of ``cli`` renders a run of rows from one template when every
+    column holds only str or only plain ints, and the dicts otherwise."""
+
+    __slots__ = ("columns",)
+
+    def __init__(self, **columns):
+        if len(set(map(len, columns.values()))) != 1:
+            raise ValueError("Records needs at least one column, all of one length")
+        self.columns = columns
+
+    def __len__(self):
+        return len(next(iter(self.columns.values())))
+
+    def __getitem__(self, k):
+        return {key: col[k] for key, col in self.columns.items()}
+
+    def __iter__(self):
+        keys = tuple(self.columns)
+        return (dict(zip(keys, row)) for row in zip(*self.columns.values()))
+
+
 class EtaTable(NamedTuple):
     """eta(w, eps) for every group element, plus the transported signs."""
 
@@ -105,11 +129,10 @@ class EtaTable(NamedTuple):
         text = {sig: format_signs(sig) for sig in set(self.transported)}
         return [text[sig] for sig in self.transported]
 
-    def as_rows(self):
-        group = self.group
-        for word, length, value, sign in zip(group.word_labels(), group.lengths,
-                                             self.values, self.sign_labels()):
-            yield {"word": word, "length": length, "eta": value, "sign": sign}
+    def as_rows(self) -> Records:
+        """One {word, length, eta, sign} row per id, as typed columns."""
+        return Records(word=self.group.word_labels(), length=self.group.lengths,
+                       eta=self.values, sign=self.sign_labels())
 
 
 def propagate(C, parents, letters, eps):

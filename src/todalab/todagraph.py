@@ -78,22 +78,20 @@ def components(graph: BlowupGraph) -> list[list[int]]:
 ROWS_PER_SLICE = 4096
 
 
-def fill_rows(row: str, sep: str, rows) -> list[str]:
+def fill_rows(row: str, sep: str, rows):
     """``sep.join(row % r for r in rows)`` cut into slices of ``ROWS_PER_SLICE`` rows.
 
     Each slice fills one joined template from its rows' flattened cells, so
     no string is made per row; ``rows`` may be any iterable, and only one
-    slice of it is held at a time.  ``sep.join`` of the slices is the whole
-    text.
+    slice of it is held at a time.  ``sep.join`` of the yielded slices is
+    the whole text.
     """
     size = ROWS_PER_SLICE
     block = sep.join([row] * size)
     rows = iter(rows)
-    out = []
     while piece := list(islice(rows, size)):
         text = block if len(piece) == size else sep.join([row] * len(piece))
-        out.append(text % tuple(chain.from_iterable(piece)))
-    return out
+        yield text % tuple(chain.from_iterable(piece))
 
 
 def to_dot(graph: BlowupGraph) -> str:
@@ -116,12 +114,13 @@ def to_dot(graph: BlowupGraph) -> str:
 
 
 def graph_to_dict(graph: BlowupGraph) -> dict:
-    """JSON-ready adjacency document."""
+    """Adjacency document for ``cli.IndentEncoder``; ``vertices`` are
+    ``signflow.Records``, whose iteration gives the vertex dicts."""
     return {
         "schema_version": 1,
         "type": str(graph.group.lie_type),
         "sign": format_signs(graph.eps),
-        "vertices": list(graph.table.as_rows()),
+        "vertices": graph.table.as_rows(),
         "edges": graph.edges,  # tuples encode as JSON lists
         "components": components(graph),
     }

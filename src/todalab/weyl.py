@@ -13,7 +13,8 @@ only where one is read (the BFS frontier and ``multiply``).  Generation
 is a breadth-first closure over the simple reflections (``WordTree``)
 that dedupes children by their prefix and forms the whole permutation
 once, for the child it keeps; the BFS tree also hands every element a
-witness reduced word for free.
+witness reduced word for free.  Each tree inlines its ascent test and
+product into one loop per level, its ``_expand`` hook (see ``WordTree``).
 ``LabelTree`` runs the same tree on Dynkin labels instead of root
 permutations: it walks the coset chain of ``blowup_poly`` and the affine
 Weyl groups of ``affine``.
@@ -88,6 +89,13 @@ class WordTree:
     ``_descent(t, i)``, whether l(w * s_i) < l(w).  By default the table,
     the stored key and the index key are all the key itself;
     ``_key(q, t, i)`` gives the stored key of w * s_i when it is not q.
+
+    ``grow`` takes a level's candidates from one hook, ``_expand(ids)``,
+    which each subclass writes with the two primitives inlined.  It returns
+    {index key of w * s_i: (id of w, i, table of w)} over the w in ``ids``
+    and the i with ``not _descent(t, i)``, walked in id x generator order;
+    the first (w, i) found for a key wins.  ``key_of_word``, ``is_reduced``
+    and ``all_reduced_words`` call the primitives.
     """
 
     def __init__(self, identity, generators: int):
@@ -112,21 +120,12 @@ class WordTree:
     def grow(self, cap=None) -> bool:
         """Add the next length level; False once the group is exhausted.
 
-        Within a level new index keys are sorted, and the first (parent,
-        letter) found in frontier x generator order becomes the tree edge;
-        the stored key is formed once, for that edge.
+        Within a level new index keys are sorted, and the pair ``_expand``
+        keeps for a key becomes its tree edge; the stored key is formed
+        once, for that edge.
         """
-        mul, descent, table = self._mul, self._descent, self._table
         keys = self.keys
-        new = {}
-        for eid in range(self._top, len(keys)):
-            t = table(keys[eid])
-            for i in range(self.generators):
-                if descent(t, i):
-                    continue
-                q = mul(t, i)
-                if q not in new:
-                    new[q] = (eid, i, t)
+        new = self._expand(range(self._top, len(keys)))
         if cap is not None and len(keys) + len(new) > cap:
             raise CapExceededError(f"{self.lie_type}: group exceeds cap={cap} during generation")
         self._top = len(keys)
@@ -213,6 +212,22 @@ class LabelTree(WordTree):
     def _descent(self, m, i):
         return m[i] <= 0
 
+    def _expand(self, ids):
+        keys, rows = self.keys, list(enumerate(self._row_support))
+        new = {}
+        for eid in ids:
+            m = keys[eid]
+            for i, row in rows:
+                mi = m[i]
+                if mi > 0:  # an ascent that moves the key
+                    out = list(m)
+                    for j, c in row:
+                        out[j] -= mi * c
+                    q = tuple(out)
+                    if q not in new:
+                        new[q] = (eid, i, m)
+        return new
+
 
 class WeylGroup(WordTree):
     """Fully enumerated Weyl group of a finite type, keyed by the images of
@@ -250,6 +265,19 @@ class WeylGroup(WordTree):
 
     def _descent(self, t: bytes, i: int) -> bool:
         return t[i] >= self.num_positive     # w(alpha_i) < 0
+
+    def _expand(self, ids):
+        keys, tail, npos = self.keys, self._tail, self.num_positive
+        heads = list(enumerate(self._heads))
+        new = {}
+        for eid in ids:
+            t = keys[eid] + tail
+            for i, head in heads:
+                if t[i] < npos:  # w(alpha_i) > 0: an ascent
+                    q = head.translate(t)
+                    if q not in new:
+                        new[q] = (eid, i, t)
+        return new
 
     # -- construction ------------------------------------------------------
 

@@ -56,7 +56,8 @@ def test_closed_form_failure_names_the_type(monkeypatch):
     passed, detail = verify.check_closed_forms(None, "fast")
     assert not passed
     # A1's p(q) is q - 1, so A1 alone passes
-    assert detail.startswith("8 types, exact equality; A2: q^2 - 1 != q^2 - 2*q + 1; A3: ")
+    assert detail.startswith("7 of 8 types differ from the closed form; "
+                             "A2: q^2 - 1 != q^2 - 2*q + 1; A3: ")
     assert detail.endswith("; G2: q^4 - 2*q^2 + 1 != q^2 - 2*q + 1")
 
 
@@ -104,7 +105,7 @@ def test_chevalley_failure_names_the_type(monkeypatch):
     monkeypatch.setattr(verify, "sphere_counts", one_too_many)
     passed, detail = verify.check_chevalley_orders(groups, "fast")
     assert not passed
-    assert detail.startswith("40 sphere-point counts equal q^r p(q); "
+    assert detail.startswith("20 of 40 sphere-point counts differ from q^r p(q); "
                              "A3 q=3: 600 != 576; A3 q=5: 14520 != 14400; ")
     assert "; B2 q=3: 50 != 48; " in detail and "; C3 q=17: " in detail
     assert detail.endswith("; G2 q=17: 23980609 != 23970816")

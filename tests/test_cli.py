@@ -20,9 +20,10 @@ from hypothesis import given, settings, strategies as st
 import todalab
 from conftest import word_str
 from todalab.blowup_poly import closed_form_p
-from todalab.cli import IndentEncoder, main
+from todalab.cli import IndentEncoder, _template_rows, main
 from todalab.rootdata import LieType
-from todalab.signflow import all_minus, eta_table
+from todalab.signflow import Records, all_minus, eta_table, format_signs
+from todalab.todagraph import build_graph, graph_to_dict, matching_report
 from todalab.weyl import WeylGroup
 
 
@@ -698,10 +699,28 @@ def encode(doc):
     return json.dumps(doc, sort_keys=True, indent=2, cls=IndentEncoder)
 
 
+def stream(doc):
+    """The slices ``IndentEncoder.iterencode`` yields, joined."""
+    return "".join(IndentEncoder(sort_keys=True, indent=2).iterencode(doc))
+
+
+def expand(doc):
+    """``doc`` with every ``Records`` replaced by its list of dicts, for the stdlib."""
+    if type(doc) is Records:
+        return list(doc)
+    if isinstance(doc, dict):
+        return {key: expand(x) for key, x in doc.items()}
+    if isinstance(doc, (list, tuple)):
+        return [expand(x) for x in doc]
+    return doc
+
+
 @settings(derandomize=True, max_examples=300, deadline=None)
 @given(doc=DOCUMENTS)
 def test_encoder_matches_stdlib(doc):
-    assert encode(doc) == json.dumps(doc, sort_keys=True, indent=2)
+    want = json.dumps(doc, sort_keys=True, indent=2)
+    assert encode(doc) == want
+    assert stream(doc) == want
 
 
 @pytest.mark.parametrize("count", [0, 1, 4095, 4096, 4097, 3 * 4096 + 7])
@@ -740,11 +759,120 @@ RECORD_LISTS = {
 
 @pytest.mark.parametrize("name", sorted(RECORD_LISTS))
 def test_encoder_matches_stdlib_on_record_lists(name):
-    # lists of dicts with one key set and only str or only plain int values
-    # under each key render from one template; every other list falls back
+    # lists of dicts render item by item; only Records fill a row template
     records = RECORD_LISTS[name]
     doc = {"rows": records, "nested": [records, {"deeper": records}]}
-    assert encode(doc) == json.dumps(doc, sort_keys=True, indent=2)
+    want = json.dumps(doc, sort_keys=True, indent=2)
+    assert encode(doc) == want
+    assert stream(doc) == want
+
+
+# every value under a key plain str or every one plain int: one template
+TYPED_COLUMNS = {
+    "vertices": {"word": ["e", "12"], "length": [0, 2], "eta": [0, 1], "sign": ["--", "+-"]},
+    "escaped": {"s": ['é"\\\n\x00\x1f\u2028\U0001F600', "%d %s %%"], "k%d": [1, -2],
+                "%%": ["%s", ""], "": ["", ""]},
+    "big_ints": {"n": [10 ** 40, -(10 ** 40)]},
+}
+# anything else falls back to the dicts, never "%d" % True
+UNTYPED_COLUMNS = {
+    "bools": {"a": [True, False], "b": [1, 2]},
+    "bool_among_ints": {"a": [1, True]},
+    "floats": {"a": [1.5, 2.0]},
+    "float_among_ints": {"a": [1.5, 2]},
+    "none": {"a": [None, 1]},
+    "int_subclass": {"a": [Whole(3), 4]},
+    "str_subclass": {"a": [Text("x"), "y"]},
+    "int_among_str": {"a": ["1", 1]},
+    "nested": {"a": [[1, 2], [3]]},
+    "numpy": {"a": [np.float64(1.5), np.float64(2.5)]},
+    "empty": {"a": [], "b": []},
+}
+
+
+@pytest.mark.parametrize("name", sorted(TYPED_COLUMNS) + sorted(UNTYPED_COLUMNS))
+def test_typed_columns_match_stdlib_on_their_dicts(name):
+    columns = TYPED_COLUMNS.get(name) or UNTYPED_COLUMNS[name]
+    records = Records(**columns)
+    assert (_template_rows(records, "\n  ") is None) == (name in UNTYPED_COLUMNS)
+    doc = {"rows": records, "nested": [records, {"deeper": records}]}
+    want = json.dumps(expand(doc), sort_keys=True, indent=2)
+    assert encode(doc) == want
+    assert stream(doc) == want
+
+
+def test_typed_columns_refuse_ragged_or_no_columns():
+    for columns in ({}, {"a": [1, 2], "b": [1]}):
+        with pytest.raises(ValueError, match="all of one length"):
+            Records(**columns)
+
+
+COLUMN_VALUES = st.one_of(st.integers(), st.text(), SCALARS)
+RECORDS = st.integers(0, 5).flatmap(lambda n: st.dictionaries(
+    st.text(), st.one_of(st.lists(st.integers(), min_size=n, max_size=n),
+                         st.lists(st.text(), min_size=n, max_size=n),
+                         st.lists(COLUMN_VALUES, min_size=n, max_size=n)),
+    min_size=1, max_size=4)).map(lambda columns: Records(**columns))
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(records=RECORDS, doc=DOCUMENTS)
+def test_encoder_matches_stdlib_on_drawn_columns(records, doc):
+    doc = {"rows": records, "doc": doc, "nested": [records, {"deeper": records}]}
+    want = json.dumps(expand(doc), sort_keys=True, indent=2)
+    assert encode(doc) == want
+    assert stream(doc) == want
+
+
+GRAPH_SIGNS = {"A2": "-+", "B3": "+-+", "C3": "-+-", "D4": "-++-", "F4": "+--+", "G2": "+-"}
+MATCHINGS = {("A2", False), ("A2", True), ("G2", False)}  # the graphs that write betti
+
+
+@pytest.mark.parametrize("name, mixed", [(name, mixed) for name in sorted(GRAPH_SIGNS)
+                                         for mixed in (False, True)])
+def test_graph_json_matches_stdlib_on_expanded_vertices(name, mixed, group):
+    t = LieType.parse(name)
+    eps = tuple(-1 if c == "-" else 1 for c in GRAPH_SIGNS[name]) if mixed \
+        else all_minus(t.rank)
+    graph = build_graph(group(name), eps)
+    doc = graph_to_dict(graph)
+    report = matching_report(graph)
+    doc["matching"] = report.is_matching
+    if report.is_matching:
+        doc["betti"] = list(report.betti)
+    assert report.is_matching == ((name, mixed) in MATCHINGS)
+    with redirect_stdout(io.StringIO()) as out:
+        assert main(["graph", "--type", name, "--sign", format_signs(eps),
+                     "--format", "json"]) == 0
+    assert out.getvalue() == json.dumps(expand(doc), sort_keys=True, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("name", ["A3", "G2", "F4"])
+def test_eta_json_matches_stdlib_on_expanded_rows(name, group):
+    g = group(name)
+    table = eta_table(g, all_minus(g.lie_type.rank))
+    want = {"schema_version": 1, "type": name, "sign": format_signs(table.eps),
+            "table": list(table.as_rows()), "max_eta": table.max_value()}
+    with redirect_stdout(io.StringIO()) as out:
+        assert main(["eta", "--type", name, "--format", "json"]) == 0
+    assert out.getvalue() == json.dumps(want, sort_keys=True, indent=2) + "\n"
+
+
+def test_e6_graph_json_is_never_held_whole(tmp_path, group):
+    # the text goes out slice by slice: the encoder's peak stays far below
+    # the 13.5 MB it writes
+    graph = build_graph(group("E6"), (-1, 1, 1, -1, 1, -1))
+    doc = graph_to_dict(graph)
+    target = tmp_path / "e6.json"
+    tracemalloc.start()
+    try:
+        with open(target, "w", encoding="utf-8", newline="") as fh:
+            fh.writelines(IndentEncoder(sort_keys=True, indent=2).iterencode(doc))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert target.stat().st_size > 13_000_000
+    assert peak < 4_000_000
 
 
 @pytest.mark.parametrize("count", [1, 4095, 4096, 4097])
@@ -754,8 +882,11 @@ def test_encoder_matches_stdlib_past_one_slice_of_records(count):
     records = [{"word": rng.choice(texts), "length": rng.randrange(10 ** 6),
                 "eta": rng.randrange(-(10 ** 30), 10 ** 30), "sign": rng.choice(texts)}
                for _ in range(count)]
-    doc = {"table": records, "nested": [{"rows": records}]}
-    assert encode(doc) == json.dumps(doc, sort_keys=True, indent=2)
+    columns = Records(**{key: [r[key] for r in records] for key in records[0]})
+    doc = {"table": records, "nested": [{"rows": records}], "columns": columns}
+    want = json.dumps(expand(doc), sort_keys=True, indent=2)
+    assert encode(doc) == want
+    assert stream(doc) == want
 
 
 @settings(derandomize=True, max_examples=50, deadline=None)

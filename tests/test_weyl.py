@@ -8,6 +8,7 @@ import pytest
 
 from conftest import FINITE_TYPES, word_str
 from todalab.affine import AffineWeylGroup
+from todalab.blowup_poly import CosetChain
 from todalab.errors import CapExceededError, ValidationError
 from todalab.rootdata import (
     LieType,
@@ -335,14 +336,7 @@ class TestWordLabels:
 
     def test_dotted_letters_on_partial_a10(self):
         # built as generate builds it, grown to length 3 (|W(A10)| is 11!)
-        t = LieType.parse("A10")
-        C = cartan_matrix(t)
-        pos = list(positive_roots(t).positive)
-        roots = pos + [tuple(-c for c in b) for b in pos]
-        where = {b: i for i, b in enumerate(roots)}
-        simple = [pad_table(bytes(where[reflect_root(C, b, i)] for b in roots))
-                  for i in range(t.rank)]
-        g = WeylGroup(t, tuple(roots), simple)
+        g = unexpanded_group("A10")
         for _ in range(3):
             assert g.grow()
         labels = g.word_labels()
@@ -411,6 +405,85 @@ def test_prefix_index_matches_padded_bfs(name, group):
         for i in word:
             p = simple[i].translate(p)
         assert g.act_on_word(word) == full[p]
+
+
+def reference_grow(tree, cap=None) -> bool:
+    """One level of the word tree, one (element, generator) product at a
+    time through ``_table``, ``_descent``, ``_mul`` and ``_key``: the oracle
+    for each tree's ``_expand``."""
+    keys = tree.keys
+    new = {}
+    for eid in range(tree._top, len(keys)):
+        t = tree._table(keys[eid])
+        for i in range(tree.generators):
+            if tree._descent(t, i):
+                continue
+            q = tree._mul(t, i)
+            if q not in new:
+                new[q] = (eid, i, t)
+    if cap is not None and len(keys) + len(new) > cap:
+        raise CapExceededError(f"{tree.lie_type}: group exceeds cap={cap} during generation")
+    tree._top = len(keys)
+    for q in sorted(new):
+        par, i, t = new[q]
+        tree.index[q] = len(keys)
+        keys.append(tree._key(q, t, i))
+        tree.lengths.append(tree.lengths[par] + 1)
+        tree.parents.append(par)
+        tree.letters.append(i)
+    return bool(new)
+
+
+def unexpanded_group(name):
+    """W(name) before its first level, built as ``WeylGroup.generate`` builds it."""
+    t = LieType.parse(name)
+    C = cartan_matrix(t)
+    pos = list(positive_roots(t).positive)
+    roots = pos + [tuple(-c for c in b) for b in pos]
+    where = {b: i for i, b in enumerate(roots)}
+    simple = [pad_table(bytes(where[reflect_root(C, b, i)] for b in roots))
+              for i in range(t.rank)]
+    return WeylGroup(t, tuple(roots), simple)
+
+
+def tree_state(tree):
+    return tree.keys, tree.index, tree.lengths, tree.parents, tree.letters
+
+
+class TestExpandMatchesReference:
+    @pytest.mark.parametrize("name", UP_TO_E6)
+    def test_weyl_group(self, name, group):
+        ref = unexpanded_group(name)
+        while reference_grow(ref):
+            pass
+        assert tree_state(group(name)) == tree_state(ref)
+
+    @pytest.mark.parametrize("name", FINITE_TYPES)
+    def test_coset_chain_trees(self, name):
+        t = LieType.parse(name)
+        for k, tree in enumerate(CosetChain(t).steps):
+            ref = LabelTree(t, tree.cartan, (0,) * k + (1,))
+            while reference_grow(ref):
+                pass
+            assert tree_state(tree) == tree_state(ref)
+
+    @pytest.mark.parametrize("name", [f"A{l}(1)" for l in range(1, 9)]
+                             + ["B3(1)", "C2(1)", "G2(1)"])
+    def test_affine_through_length_8(self, name):
+        t = LieType.parse(name)
+        ref = AffineWeylGroup(t)
+        while ref.lengths[-1] < 8:
+            reference_grow(ref)
+        assert tree_state(AffineWeylGroup(t).extend_to(8)) == tree_state(ref)
+
+    def test_cap_refused_during_generation(self):
+        # past the up-front order check: the per-level backstop in grow
+        g = unexpanded_group("A3")
+        assert g.grow(cap=4) and len(g) == 4
+        with pytest.raises(CapExceededError,
+                           match=r"^A3: group exceeds cap=8 during generation$"):
+            g.grow(cap=8)
+        assert len(g) == 4  # the refused level is not appended
 
 
 class TestCapsAndDeterminism:
