@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
-import math
 import sys
 
 # The parser needs only the core below; each handler imports the modules it
@@ -70,19 +69,9 @@ def _emit_pieces(pieces, args):
         sys.stdout.writelines(pieces)
 
 
-_JSON_DEFAULTS = {"skipkeys": False, "ensure_ascii": True, "check_circular": True,
-                  "allow_nan": True, "sort_keys": False, "indent": None, "separators": None,
-                  "default": None}
 _ascii = json.encoder.encode_basestring_ascii
 _int = int.__repr__
-
-
-def _float(x: float) -> str:
-    if x != x:
-        return "NaN"
-    if x in (math.inf, -math.inf):
-        return "Infinity" if x > 0 else "-Infinity"
-    return float.__repr__(x)
+_scalar = json.JSONEncoder().encode  # any other scalar; TypeError for what is no JSON
 
 
 def _template_rows(o, inner: str):
@@ -117,87 +106,62 @@ def _template_rows(o, inner: str):
     return None
 
 
-class IndentEncoder(json.JSONEncoder):
-    """Writes exactly what ``json.dumps(o, sort_keys=True, indent=2)`` writes.
+def _json_slices(o, nl: str = "\n"):
+    """The text ``json.dumps(o, sort_keys=True, indent=2)`` writes, slice by slice.
 
-    ``iterencode`` yields the text slice by slice, so no whole text is built:
-    a list of plain ints is one slice, a run of template rows (see
-    ``_template_rows``) one slice per ``todagraph.ROWS_PER_SLICE`` rows, and
-    any other container comes in the slices of its items.  ``Records``
-    encode as their list of dicts.  Any other setting is refused, and so is
-    a key that is not a ``str``.
+    ``o`` sits at the depth whose lines start with ``nl``; its items go one
+    level deeper.  No whole text is built: a list of plain ints is one slice,
+    a run of template rows (see ``_template_rows``) one slice per
+    ``todagraph.ROWS_PER_SLICE`` rows, and any other container comes in the
+    slices of its items.  ``Records`` encode as their list of dicts.  A key
+    that is not a ``str`` is refused.
     """
-
-    SETTINGS = {**_JSON_DEFAULTS, "sort_keys": True, "indent": 2}
-
-    def __init__(self, **settings):
-        if {**_JSON_DEFAULTS, **settings} != self.SETTINGS:
-            raise ValueError(f"IndentEncoder writes only sort_keys=True, indent=2 and the "
-                             f"json defaults otherwise, not {settings}")
-        super().__init__(**settings)
-
-    def iterencode(self, o, _one_shot=False):
-        return self._slices(o, "\n")
-
-    def _slices(self, o, nl: str):
-        """``o`` at the depth whose lines start with ``nl``; its items go one level deeper."""
-        if isinstance(o, (list, tuple, Records)):
-            if not o:
-                yield "[]"
-                return
-            inner = nl + "  "
-            sep = "," + inner
-            if all(type(x) is int for x in o):  # not bool: int.__repr__(True) is "1"
-                yield f"[{inner}{sep.join(map(_int, o))}{nl}]"
-                return
-            head = "[" + inner
-            if (filled := _template_rows(o, inner)) is not None:
-                from .todagraph import fill_rows
-
-                row, rows = filled  # one template filled per slice of rows
-                for text in fill_rows(row, sep, rows):
-                    yield head
-                    yield text
-                    head = sep
-            else:
-                for x in o:
-                    yield head
-                    yield from self._slices(x, inner)
-                    head = sep
-            yield nl + "]"
+    if type(o) is int:  # not bool: int.__repr__(True) is "1"
+        yield _int(o)
+    elif type(o) is str:
+        yield _ascii(o)
+    elif isinstance(o, (list, tuple, Records)):
+        if not o:
+            yield "[]"
             return
-        if isinstance(o, dict):
-            if not o:
-                yield "{}"
-                return
-            inner = nl + "  "
-            head = "{" + inner
-            for key, x in sorted(o.items()):
-                yield head + _ascii(key) + ": "  # _ascii raises TypeError on a key that is no str
-                yield from self._slices(x, inner)
-                head = "," + inner
-            yield nl + "}"
+        inner = nl + "  "
+        sep = "," + inner
+        if all(type(x) is int for x in o):
+            yield f"[{inner}{sep.join(map(_int, o))}{nl}]"
             return
-        if isinstance(o, str):
-            yield _ascii(o)
-        elif o is None:
-            yield "null"
-        elif o is True:
-            yield "true"
-        elif o is False:
-            yield "false"
-        elif isinstance(o, int):
-            yield _int(o)
-        elif isinstance(o, float):
-            yield _float(o)
+        head = "[" + inner
+        if (filled := _template_rows(o, inner)) is not None:
+            from .todagraph import fill_rows
+
+            row, rows = filled  # one template filled per slice of rows
+            for text in fill_rows(row, sep, rows):
+                yield head
+                yield text
+                head = sep
         else:
-            yield from self._slices(self.default(o), nl)
+            for x in o:
+                yield head
+                yield from _json_slices(x, inner)
+                head = sep
+        yield nl + "]"
+    elif isinstance(o, dict):
+        if not o:
+            yield "{}"
+            return
+        inner = nl + "  "
+        head = "{" + inner
+        for key, x in sorted(o.items()):
+            yield head + _ascii(key) + ": "  # _ascii raises TypeError on a key that is no str
+            yield from _json_slices(x, inner)
+            head = "," + inner
+        yield nl + "}"
+    else:
+        yield _scalar(o)
 
 
 def _emit_json(payload: dict, args):
     payload = {"schema_version": SCHEMA_VERSION, **payload}
-    slices = IndentEncoder(sort_keys=True, indent=2).iterencode(payload)
-    _emit_pieces(itertools.chain(slices, ("\n",)), args)
+    _emit_pieces(itertools.chain(_json_slices(payload), ("\n",)), args)
 
 
 def _emit_csv(rows, header, args):
@@ -354,7 +318,7 @@ def cmd_affine(args):
     return 0
 
 
-def _floats(text: str, flag: str) -> list[float]:
+def _parse_floats(text: str, flag: str) -> list[float]:
     out = []
     for token in text.split(","):
         try:
@@ -367,8 +331,8 @@ def _floats(text: str, flag: str) -> list[float]:
 def cmd_ode(args):
     t = LieType.parse(args.type)
     require_finite(t)  # no value count fits an affine type
-    a0 = _floats(args.a, "--a")
-    b0 = _floats(args.b, "--b")
+    a0 = _parse_floats(args.a, "--a")
+    b0 = _parse_floats(args.b, "--b")
     if len(a0) != t.rank or len(b0) != t.rank:
         raise ValidationError(f"need {t.rank} comma-separated values for --a and --b")
     check_flow_input(t, a0, b0, (args.t0, args.t1))  # refuse before numpy loads

@@ -380,7 +380,6 @@ def conventions_table() -> dict:
             "compact_dual": compact_dual_info(t).name,
         }
     return {
-        "schema_version": 1,
         "convention": "C[i][j] = alpha_i(h_alpha_j); rank-2 matrices as displayed in "
                       "the classical B2/C2/G2 tables; Bourbaki numbering elsewhere",
         "types": entries,

@@ -42,12 +42,7 @@ def build_graph(group: WeylGroup, eps) -> BlowupGraph:
     fixed = [k for k, r in enumerate(group.reflections()) if signs[index[r[:rank]]] == table.eps]
     m = max(table.values) + 1
     key = [n * m + e for n, e in zip(group.lengths, table.values)]
-    ids = list(range(len(group)))  # one int object per id, shared by the pairs
-    up = [x + m for x in key]
-    edges = []
-    for t in group.reflection_tables(fixed):
-        edges += [(w, v) for w, v, x in zip(ids, t, up) if key[v] == x]
-    edges.sort()
+    edges = group.rising_pairs(key, m, fixed)
     return BlowupGraph(group, table.eps, table, tuple(edges))
 
 
@@ -114,10 +109,9 @@ def to_dot(graph: BlowupGraph) -> str:
 
 
 def graph_to_dict(graph: BlowupGraph) -> dict:
-    """Adjacency document for ``cli.IndentEncoder``; ``vertices`` are
+    """Adjacency document for ``cli._json_slices``; ``vertices`` are
     ``signflow.Records``, whose iteration gives the vertex dicts."""
     return {
-        "schema_version": 1,
         "type": str(graph.group.lie_type),
         "sign": format_signs(graph.eps),
         "vertices": graph.table.as_rows(),

@@ -53,7 +53,6 @@ from . import numtoda
 
 NUMERIC_CLOSED_FORM_TOL = 1e-6
 INVARIANT_DRIFT_TOL = 1e-8
-MODAL_FRACTION_MIN = 0.9
 
 
 class CheckResult(NamedTuple):
@@ -273,16 +272,17 @@ def check_hirota(groups, scope):
 
 
 def check_real_roots(groups, scope):
-    cases = _types([("A2", 2), ("B2", 3), ("C2", 3)],
-                   [("G2", 4), ("A3", 4), ("C3", 6)], scope)
+    names = _types(["A2", "B2", "C2"], ["G2", "A3", "C3"], scope)
     bad = []
     details = []
-    for name, expect in cases:
+    for name in names:
         rep = real_root_count_experiment(LieType.parse(name), samples=20, seed=7)
-        details.append(f"{name}: modal {rep.modal_count} ({rep.modal_fraction:.0%})")
-        if rep.modal_count != expect or rep.modal_fraction < MODAL_FRACTION_MIN:
-            bad.append(f"{name}: modal {rep.modal_count} frac {rep.modal_fraction}")
-    return not bad, "; ".join(details if not bad else bad)
+        off = [c for c in rep.counts if c != rep.expected]
+        details.append(f"{name} {rep.expected}")
+        if off:
+            bad.append(f"{name}: {len(off)} of {len(rep.counts)} counts != {rep.expected}: {off}")
+    return not bad, (f"every count of 20 slices = sum d_i: {', '.join(details)}"
+                     if not bad else "; ".join(bad))
 
 
 def check_affine(groups, scope):

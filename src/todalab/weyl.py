@@ -411,6 +411,17 @@ class WeylGroup(WordTree):
                         nxt.append((j, [dt[table[x]] for x in dt]))
             frontier = nxt
 
+    def rising_pairs(self, key, step, roots=None) -> list[tuple[int, int]]:
+        """All pairs (id(w), id(r_beta * w)) with key[r_beta * w] == key[w] + step,
+        sorted, over the tables of ``reflection_tables(roots)``."""
+        ids = list(range(len(self)))  # one int object per id, shared by the pairs
+        up = [x + step for x in key]
+        pairs = []
+        for table in self.reflection_tables(roots):
+            pairs += [(w, v) for w, v, x in zip(ids, table, up) if key[v] == x]
+        pairs.sort()
+        return pairs
+
     def bruhat_covers(self) -> list[tuple[int, int]]:
         """All pairs (id(w), id(v)) with w -> v a Bruhat cover (l(v)=l(w)+1), sorted.
 
@@ -419,11 +430,4 @@ class WeylGroup(WordTree):
         r_beta*w of length l(w)+1, read off the left tables of
         ``reflection_tables()``.
         """
-        lengths = self.lengths
-        ids = list(range(len(self)))  # one int object per id, shared by the pairs
-        up = [n + 1 for n in lengths]
-        covers = []
-        for table in self.reflection_tables():
-            covers += [(w, v) for w, v, n in zip(ids, table, up) if lengths[v] == n]
-        covers.sort()
-        return covers
+        return self.rising_pairs(self.lengths, 1)

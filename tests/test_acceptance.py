@@ -3,7 +3,7 @@ pass/fail line per criterion (run with ``pytest -s`` to see all lines live).
 
 Tolerances are pinned inside todalab.verify: exact equality for everything
 combinatorial and algebraic, 1e-6 against numerical closed forms, 1e-8
-invariant drift, and a 90% modal threshold for the real-root experiment.
+invariant drift, and every real-root count equal to sum d_i.
 """
 
 import functools
@@ -31,7 +31,7 @@ TITLES = {
     7: "tau-function literals for A2, B2, C2, G2",
     8: "minimal degrees match; sum = eta(w*) = deg p; t1-degree of product = |2rho|",
     9: "Hirota residuals vanish with fitted constants (A2-A3, B2-B3, C2-C3, D4, G2)",
-    10: "modal Sturm count = deg p(q) on >= 20 seeded slices (>= 90% modal)",
+    10: "every Sturm count = deg p(q) = sum d_i on 20 seeded slices",
     11: "affine A1(1): eta = length, stable series = (1-q)/(1+q), reconstruction",
     12: "numerics: closed forms to 1e-6, one blow-up detected, A2 total = 2, drift <= 1e-8",
     13: "property suites: involution/braid, eta increments, graph vs p, Betti matching",
@@ -163,12 +163,14 @@ def test_hirota_failure_names_the_type(monkeypatch):
 
 
 def test_real_root_failure_names_the_type(monkeypatch):
+    # one sample off sum d_i fails a type, however many agree
     monkeypatch.setattr(verify, "real_root_count_experiment",
-                        lambda t, samples, seed: SimpleNamespace(modal_count=0,
-                                                                 modal_fraction=1.0))
+                        lambda t, samples, seed: SimpleNamespace(counts=(2, 2, 1, 2),
+                                                                 expected=2))
     passed, detail = verify.check_real_roots(None, "fast")
     assert not passed
-    assert detail == "A2: modal 0 frac 1.0; B2: modal 0 frac 1.0; C2: modal 0 frac 1.0"
+    assert detail == ("A2: 1 of 4 counts != 2: [1]; B2: 1 of 4 counts != 2: [1]; "
+                      "C2: 1 of 4 counts != 2: [1]")
 
 
 def test_numerics_failure_names_the_type(monkeypatch):

@@ -224,7 +224,6 @@ class TestExports:
 
     def test_json_schema(self, group):
         doc = graph_to_dict(build_graph(group("A2"), (-1, -1)))
-        assert doc["schema_version"] == 1
         assert len(doc["vertices"]) == 6
         assert set(doc["vertices"][0]) == {"word", "length", "eta", "sign"}
         edge_words = {(doc["vertices"][a]["word"], doc["vertices"][b]["word"])

@@ -57,8 +57,8 @@ def test_tracer_reads_what_the_package_provides():
         assert m["todagraph.build_graph.edges"] == 16
         assert m["signflow.eta_table.calls"] == 1
         assert m["todagraph.graph_to_dict_s"] > 0
-        # JSON streams through IndentEncoder.iterencode, and the tracer
-        # times and counts json.dumps alone: no span, 0 bytes
+        # JSON streams through cli._json_slices, and the tracer times and
+        # counts json.dumps alone: no span, 0 bytes
         assert m["cli.json_bytes"] == 0 and "cli.json_dumps_s" not in m
 
         code, m = replay("pq", "--type", "E7")
