@@ -3,10 +3,11 @@
 A port of SciPy 1.17.1's ``solve_ivp(method="RK45")`` (``_ivp/rk.py``,
 ``common.py``, ``base.py`` and ``ivp.py``) and of its C ``brentq``, cut down
 to what the Toda flow asks of it: scalar tolerances, no maximum step, sample
-times ``t_eval`` and one terminal event that fires when it crosses zero
-upwards.  Every floating-point operation is the same numpy call on arrays of
-the same shape and layout, in the same order, so the results equal
-SciPy's bit for bit; ``tests/test_rk45.py`` holds SciPy as the oracle.
+times ``t_eval``, one terminal event that fires when it crosses zero
+upwards, and an optional cap on the number of steps.  Every floating-point
+operation is the same numpy call on arrays of the same shape and layout, in
+the same order, so the results equal SciPy's bit for bit;
+``tests/test_rk45.py`` holds SciPy as the oracle.
 
 References: J. R. Dormand and P. J. Prince, J. Comput. Appl. Math. 6 (1980);
 Hairer, Norsett and Wanner, *Solving Ordinary Differential Equations I*,
@@ -19,6 +20,8 @@ from __future__ import annotations
 from typing import NamedTuple
 
 import numpy as np
+
+from .errors import CapExceededError
 
 EPS = np.finfo(float).eps
 SAFETY = 0.9  # steps from the asymptotic error behaviour are scaled by this
@@ -194,13 +197,15 @@ def _step(fun, t, y, f, h_abs, t_bound, direction, K, tol):
         step_rejected = True
 
 
-def solve(fun, t_span, y0, t_eval, event, tol) -> Solution:
+def solve(fun, t_span, y0, t_eval, event, tol, max_steps=None) -> Solution:
     """Integrate y' = fun(t, y) over t_span (t0 != t1) with relative and
     absolute tolerance tol, sampled at the array t_eval, which runs from t0
     to t1.
 
     Stops early when event(t, y) rises through zero (status 1) or when the
     step falls below ten ulps of t (status -1, message TOO_SMALL_STEP).
+    Raises CapExceededError when max_steps accepted steps (None: no limit)
+    have not finished the span; counting touches no float.
     """
     t0, t_bound = map(float, t_span)
     direction = np.sign(t_bound - t0)
@@ -215,8 +220,13 @@ def solve(fun, t_span, y0, t_eval, event, tol) -> Solution:
         t_eval_i = t_eval.shape[0]
     ts, ys, t_events, y_events = [], [], [], []
     g = event(t0, y0)
-    status = None
+    status, steps = None, 0
     while status is None:
+        if steps == max_steps:
+            raise CapExceededError(
+                f"integration needs more than {max_steps} RK45 steps (too stiff for "
+                f"the span); stopped at t={t}")
+        steps += 1
         step = _step(fun, t, y, f, h_abs, t_bound, direction, K, tol)
         if step is None:
             status = -1

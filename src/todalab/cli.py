@@ -3,8 +3,8 @@
 Subcommands: pq, eta, graph, schur, affine, ode, chevalley, verify,
 conventions.
 Outputs are deterministic for a fixed seed and version: JSON with sorted
-keys, RFC-4180-style CSV, or DOT.  Exit codes: 0 success, 1 validation
-error, 2 computational error.
+keys, CSV with CRLF line ends (no cell ever needs quoting), or DOT.  Exit
+codes: 0 success, 1 validation error, 2 computational error.
 """
 
 from __future__ import annotations
@@ -15,7 +15,8 @@ import json
 import sys
 
 # The parser needs only the core below; each handler imports the modules it
-# runs (and _emit_csv imports csv), so a cold command loads nothing else.
+# runs (todagraph for its row filler, which writes every CSV row), so a cold
+# command loads nothing else.
 from . import __version__
 from .errors import CapExceededError, TodaLabError, ValidationError
 from .rootdata import (
@@ -164,28 +165,14 @@ def _emit_json(payload: dict, args):
     _emit_pieces(itertools.chain(_json_slices(payload), ("\n",)), args)
 
 
-def _emit_csv(rows, header, args):
-    """Header and rows as CSV, rendered and written one slice of rows at a time."""
-    import csv
-    import io
+def _emit_csv(header, row, rows, args):
+    """The header line, then ``rows`` filled into the template ``row``, which
+    ends in CRLF.  No quoting: every cell is a number, a word label, a sign
+    string or a header name, none of which holds a comma, quote or line end."""
+    from .todagraph import fill_rows
 
-    from .todagraph import ROWS_PER_SLICE
-
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\r\n")
-    writer.writerow(header)
-    rows = iter(rows)
-
-    def pieces():
-        while True:
-            writer.writerows(itertools.islice(rows, ROWS_PER_SLICE))
-            if not buf.tell():
-                return
-            yield buf.getvalue()
-            buf.seek(0)
-            buf.truncate()
-
-    _emit_pieces(pieces(), args)
+    _emit_pieces(itertools.chain((",".join(header) + "\r\n",), fill_rows(row, "", rows)),
+                 args)
 
 
 # -- subcommand handlers -------------------------------------------------------
@@ -231,11 +218,11 @@ def cmd_eta(args):
         return 0
     rows = zip(group.word_labels(), group.lengths, table.values, table.sign_labels())
     if args.format == "csv":
-        _emit_csv(rows, ("word", "length", "eta", "sign"), args)
+        _emit_csv(("word", "length", "eta", "sign"), "%s,%d,%d,%s\r\n", rows, args)
     else:
-        lines = [f"{word:>12}  l={length}  eta={value}  {sign}"
-                 for word, length, value, sign in rows]
-        _emit("\n".join(lines) + "\n", args)
+        from .todagraph import fill_rows
+
+        _emit_pieces(fill_rows("%12s  l=%d  eta=%d  %s\n", "", rows), args)
     return 0
 
 
@@ -340,19 +327,13 @@ def cmd_ode(args):
 
     traj = numtoda.ode_integrate(t, a0, b0, (args.t0, args.t1))
     if args.format == "csv":
-        header = (["t"] + [f"a{i+1}" for i in range(t.rank)]
-                  + [f"b{i+1}" for i in range(t.rank)])
-        taus = traj.tau
-        if taus is not None:
-            header += [f"tau{j}" for j in range(1, t.rank + 1)]
-        rows = []
-        for i, tt in enumerate(traj.t):
-            row = [f"{tt:.12g}"] + [f"{x:.12g}" for x in traj.a[i]] \
-                + [f"{x:.12g}" for x in traj.b[i]]
-            if taus is not None:
-                row += [f"{x:.12g}" for x in taus[i]]
-            rows.append(row)
-        _emit_csv(rows, header, args)
+        import numpy as np
+
+        names = ("a", "b") if traj.tau is None else ("a", "b", "tau")
+        header = ["t"] + [f"{name}{i}" for name in names for i in range(1, t.rank + 1)]
+        cols = [traj.t[:, None], traj.a, traj.b] + ([] if traj.tau is None else [traj.tau])
+        _emit_csv(header, ",".join(["%.12g"] * len(header)) + "\r\n",
+                  np.hstack(cols).tolist(), args)
         return 0
     # between-events convention: drift is measured away from any divergence
     drift = traj.invariant_drift(a_bound=100.0) if traj.events \

@@ -30,6 +30,7 @@ from .signflow import eta
 EIGEN_GAP = 1e-6  # smallest spectral gap TauMinors accepts
 DIVERGENCE_DELTA = 1e-8  # blow-up when |a_i| exceeds 1/delta
 ODE_TOL = 1e-10  # RK45 rtol and atol
+ODE_MAX_STEPS = 10_000  # RK45 steps per integration; 732 is the most any test or verify takes
 ODE_SAMPLES = 2000  # trajectory sample times over the span
 
 
@@ -236,8 +237,9 @@ def ode_integrate(t: LieType, a0, b0, t_span=(0.0, 10.0)) -> Trajectory:
     Integration stops (status 'blow-up') when any |a_i| reaches
     1/DIVERGENCE_DELTA; the trajectory is sampled at ODE_SAMPLES times.  A
     solver failure without divergence raises StepCollapseError (suspected
-    stiff region).  Ranks above MAX_FLOW_RANK, non-finite data and empty or
-    overlong spans are refused before integrating (`check_flow_input`).
+    stiff region), and a span that needs more than ODE_MAX_STEPS steps
+    raises CapExceededError.  Ranks above MAX_FLOW_RANK, non-finite data and
+    empty or overlong spans are refused before integrating (`check_flow_input`).
     """
     l = t.rank
     a0 = np.asarray(a0, dtype=float)
@@ -250,7 +252,8 @@ def ode_integrate(t: LieType, a0, b0, t_span=(0.0, 10.0)) -> Trajectory:
     t_eval = np.linspace(*t_span, ODE_SAMPLES)
     # overflow inside a collapsing step is reported as StepCollapseError below
     with np.errstate(over="ignore", invalid="ignore"):
-        sol = _rk45.solve(toda_rhs(C), t_span, y0, t_eval, divergence_event(l), ODE_TOL)
+        sol = _rk45.solve(toda_rhs(C), t_span, y0, t_eval, divergence_event(l), ODE_TOL,
+                          ODE_MAX_STEPS)
     if sol.status == -1:
         raise StepCollapseError(
             f"integrator failed at t={sol.t[-1] if len(sol.t) else t_span[0]}: "

@@ -9,7 +9,7 @@ Betti numbers of the compact group.
 
 from __future__ import annotations
 
-from itertools import chain, islice
+from itertools import chain, count, islice
 from typing import NamedTuple
 
 from .exact import UniPoly
@@ -76,10 +76,12 @@ ROWS_PER_SLICE = 4096
 def fill_rows(row: str, sep: str, rows):
     """``sep.join(row % r for r in rows)`` cut into slices of ``ROWS_PER_SLICE`` rows.
 
-    Each slice fills one joined template from its rows' flattened cells, so
-    no string is made per row; ``rows`` may be any iterable, and only one
-    slice of it is held at a time.  ``sep.join`` of the yielded slices is
-    the whole text.
+    The one row renderer: CSV and text rows (``sep`` empty, the line end in
+    ``row``), DOT vertex and edge lines and JSON template rows all come from
+    it.  Each slice fills one joined template from its rows' flattened
+    cells, so no string is made per row; ``rows`` may be any iterable, and
+    only one slice of it is held at a time.  ``sep.join`` of the yielded
+    slices is the whole text.
     """
     size = ROWS_PER_SLICE
     block = sep.join([row] * size)
@@ -100,9 +102,9 @@ def to_dot(graph: BlowupGraph) -> str:
         "  rankdir=TB;",
         '  node [shape=box, fontname="monospace"];',
     ]
-    rows = zip(graph.group.word_labels(), graph.table.values, graph.table.sign_labels())
-    lines += [f'  n{eid} [label="{word}|eta={value}|{sign}"];'
-              for eid, (word, value, sign) in enumerate(rows)]
+    rows = zip(count(), graph.group.word_labels(), graph.table.values,
+               graph.table.sign_labels())
+    lines += fill_rows('  n%d [label="%s|eta=%d|%s"];', "\n", rows)
     lines += fill_rows("  n%d -> n%d;", "\n", graph.edges)
     lines += ["}", ""]  # the final newline, without copying the joined text
     return "\n".join(lines)

@@ -413,7 +413,7 @@ CHECKS = [
     (7, "tau-function literals", check_tau_literals),
     (8, "degree bookkeeping", check_degree_bookkeeping),
     (9, "Hirota residuals vanish", check_hirota),
-    (10, "real-root modal counts", check_real_roots),
+    (10, "real-root counts", check_real_roots),
     (11, "affine A1(1) series", check_affine),
     (12, "numerical flow checks", check_numerics),
     (13, "property suites", check_property_suites),

@@ -212,6 +212,16 @@ class TestOde:
         assert doc["status"] == "complete"
         assert doc["invariant_drift"] < 1e-8
 
+    def test_stiff_start_is_cap_exceeded(self, capsys):
+        # steps of about 1e-10: uncapped, this run would take hours
+        start = time.perf_counter()
+        code, out, err = run(capsys, "ode", "--type", "A1", "--a", "1e20", "--b", "0",
+                             "--t1", "1", "--format", "csv")
+        assert time.perf_counter() - start < 10.0
+        assert (code, out) == (2, "")
+        assert err.startswith("error [cap-exceeded]: integration needs more than 10000 "
+                              "RK45 steps (too stiff for the span); stopped at t=")
+
 
 class TestChevalley:
     def test_brute_match(self, capsys):
@@ -445,14 +455,16 @@ class TestErrorsAndPlumbing:
 
     def test_csv_slices_match_one_pass(self, tmp_path, capsys):
         # D6 has 23,040 rows, so the CSV is written in six slices; stdout and
-        # --out carry the bytes of one csv.writer pass over all rows
+        # --out carry the bytes of one csv.writer pass over all rows, and the
+        # text table those of one f-string per row
         g = WeylGroup.generate(LieType.parse("D6"))
         table = eta_table(g, all_minus(6))
+        rows = list(zip(map(word_str, map(g.word, range(len(g)))), g.lengths,
+                        table.values, table.sign_labels()))
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\r\n")
         writer.writerow(("word", "length", "eta", "sign"))
-        writer.writerows(zip(map(word_str, map(g.word, range(len(g)))), g.lengths,
-                             table.values, table.sign_labels()))
+        writer.writerows(rows)
         code, out, _ = run(capsys, "eta", "--type", "D6", "--format", "csv")
         assert code == 0 and out == buf.getvalue()
         target = tmp_path / "eta.csv"
@@ -460,6 +472,22 @@ class TestErrorsAndPlumbing:
                            "--out", str(target))
         assert code == 0 and out == ""
         assert target.read_bytes() == buf.getvalue().encode()
+        code, out, _ = run(capsys, "eta", "--type", "D6", "--format", "text")
+        assert code == 0 and out == "".join(
+            f"{word:>12}  l={length}  eta={value}  {sign}\n" for word, length, value, sign in rows)
+        # the A2 blow-up trajectory with its tau tracks, one f-string per cell
+        from todalab.numtoda import ode_integrate
+
+        traj = ode_integrate(LieType.parse("A2"), [-1.0, -1.0], [1.0, -1.0], (0.0, 10.0))
+        assert traj.status == "blow-up" and traj.tau is not None
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\r\n")
+        writer.writerow(["t", "a1", "a2", "b1", "b2", "tau1", "tau2"])
+        writer.writerows([f"{x:.12g}" for x in [t, *a, *b, *tau]]
+                         for t, a, b, tau in zip(traj.t, traj.a, traj.b, traj.tau))
+        code, out, _ = run(capsys, "ode", "--type", "A2", "--a", "-1,-1", "--b", "1,-1",
+                           "--format", "csv")
+        assert code == 0 and out == buf.getvalue()
 
     def test_out_file(self, tmp_path, capsys):
         target = tmp_path / "pq.json"
@@ -558,7 +586,7 @@ CLI_CORE = {"todalab", "todalab.errors", "todalab.exact", "todalab.rootdata",
 
 @pytest.mark.parametrize("argv, runs", [
     ("pq --type A2", {"todalab.blowup_poly"}),
-    ("eta --type G2 --format csv", {"todalab.todagraph"}),  # its slice size
+    ("eta --type G2 --format csv", {"todalab.todagraph"}),  # its row filler
     ("graph --type A3 --format dot", {"todalab.todagraph"}),
     ("chevalley --type A2 --q 5 --brute", {"todalab.blowup_poly"}),
 ])
@@ -566,7 +594,7 @@ def test_cold_commands_load_only_the_modules_they_run(argv, runs):
     loaded = cold_imports(COLD_RUN, *argv.split())
     assert {m for m in loaded if m.partition(".")[0] == "todalab"} == CLI_CORE | runs
     assert not loaded & {"fractions", "decimal"}  # no command here builds a Fraction
-    assert ("csv" in loaded) == argv.endswith("csv")
+    assert "csv" not in loaded  # CSV rows are filled templates
 
 
 def test_import_todalab_loads_no_submodule():

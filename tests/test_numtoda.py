@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from todalab import numtoda
+from todalab import _rk45, numtoda
 from todalab.errors import (
     CapExceededError,
     DegenerateSpectrumError,
@@ -220,6 +220,24 @@ class TestOde:
         l = numtoda.MAX_FLOW_RANK + 1
         with pytest.raises(CapExceededError, match=f"rank {l} exceeds the cap"):
             numtoda.ode_integrate(LieType(series, l), [1.0] * l, [0.0] * l, (0.0, 1.0))
+
+    def test_step_cap_admits_exactly_its_steps(self, monkeypatch):
+        # the longest span the tests integrate: a cap of its own step count
+        # changes no bit of the solution, one step fewer refuses
+        rhs = numtoda.toda_rhs(cartan_matrix(LieType("A", 1)))
+        y0 = np.array([0.0, 1.0])
+        t_eval = np.linspace(0.0, 1000.0, numtoda.ODE_SAMPLES)
+        event = numtoda.divergence_event(1)
+        steps, step = [], _rk45._step
+        monkeypatch.setattr(_rk45, "_step", lambda *a: steps.append(1) or step(*a))
+        free = _rk45.solve(rhs, (0.0, 1000.0), y0, t_eval, event, numtoda.ODE_TOL)
+        n = len(steps)
+        assert free.status == 0 and n < numtoda.ODE_MAX_STEPS
+        capped = _rk45.solve(rhs, (0.0, 1000.0), y0, t_eval, event, numtoda.ODE_TOL, n)
+        assert np.array_equal(capped.t, free.t) and np.array_equal(capped.y, free.y)
+        with pytest.raises(CapExceededError, match=f"^integration needs more than {n - 1} "
+                           r"RK45 steps \(too stiff for the span\); stopped at t=\d"):
+            _rk45.solve(rhs, (0.0, 1000.0), y0, t_eval, event, numtoda.ODE_TOL, n - 1)
 
 
 class TestTauOdeConsistency:
