@@ -329,9 +329,10 @@ def cmd_ode(args):
     if args.format == "csv":
         import numpy as np
 
-        names = ("a", "b") if traj.tau is None else ("a", "b", "tau")
+        tau = numtoda.tau_tracks(t, a0, b0, traj.t)
+        names = ("a", "b") if tau is None else ("a", "b", "tau")
         header = ["t"] + [f"{name}{i}" for name in names for i in range(1, t.rank + 1)]
-        cols = [traj.t[:, None], traj.a, traj.b] + ([] if traj.tau is None else [traj.tau])
+        cols = [traj.t[:, None], traj.a, traj.b] + ([] if tau is None else [tau])
         _emit_csv(header, ",".join(["%.12g"] * len(header)) + "\r\n",
                   np.hstack(cols).tolist(), args)
         return 0

@@ -162,18 +162,15 @@ class BlowupEvent(NamedTuple):
     time: float
 
 
-class Trajectory:
-    """A sampled solution: ``a`` and ``b`` have shape (len(t), l); ``tau``
-    holds the minor-based tau tracks (type A only) once they are set."""
+class Trajectory(NamedTuple):
+    """A sampled solution: ``a`` and ``b`` have shape (len(t), l)."""
 
-    __slots__ = ("lie_type", "t", "a", "b", "events", "status", "tau")
-
-    def __init__(self, lie_type: LieType, t: np.ndarray, a: np.ndarray, b: np.ndarray,
-                 events: list[BlowupEvent] | None = None, status: str = "complete",
-                 tau: np.ndarray | None = None):
-        self.lie_type, self.t, self.a, self.b = lie_type, t, a, b
-        self.events = [] if events is None else events
-        self.status, self.tau = status, tau
+    lie_type: LieType
+    t: np.ndarray
+    a: np.ndarray
+    b: np.ndarray
+    events: tuple[BlowupEvent, ...]
+    status: str
 
     def invariant_drift(self, a_bound: float = np.inf) -> float:
         """Max |I(t) - I(0)|, restricted to samples with max|a_i| <= a_bound
@@ -239,7 +236,8 @@ def ode_integrate(t: LieType, a0, b0, t_span=(0.0, 10.0)) -> Trajectory:
     solver failure without divergence raises StepCollapseError (suspected
     stiff region), and a span that needs more than ODE_MAX_STEPS steps
     raises CapExceededError.  Ranks above MAX_FLOW_RANK, non-finite data and
-    empty or overlong spans are refused before integrating (`check_flow_input`).
+    empty or overlong spans are refused before integrating (`check_flow_input`),
+    and so is data whose quadratic invariant I(0) is not finite.
     """
     l = t.rank
     a0 = np.asarray(a0, dtype=float)
@@ -250,37 +248,45 @@ def ode_integrate(t: LieType, a0, b0, t_span=(0.0, 10.0)) -> Trajectory:
     C = cartan_matrix(t)
     y0 = np.concatenate([b0, a0])
     t_eval = np.linspace(*t_span, ODE_SAMPLES)
-    # overflow inside a collapsing step is reported as StepCollapseError below
+    # an overflowing I(0) would make every drift inf - inf = NaN; overflow
+    # inside a collapsing step is reported as StepCollapseError below
     with np.errstate(over="ignore", invalid="ignore"):
+        inv0 = quadratic_invariant(t, a0, b0)[0]
+        if not math.isfinite(inv0):
+            raise ValidationError(
+                f"initial data overflow the quadratic invariant: I(0) = {inv0}")
         sol = _rk45.solve(toda_rhs(C), t_span, y0, t_eval, divergence_event(l), ODE_TOL,
                           ODE_MAX_STEPS)
     if sol.status == -1:
         raise StepCollapseError(
             f"integrator failed at t={sol.t[-1] if len(sol.t) else t_span[0]}: "
             f"{_rk45.TOO_SMALL_STEP}")
-    events = []
-    status = "complete"
-    if sol.status == 1:
-        te = float(sol.t_events[0])
-        ye = sol.y_events[0]
-        blow_idx = int(np.argmax(np.abs(ye[l:]))) + 1
-        # |a| ~ c/(t - t*)^2 puts the pole within sqrt(c * delta) of the
-        # trigger; 100*sqrt(delta) straddles the tau sign change for any
-        # pole coefficient up to 1e4
-        margin = 100.0 * math.sqrt(DIVERGENCE_DELTA)
-        events.append(BlowupEvent(blow_idx, (te - margin, te + margin), te))
-        status = "blow-up"
-    traj = Trajectory(t, sol.t, sol.y[l:].T.copy(), sol.y[:l].T.copy(),
-                      events, status)
-    if t.series == "A" and np.all(a0 != 0):
-        try:
-            minors = TauMinors(lax_matrix(b0, a0))
-        except DegenerateSpectrumError:
-            pass
-        else:
-            traj.tau = np.stack([minors.grid_values(j, traj.t) for j in range(1, l + 1)],
-                                axis=1)
-    return traj
+    a, b = sol.y[l:].T.copy(), sol.y[:l].T.copy()
+    if sol.status == 0:
+        return Trajectory(t, sol.t, a, b, (), "complete")
+    te = float(sol.t_events[0])
+    blow_idx = int(np.argmax(np.abs(sol.y_events[0][l:]))) + 1
+    # |a| ~ c/(t - t*)^2 puts the pole within sqrt(c * delta) of the
+    # trigger; 100*sqrt(delta) straddles the tau sign change for any
+    # pole coefficient up to 1e4
+    margin = 100.0 * math.sqrt(DIVERGENCE_DELTA)
+    return Trajectory(t, sol.t, a, b, (BlowupEvent(blow_idx, (te - margin, te + margin), te),),
+                      "blow-up")
+
+
+def tau_tracks(t: LieType, a0, b0, ts) -> np.ndarray | None:
+    """The minors tau_1..tau_l of a type-A start on the times ts, shape (len(ts), l).
+
+    None when t is not type A, some a_i(0) is zero or TauMinors refuses the
+    spectrum: then the tau functions have no Cauchy-Binet track.
+    """
+    if t.series != "A" or not all(a0):
+        return None
+    try:
+        minors = TauMinors(lax_matrix(b0, a0))
+    except DegenerateSpectrumError:
+        return None
+    return np.stack([minors.grid_values(j, ts) for j in range(1, t.rank + 1)], axis=1)
 
 
 class SignsVsEtaReport(NamedTuple):

@@ -468,21 +468,19 @@ def poly_sqrt(p: ExactPoly) -> ExactPoly:
     return r + q
 
 
-def _squarefree_decompose(n: int):
-    """n > 0 as (squarefree, root) with n = squarefree * root**2."""
-    sf, rt = 1, 1
+def _squarefree_part(n: int) -> int:
+    """The squarefree s with n = s * r**2 for some integer r (n > 0)."""
+    sf = 1
     d = 2
     while d * d <= n:
-        if n % d == 0:
-            e = 0
-            while n % d == 0:
-                n //= d
-                e += 1
-            rt *= d ** (e // 2)
-            if e % 2:
-                sf *= d
+        e = 0
+        while n % d == 0:
+            n //= d
+            e += 1
+        if e % 2:
+            sf *= d
         d += 1 if d == 2 else 2
-    return sf * n if n > 1 else sf, rt
+    return sf * n
 
 
 def poly_sqrt_content(p: ExactPoly):
@@ -495,9 +493,8 @@ def poly_sqrt_content(p: ExactPoly):
     if p.is_zero():
         raise NotAPerfectSquareError("zero polynomial has no square splitting")
     _, lead_c = p.leading()
-    num_sf, _ = _squarefree_decompose(abs(lead_c.numerator))
-    den_sf, _ = _squarefree_decompose(lead_c.denominator)
-    content = Fraction(num_sf, den_sf)
+    content = Fraction(_squarefree_part(abs(lead_c.numerator)),
+                       _squarefree_part(lead_c.denominator))
     if lead_c < 0:
         content = -content
     root = poly_sqrt(p * (1 / content))
@@ -633,21 +630,10 @@ def hirota_residual(system: TauSystem, k: int):
     lhs = tau * dtau.diff("t1") - dtau * dtau
     rhs = system.ring.one()
     for j in range(1, l + 1):
-        if j == k:
-            continue
-        e = -C[k - 1][j - 1]
-        if e < 0:
-            raise ValidationError(f"negative Cartan exponent -C[{k}][{j}] = {e}")
-        if e:
-            rhs = rhs * system.taus[j - 1] ** e
-    if lhs.is_zero():
-        return Fraction(0), system.ring.zero()
+        if j != k and C[k - 1][j - 1]:  # off-diagonal Cartan entries are <= 0
+            rhs = rhs * system.taus[j - 1] ** -C[k - 1][j - 1]
     e, c = rhs.leading()
-    if e not in lhs.terms:
-        err = NoConstantFitsError(f"no constant matches tau_{k} bilinear form")
-        err.residual = lhs
-        raise err
-    a0 = lhs.terms[e] / c
+    a0 = lhs.terms.get(e, 0) / c
     residual = lhs - a0 * rhs
     if not residual.is_zero():
         err = NoConstantFitsError(f"no constant matches tau_{k} bilinear form")

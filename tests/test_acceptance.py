@@ -7,13 +7,16 @@ invariant drift, and every real-root count equal to sum d_i.
 """
 
 import functools
+import re
 from fractions import Fraction
 from types import SimpleNamespace
 
 import pytest
 
 from todalab import numtoda, verify
+from todalab.affine import p_series
 from todalab.blowup_poly import CosetChain, FactoredForm, sphere_counts
+from todalab.errors import StepCollapseError
 from todalab.exact import UniPoly
 from todalab.rootdata import LieType
 from todalab.schurtau import tau_functions
@@ -127,6 +130,98 @@ def test_affine_failure_names_the_guess(monkeypatch):
     assert detail == "rational guess None"
 
 
+def _negated_series(*args, **kwargs):
+    series = p_series(*args, **kwargs)
+    return series._replace(coeffs=[-c for c in series.coeffs])
+
+
+@pytest.mark.parametrize("name, fake, detail", [
+    # an eta that is 0 everywhere misses every length from 1 to 12, twice each
+    ("eta", lambda C, word, eps: 0,
+     r"(eta != length at \([01, ]+\); ){23}eta != length at \([01, ]+\)"),
+    # the series with every sign flipped: -(1 - q)/(1 + q)
+    ("p_series", _negated_series, re.escape(
+        "stable coeffs [-1, 2, -2, 2, -2, 2, -2, 2, -2]; rational guess (q - 1) / (q + 1)")),
+], ids=["eta", "series"])
+def test_affine_branch_names_the_case(monkeypatch, name, fake, detail):
+    monkeypatch.setattr(verify, name, fake)
+    passed, got = verify.check_affine(None, "fast")
+    assert not passed
+    assert re.fullmatch(detail, got), got
+
+
+def _last_a_off(traj):
+    a = traj.a.copy()
+    a[-1] += 1e-7
+    return traj._replace(a=a)
+
+
+@pytest.mark.parametrize("tamper, detail", [
+    (lambda traj: traj._replace(t=traj.t + 1e-3), r"A1 closed-form error 1\.00e-03"),
+    (_last_a_off, r"A1 invariant drift 9\.99e-08"),
+    (lambda traj: traj._replace(events=()), r"A1 negative case events \(\)"),
+    (lambda traj: traj._replace(status="complete") if traj.lie_type.rank == 2 else traj,
+     r"A2 negative-flow drift \d\.\d\de-\d\d \(complete\)"),
+], ids=["closed-form", "drift", "events", "a2-status"])
+def test_numerics_branch_names_the_case(monkeypatch, tamper, detail):
+    ode_integrate = numtoda.ode_integrate
+    monkeypatch.setattr(numtoda, "ode_integrate", lambda *args: tamper(ode_integrate(*args)))
+    passed, got = verify.check_numerics(None, "fast")
+    assert not passed
+    assert re.fullmatch(detail, got), got
+
+
+def _all_plus(C, i, eps):
+    return (1,) * len(eps)
+
+
+def _flip_own_sign(C, i, eps):
+    return eps[:i] + (-eps[i],) + eps[i + 1:]
+
+
+@pytest.mark.parametrize("patches, detail", [
+    # both sign rules agree, but neither is an involution
+    ({"reflect_sign": _all_plus, "reflect_sign_by_exponent": _all_plus},
+     "A1: s_0 not an involution; A2: s_0 not an involution; A2: s_1 not an involution; "
+     "A2: braid (0,1) broken; A2: s_0 not an involution"),
+    # involutions that fail the order-3 braid relation of A2 and A3
+    ({"reflect_sign": _flip_own_sign, "reflect_sign_by_exponent": _flip_own_sign},
+     "; ".join(["A2: braid (0,1) broken"] * 4 + ["A3: braid (0,1) broken"])),
+    ({"eta_table": lambda g, eps: SimpleNamespace(values=[0] * len(g))},
+     "A1: replay mismatch at (0,); A2: replay mismatch at (1,); A2: replay mismatch at (0, 1); "
+     "A2: replay mismatch at (1, 0); A2: replay mismatch at (0, 1, 0)"),
+    # a replay and a table that agree, and step by 2
+    ({"eta": lambda C, word, eps: 2 * len(word),
+      "eta_table": lambda g, eps: SimpleNamespace(values=[2 * len(g.word(i)) for i in range(len(g))])},
+     "A1: eta increment out of range at (0,); A1: eta increment out of range at (0,); "
+     "A2: eta increment out of range at (1,); A2: eta increment out of range at (0,); "
+     "A2: eta increment out of range at (0, 1)"),
+    ({"alternating_eta_sum": lambda table: UniPoly([7])},
+     "A1 +: graph sum != p_eps; A1 -: graph sum != p_eps; A2 ++: graph sum != p_eps; "
+     "A2 +-: graph sum != p_eps; A2 -+: graph sum != p_eps"),
+    ({"poincare_polynomial_k": lambda t: UniPoly([1])},
+     "A1: Betti (1, 1) != Poincare; A2: Betti (1, 0, 0, 1) != Poincare; "
+     "B2: Betti (1, 1, 0, 1, 1) != Poincare; G2: Betti (1, 0, 0, 2, 0, 0, 1) != Poincare"),
+], ids=["involution", "braid", "replay", "increment", "graph-sum", "betti"])
+def test_property_suite_branch_names_the_case(monkeypatch, patches, detail):
+    for name, fn in patches.items():
+        monkeypatch.setattr(verify, name, fn)
+    passed, got = verify.check_property_suites(groups, "fast")
+    assert not passed
+    assert got == detail
+
+
+def test_crashed_check_is_a_failed_check(monkeypatch):
+    def collapse(*args):
+        raise StepCollapseError("integrator failed at t=0.5")
+
+    monkeypatch.setattr(verify, "CHECKS", [c for c in verify.CHECKS if c[0] == 12])
+    monkeypatch.setattr(numtoda, "ode_integrate", collapse)
+    (result,) = verify.run("fast")
+    assert (result.number, result.title, result.passed) == (12, "numerical flow checks", False)
+    assert result.detail == "exception: StepCollapseError: integrator failed at t=0.5"
+
+
 def test_tau_literal_failure_names_the_type(monkeypatch):
     # G2's tau_2 with the Hankel sign instead of S_(5,6)'s
     def hankel_sign_g2(t):
@@ -151,6 +246,15 @@ def test_degree_failure_names_the_type(monkeypatch):
         "A2 degrees (1,); A3 degrees (1,); B2 degrees (1,); B3 degrees (1,); "
         "C2 degrees (1,); C3 degrees (1,); G2 degrees (1,); "
         "B2 t1-degree 1 != 7; G2 t1-degree 1 != 16; A2 t1-degree 1 != 4")
+
+
+def test_degree_sum_failure_names_the_type(monkeypatch):
+    # a constant p_eps: sum d_i = eta(w*) holds, deg p does not
+    monkeypatch.setattr(verify, "p_epsilon", lambda t, eps: UniPoly([1]))
+    passed, detail = verify.check_degree_bookkeeping(groups, "fast")
+    assert not passed
+    assert detail == "minimal-degree lists and degree identities over 7 types; " + "; ".join(
+        f"{name} sum/eta/deg mismatch" for name in ("A2", "A3", "B2", "B3", "C2", "C3", "G2"))
 
 
 def test_hirota_failure_names_the_type(monkeypatch):

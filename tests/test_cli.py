@@ -212,6 +212,19 @@ class TestOde:
         assert doc["status"] == "complete"
         assert doc["invariant_drift"] < 1e-8
 
+    @pytest.mark.parametrize("argv", [
+        ("--type", "A2", "--a", "1,1", "--b", "1e200,-1e200"),
+        ("--type", "B2", "--a", "1,1", "--b", "1e155,0", "--t1", "0.01"),
+        ("--type", "A1", "--a", "1e308", "--b", "1e308"),
+    ])
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_overflowing_invariant_is_refused(self, capsys, argv, fmt):
+        # b_i^2 overflows: the drift would print as NaN, which is not JSON
+        code, out, err = run(capsys, "ode", *argv, "--format", fmt)
+        assert (code, out) == (1, "")
+        assert err == ("error [validation]: initial data overflow the quadratic "
+                       "invariant: I(0) = inf\n")
+
     def test_stiff_start_is_cap_exceeded(self, capsys):
         # steps of about 1e-10: uncapped, this run would take hours
         start = time.perf_counter()
@@ -399,7 +412,8 @@ class TestErrorsAndPlumbing:
         assert out == ""
 
     def test_integrator_failure_is_one_stderr_line(self, capsys):
-        code, out, err = run(capsys, "ode", "--type", "A1", "--a", "1e308", "--b", "1e308")
+        # I(0) = 1e300 is finite, so the data reach the integrator
+        code, out, err = run(capsys, "ode", "--type", "A1", "--a", "1e300", "--b", "0")
         assert code == 2
         assert err.startswith("error [step-collapse-without-divergence]: ")
         assert err.count("\n") == 1
@@ -476,15 +490,17 @@ class TestErrorsAndPlumbing:
         assert code == 0 and out == "".join(
             f"{word:>12}  l={length}  eta={value}  {sign}\n" for word, length, value, sign in rows)
         # the A2 blow-up trajectory with its tau tracks, one f-string per cell
-        from todalab.numtoda import ode_integrate
+        from todalab.numtoda import ode_integrate, tau_tracks
 
-        traj = ode_integrate(LieType.parse("A2"), [-1.0, -1.0], [1.0, -1.0], (0.0, 10.0))
-        assert traj.status == "blow-up" and traj.tau is not None
+        a2 = LieType.parse("A2")
+        traj = ode_integrate(a2, [-1.0, -1.0], [1.0, -1.0], (0.0, 10.0))
+        taus = tau_tracks(a2, [-1.0, -1.0], [1.0, -1.0], traj.t)
+        assert traj.status == "blow-up" and taus is not None
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\r\n")
         writer.writerow(["t", "a1", "a2", "b1", "b2", "tau1", "tau2"])
         writer.writerows([f"{x:.12g}" for x in [t, *a, *b, *tau]]
-                         for t, a, b, tau in zip(traj.t, traj.a, traj.b, traj.tau))
+                         for t, a, b, tau in zip(traj.t, traj.a, traj.b, taus))
         code, out, _ = run(capsys, "ode", "--type", "A2", "--a", "-1,-1", "--b", "1,-1",
                            "--format", "csv")
         assert code == 0 and out == buf.getvalue()

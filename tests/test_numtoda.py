@@ -167,8 +167,8 @@ class TestOde:
     def test_positive_matches_closed_form(self):
         traj = numtoda.ode_integrate(LieType("A", 1), [1.0], [0.0], (0.0, 5.0))
         assert traj.status == "complete"
-        assert traj.tau is not None
-        assert np.max(np.abs(traj.tau[:, 0] - np.cosh(traj.t))) < 1e-9
+        tau = numtoda.tau_tracks(LieType("A", 1), [1.0], [0.0], traj.t)
+        assert np.max(np.abs(tau[:, 0] - np.cosh(traj.t))) < 1e-9
         assert np.max(np.abs(traj.a[:, 0] - 1 / np.cosh(traj.t) ** 2)) < 1e-6
         assert np.max(np.abs(traj.b[:, 0] - np.tanh(traj.t))) < 1e-6
         assert traj.invariant_drift() < 1e-8
@@ -211,6 +211,29 @@ class TestOde:
         assert traj.status == "blow-up"
         assert len(traj.events) == 1
 
+    def test_integrates_without_the_minors(self, monkeypatch):
+        def no_minors(L0):
+            raise AssertionError("ode_integrate built TauMinors")
+
+        monkeypatch.setattr(numtoda, "TauMinors", no_minors)
+        b0, a0 = numtoda.lax_data(numtoda.example_a2_all_negative())
+        traj = numtoda.ode_integrate(LieType("A", 2), a0, b0, (0.0, 10.0))
+        assert traj.status == "blow-up" and len(traj.events) == 1
+        assert traj._fields == ("lie_type", "t", "a", "b", "events", "status")
+
+    @pytest.mark.parametrize("name, a0, b0", [
+        ("B2", [1.0, 1.0], [0.0, 0.0]),
+        ("A2", [-1.0, 0.0], [1.0, -1.0]),
+    ])
+    def test_tau_tracks_need_type_a_and_nonzero_a(self, name, a0, b0):
+        assert numtoda.tau_tracks(LieType.parse(name), a0, b0, [0.0, 1.0]) is None
+
+    @pytest.mark.parametrize("b0, inv0", [([1e200, -1e200], "inf"), ([1e200, 1e200], "nan")])
+    def test_overflowing_invariant_refused(self, b0, inv0):
+        # every drift would be inf - inf = NaN
+        with pytest.raises(ValidationError, match=rf"quadratic invariant: I\(0\) = {inv0}$"):
+            numtoda.ode_integrate(LieType("A", 2), [1.0, 1.0], b0, (0.0, 1.0))
+
     def test_validates_shapes(self):
         with pytest.raises(ValidationError):
             numtoda.ode_integrate(LieType("A", 2), [1.0], [0.0], (0.0, 1.0))
@@ -248,13 +271,14 @@ class TestTauOdeConsistency:
     ])
     def test_tau_track_equals_pointwise_minors(self, b0, a0, method):
         traj = numtoda.ode_integrate(LieType("A", 3), a0, b0, (0.0, 3.0))
+        tau = numtoda.tau_tracks(LieType("A", 3), a0, b0, traj.t)
         if method == "expm":
-            assert traj.tau is None
+            assert tau is None
             return
         minors = numtoda.TauMinors(numtoda.lax_matrix(b0, a0))
-        assert traj.tau.shape == (len(traj.t), 3)
+        assert tau.shape == (len(traj.t), 3)
         pointwise = [[minors.grid_values(j, [t])[0] for j in (1, 2, 3)] for t in traj.t]
-        assert np.array_equal(traj.tau, np.array(pointwise))
+        assert np.array_equal(tau, np.array(pointwise))
 
     def test_b_is_log_derivative_of_tau(self):
         L = numtoda.example_a2_all_negative()

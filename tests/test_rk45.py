@@ -109,10 +109,11 @@ def test_brentq_needs_a_sign_change():
 
 
 def test_step_collapse_message_equals_solve_ivp(capsys):
-    ref, port = both("A1", [1e300], [1e300], (0.0, 1.0))
+    # b = 1e150 keeps I(0) finite, so ode reaches the integrator
+    ref, port = both("A1", [1e300], [1e150], (0.0, 1.0))
     assert port.status == ref.status == -1
     assert len(port.t) == len(ref.t) == 0
-    code = main(["ode", "--type", "A1", "--a", "1e300", "--b", "1e300", "--t1", "1"])
+    code = main(["ode", "--type", "A1", "--a", "1e300", "--b", "1e150", "--t1", "1"])
     captured = capsys.readouterr()
     assert code == 2 and captured.out == ""
     assert captured.err == (

@@ -337,6 +337,20 @@ class TestHirota:
             hirota_residual(broken, 1)
         assert not info.value.residual.is_zero()
 
+    def test_t1_free_tau_fits_zero(self):
+        # tau_1 = 1: the bilinear form vanishes, so a_10 = 0 fits exactly
+        good = tau_functions(T("A2"))
+        system = TauSystem(good.lie_type, good.ring, (good.ring.one(), good.taus[1]))
+        assert hirota_residual(system, 1) == (Fraction(0), good.ring.zero())
+
+    def test_missing_leading_monomial_reports_lhs(self):
+        # tau_1 = t1: the form is the constant -1, which misses tau_2's leading monomial
+        good = tau_functions(T("A2"))
+        system = TauSystem(good.lie_type, good.ring, (good.ring.var("t1"), good.taus[1]))
+        with pytest.raises(NoConstantFitsError) as info:
+            hirota_residual(system, 1)
+        assert info.value.residual == good.ring.const(-1)
+
     def test_k_out_of_range(self):
         with pytest.raises(ValidationError):
             hirota_residual(tau_functions(T("A2")), 3)
