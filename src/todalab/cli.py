@@ -336,15 +336,12 @@ def cmd_ode(args):
         _emit_csv(header, ",".join(["%.12g"] * len(header)) + "\r\n",
                   np.hstack(cols).tolist(), args)
         return 0
-    # between-events convention: drift is measured away from any divergence
-    drift = traj.invariant_drift(a_bound=100.0) if traj.events \
-        else traj.invariant_drift()
     payload = {
         "type": str(t),
         "status": traj.status,
         "samples": len(traj.t),
         "t_final": float(traj.t[-1]),
-        "invariant_drift": drift,
+        "invariant_drift": traj.invariant_drift(),
         "events": [
             {"tau_index": e.tau_index, "time": e.time, "bracket": list(e.bracket)}
             for e in traj.events
@@ -487,9 +484,9 @@ _NUMERIC_LIST = set("0123456789.,+-eE")
 def _glue_sign_values(argv):
     """Join option values that argparse would mistake for flags.
 
-    ``--sign ---`` and ``--a -1,-1`` are natural spellings; rewrite them to
-    the ``=`` form (with a leading space for the pathological bare ``--``,
-    which parse_signs strips)."""
+    ``--sign ---``, ``--a -1,-1`` and ``--t1 -1e1`` are natural spellings;
+    rewrite them to the ``=`` form (with a leading space for the
+    pathological bare ``--``, which parse_signs strips)."""
     out = []
     i = 0
     while i < len(argv):
@@ -498,7 +495,7 @@ def _glue_sign_values(argv):
         if tok == "--sign" and nxt and set(nxt) <= set("+-"):
             out.append(f"--sign= {nxt}")
             i += 2
-        elif tok in ("--a", "--b") and nxt and nxt.startswith("-") \
+        elif tok in ("--a", "--b", "--t0", "--t1") and nxt and nxt.startswith("-") \
                 and set(nxt) <= _NUMERIC_LIST:
             out.append(f"{tok}={nxt}")
             i += 2

@@ -239,6 +239,14 @@ class TestSeries:
         with pytest.raises(ValidationError):
             p_series(A(1), (-1, -1, -1), 4)
 
+    def test_group_grown_past_lmax(self):
+        g = AffineWeylGroup(A(2))
+        g.extend_to(14)
+        got = p_series(A(2), (-1, -1, 1), 12, group=g)
+        want = p_series(A(2), (-1, -1, 1), 12)
+        assert max(g.lengths) == 14
+        assert (got.coeffs, got.last_contribution) == (want.coeffs, want.last_contribution)
+
 
 class TestRationalGuess:
     def test_recovers_geometric_alternation(self, aff1):

@@ -212,6 +212,13 @@ class TestOde:
         assert doc["status"] == "complete"
         assert doc["invariant_drift"] < 1e-8
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--t1", "-1e1"), ("--t1", "-5."), ("--t0", "-2.5e0"), ("--t1", "-1,2")])
+    def test_negative_time_spellings_agree(self, capsys, flag, value):
+        # argparse alone takes only -5 and -0.5 as negative values
+        glued = run(capsys, "ode", "--type", "A1", "--a", "1", "--b", "0", f"{flag}={value}")
+        assert run(capsys, "ode", "--type", "A1", "--a", "1", "--b", "0", flag, value) == glued
+
     @pytest.mark.parametrize("argv", [
         ("--type", "A2", "--a", "1,1", "--b", "1e200,-1e200"),
         ("--type", "B2", "--a", "1,1", "--b", "1e155,0", "--t1", "0.01"),

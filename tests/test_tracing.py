@@ -75,7 +75,7 @@ def test_tracer_reads_what_the_package_provides():
 
         # negative A1 with its one blow-up at t = 1
         s1, c1 = math.sinh(1.0), math.cosh(1.0)
-        minors = numtoda.TauMinors(numtoda.lax_matrix([-c1 / s1], [-1.0 / s1 ** 2]))
+        minors = numtoda.TauMinors([-c1 / s1], [-1.0 / s1 ** 2])
         assert numtoda.count_zero_crossings(minors, 1, window=(-6.0, 6.0)) == 1
         span = tracer.spans[-1]
         assert (span.name, span.error) == ("numtoda.count_zero_crossings", None)
