@@ -120,7 +120,7 @@ def brentq(f, xa, xb):
     def call(x):
         fx = f(x)
         if np.isnan(fx):
-            raise ValueError(f"The function value at x={x:.20g} is NaN; solver cannot continue.")
+            raise ValueError(f"The function value at x={x} is NaN; solver cannot continue.")
         return fx
 
     xpre, xcur = xa, xb

@@ -478,15 +478,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_NUMERIC_LIST = set("0123456789.,+-eE")
-
-
 def _glue_sign_values(argv):
     """Join option values that argparse would mistake for flags.
 
-    ``--sign ---``, ``--a -1,-1`` and ``--t1 -1e1`` are natural spellings;
+    ``--sign ---``, ``--a -1,-1`` and ``--t1 -inf`` are natural spellings;
     rewrite them to the ``=`` form (with a leading space for the
-    pathological bare ``--``, which parse_signs strips)."""
+    pathological bare ``--``, which parse_signs strips).  A value of
+    ``--a/--b/--t0/--t1`` is anything after the flag that starts with ``-``
+    and is not an option itself (``--`` and a letter, or ``-h``)."""
     out = []
     i = 0
     while i < len(argv):
@@ -496,7 +495,7 @@ def _glue_sign_values(argv):
             out.append(f"--sign= {nxt}")
             i += 2
         elif tok in ("--a", "--b", "--t0", "--t1") and nxt and nxt.startswith("-") \
-                and set(nxt) <= _NUMERIC_LIST:
+                and nxt != "-h" and not (nxt[:2] == "--" and nxt[2:3].isalpha()):
             out.append(f"{tok}={nxt}")
             i += 2
         else:

@@ -1,9 +1,9 @@
 """Exact polynomial engine for the nilpotent-Toda tau functions.
 
 Everything here is exact rational arithmetic.  The complete homogeneous
-polynomials h_k live in the weighted time variables of each type (only odd
-times for B/C/D, only t1 and t5 for G2, plus the extra parameter s for D);
-the Schur polynomial S_(i1<...<ik) is the Jacobi-Trudi determinant
+polynomials h_k live in weighted times: one time t_m per exponent m of W,
+and D's exponent l - 1 of degree l is the parameter s.  The Schur
+polynomial S_(i1<...<ik) is the Jacobi-Trudi determinant
 det(h_{i_a - b}).  Because dh_n/dt1 = h_{n-1}, the t1-Wronskian of h_top,
 h_{top-1}, ..., h_{top-k+1} is the leading k x k block of the Hankel matrix
 (h_{top-i-j}), so every tau system reads its tau_k as leading blocks of one
@@ -31,7 +31,14 @@ from .errors import (
     ZeroPolynomialError,
 )
 from .exact import UniPoly
-from .rootdata import LieType, cartan_matrix, compact_dual_info, tau_multiplicities, two_rho_height
+from .rootdata import (
+    LieType,
+    cartan_matrix,
+    compact_dual_info,
+    tau_multiplicities,
+    two_rho_height,
+    weyl_degrees,
+)
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -327,21 +334,15 @@ def _require_tau_type(t: LieType):
 
 
 def ring_for(t: LieType) -> PolyRing:
-    """The time variables (and weights) of the nilpotent tau system of t."""
+    """One time t_m of weight m per exponent m of W (Kostant); for D_l one
+    copy of the exponent l - 1 is the parameter s instead."""
     _require_tau_type(t)
-    s, l = t.series, t.rank
-    if s == "A":
-        idx = list(range(1, l + 1))
-    elif s in ("B", "C"):
-        idx = list(range(1, 2 * l, 2))
-    elif s == "G":
-        idx = [1, 5]
-    else:  # D
-        idx = list(range(1, 2 * l - 2, 2))
-        names = [f"t{j}" for j in idx] + ["s"]
-        weights = idx + [l - 1]
-        return PolyRing(names, weights, time_positions=range(len(idx)))
-    return PolyRing([f"t{j}" for j in idx], idx)
+    exps = [d - 1 for d in weyl_degrees(t)]
+    if t.series != "D":
+        return PolyRing([f"t{m}" for m in exps], exps)
+    exps.remove(t.rank - 1)
+    return PolyRing([f"t{m}" for m in exps] + ["s"], exps + [t.rank - 1],
+                    time_positions=range(len(exps)))
 
 
 def hk(n: int, ring: PolyRing) -> ExactPoly:

@@ -31,7 +31,7 @@ from .blowup_poly import (
     sphere_counts,
 )
 from .errors import ValidationError
-from .rootdata import LieType, cartan_matrix, compact_dual_info, two_rho_height
+from .rootdata import LieType, cartan_matrix, compact_dual_info, langlands_dual, two_rho_height
 from .schurtau import (
     hirota_residual,
     minimal_degrees,
@@ -203,39 +203,33 @@ def check_tau_literals(groups, scope):
         "" if not bad else f"; mismatch in {bad}")
 
 
-def expected_min_degrees(t: LieType) -> tuple[int, ...]:
-    s, l = t.series, t.rank
-    if s == "A":
-        half = list(range(1, l // 2 + 1))
-        mid = [] if l % 2 == 0 else [(l + 1) // 2]
-        return tuple(half + mid + half[::-1])
-    if s == "B":
-        if l % 2 == 0:
-            pairs = [d for d in range(2, l - 1, 2) for _ in (0, 1)]
-            return tuple(pairs + [l, l // 2])
-        pairs = [d for d in range(2, l, 2) for _ in (0, 1)]
-        return tuple(pairs + [(l + 1) // 2])
-    if s == "C":
-        return tuple(range(1, l + 1))
-    if s == "D":
-        if l % 2 == 0:
-            pairs = [d for d in range(2, l - 1, 2) for _ in (0, 1)]
-            return tuple(pairs + [l // 2, l // 2])
-        pairs = [d for d in range(2, l - 2, 2) for _ in (0, 1)]
-        return tuple(pairs + [l - 1, (l - 1) // 2, (l - 1) // 2])
-    if s == "G":
-        return (2, 2)
-    raise ValidationError(f"no minimal-degree table for {t}")
+def expected_min_degrees(t: LieType, group: WeylGroup) -> tuple[int, ...]:
+    """The degrees d_i of K for the Langlands dual of t, node by node: one per
+    orbit of the opposition involution i -> i* (w0 alpha_i = -alpha_{i*}),
+    orbits in the order of their first node, and a two-node orbit carries
+    d_i / 2 on each node (Casian-Kodama)."""
+    w0, npos = group.perms[group.longest_element()], group.num_positive
+    degrees = iter(compact_dual_info(langlands_dual(t)).degrees)
+    out = [0] * t.rank
+    for i in range(t.rank):
+        if not out[i]:
+            j, d = w0[i] - npos, next(degrees)
+            out[i] = out[j] = d if i == j else d // 2
+    return tuple(out)
 
 
 def check_degree_bookkeeping(groups, scope):
+    """min deg tau_k is ``expected_min_degrees`` node by node; their sum is
+    sum d_i = eta(w*) = deg p_eps at eps = all minus; and the degrees of the
+    tau_k on the t1 axis add up to the height of 2rho."""
     names = _types(["A2", "A3", "B2", "B3", "C2", "C3", "G2"],
                    ["A4", "A5", "B4", "C4", "D4", "D5"], scope)
     bad = []
     for name in names:
         t = LieType.parse(name)
-        mins = minimal_degrees(tau_functions(t))
-        if mins != expected_min_degrees(t):
+        system = tau_functions(t)
+        mins = minimal_degrees(system)
+        if len(mins) != t.rank or mins != expected_min_degrees(t, groups(name)):
             bad.append(f"{name} degrees {mins}")
             continue
         d_sum = sum(mins)
@@ -245,12 +239,10 @@ def check_degree_bookkeeping(groups, scope):
         eta_star = table.max_value()
         if not d_sum == sum(degs) == eta_star == p.degree:
             bad.append(f"{name} sum/eta/deg mismatch")
-    for name, want in (("B2", 7), ("G2", 16), ("A2", 4)):
-        t = LieType.parse(name)
-        system = tau_functions(t)
-        deg_t1 = math.prod(system.taus).slice_t1(dict.fromkeys(system.ring.names, 0)).degree
-        if deg_t1 != want or deg_t1 != two_rho_height(t):
-            bad.append(f"{name} t1-degree {deg_t1} != {want}")
+        zeros = dict.fromkeys(system.ring.names, 0)
+        deg_t1 = sum(tau.slice_t1(zeros).degree for tau in system.taus)
+        if deg_t1 != two_rho_height(t):
+            bad.append(f"{name} t1-degree {deg_t1} != {two_rho_height(t)}")
     return not bad, f"minimal-degree lists and degree identities over {len(names)} types" + (
         "" if not bad else "; " + "; ".join(bad))
 

@@ -244,8 +244,36 @@ def test_degree_failure_names_the_type(monkeypatch):
     assert detail == (
         "minimal-degree lists and degree identities over 7 types; "
         "A2 degrees (1,); A3 degrees (1,); B2 degrees (1,); B3 degrees (1,); "
-        "C2 degrees (1,); C3 degrees (1,); G2 degrees (1,); "
-        "B2 t1-degree 1 != 7; G2 t1-degree 1 != 16; A2 t1-degree 1 != 4")
+        "C2 degrees (1,); C3 degrees (1,); G2 degrees (1,)")
+
+
+def test_t1_degree_failure_names_the_type(monkeypatch):
+    # every tau system's t1-axis degrees add up to |2rho|, never to 0
+    monkeypatch.setattr(verify, "two_rho_height", lambda t: 0)
+    passed, detail = verify.check_degree_bookkeeping(groups, "fast")
+    assert not passed
+    assert detail == "minimal-degree lists and degree identities over 7 types; " + "; ".join(
+        f"{name} t1-degree {height} != 0" for name, height in (
+            ("A2", 4), ("A3", 10), ("B2", 7), ("B3", 22), ("C2", 7), ("C3", 22), ("G2", 16)))
+
+
+def test_reversed_degree_list_names_the_type(monkeypatch):
+    # C3's minimal degrees (1, 2, 3) read backwards: the order is checked
+    def reversed_c3(t):
+        system = tau_functions(t)
+        return system._replace(taus=system.taus[::-1]) if str(t) == "C3" else system
+
+    monkeypatch.setattr(verify, "tau_functions", reversed_c3)
+    passed, detail = verify.check_degree_bookkeeping(groups, "fast")
+    assert not passed
+    assert detail == ("minimal-degree lists and degree identities over 7 types; "
+                      "C3 degrees (3, 2, 1)")
+
+
+@pytest.mark.parametrize("name, degrees", [
+    ("A5", (1, 2, 3, 2, 1)), ("D5", (2, 2, 4, 2, 2)), ("C4", (1, 2, 3, 4)), ("G2", (2, 2))])
+def test_expected_min_degrees_pinned(name, degrees):
+    assert verify.expected_min_degrees(LieType.parse(name), groups(name)) == degrees
 
 
 def test_degree_sum_failure_names_the_type(monkeypatch):

@@ -213,11 +213,17 @@ class TestOde:
         assert doc["invariant_drift"] < 1e-8
 
     @pytest.mark.parametrize("flag, value", [
-        ("--t1", "-1e1"), ("--t1", "-5."), ("--t0", "-2.5e0"), ("--t1", "-1,2")])
+        ("--t1", "-1e1"), ("--t1", "-5."), ("--t0", "-2.5e0"), ("--t1", "-1,2"),
+        *((flag, value) for flag in ("--a", "--b", "--t0", "--t1") for value in ("-inf", "-nan"))])
     def test_negative_time_spellings_agree(self, capsys, flag, value):
         # argparse alone takes only -5 and -0.5 as negative values
-        glued = run(capsys, "ode", "--type", "A1", "--a", "1", "--b", "0", f"{flag}={value}")
-        assert run(capsys, "ode", "--type", "A1", "--a", "1", "--b", "0", flag, value) == glued
+        opts = {"--a": "1", "--b": "0", flag: value}
+        glued = run(capsys, "ode", "--type", "A1", *(f"{k}={v}" for k, v in opts.items()))
+        assert run(capsys, "ode", "--type", "A1", *(x for kv in opts.items() for x in kv)) == glued
+
+    def test_non_numeric_dash_value_is_named(self, capsys):
+        code, out, err = run(capsys, "ode", "--type", "A1", "--a", "-x", "--b", "0")
+        assert (code, out, err) == (1, "", "error [validation]: --a: '-x' is not a number\n")
 
     @pytest.mark.parametrize("argv", [
         ("--type", "A2", "--a", "1,1", "--b", "1e200,-1e200"),

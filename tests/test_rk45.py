@@ -25,6 +25,8 @@ TRAJECTORIES = {
     "C3": ("C3", [0.3, 0.4, 0.5], [0.0, 0.0, 0.0], (0.0, 5.0), False),
     "A1 to t = 1000": ("A1", [1.0], [0.0], (0.0, 1000.0), False),
     "E6": ("E6", [1.0] * 6, [0.0] * 6, (0.0, 5.0), False),
+    # f = 0 throughout: both fallbacks of the initial step, zero error norms
+    "A2 at rest": ("A2", [0.0, 0.0], [1.0, -1.0], (0.0, 5.0), False),
 }
 BLOWUPS = [name for name, case in TRAJECTORIES.items() if case[-1]]
 
@@ -98,9 +100,22 @@ def test_event_root_equals_scipy_brentq(monkeypatch, case):
     (lambda x: math.tanh(50.0 * (x - 0.3)), -1.0, 1.0),
     (lambda x: (x - 0.5) ** 9, 0.0, 1.0),
     (lambda x: x, 0.0, 1.0),  # a root at an end point
+    pytest.param(lambda x: x - 2.0, 0.0, 2.0, id="root-at-xb"),
 ])
 def test_brentq_equals_scipy_brentq(f, a, b):
     assert _rk45.brentq(f, a, b) == brentq(f, a, b, xtol=_rk45.BRENT_TOL, rtol=_rk45.BRENT_TOL)
+
+
+def test_brentq_nan_message_equals_scipy_brentq():
+    def nan_at_one(x):
+        return math.nan if x == 1.0 else x - 1.5
+
+    with pytest.raises(ValueError) as ref:
+        brentq(nan_at_one, 1.0, 2.0, xtol=_rk45.BRENT_TOL, rtol=_rk45.BRENT_TOL)
+    with pytest.raises(ValueError) as port:
+        _rk45.brentq(nan_at_one, 1.0, 2.0)
+    assert str(port.value) == str(ref.value) == (
+        "The function value at x=1.0 is NaN; solver cannot continue.")
 
 
 def test_brentq_needs_a_sign_change():

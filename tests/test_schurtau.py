@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from todalab import verify
 from todalab.errors import (
     CapExceededError,
     NoConstantFitsError,
@@ -36,6 +37,7 @@ from todalab.schurtau import (
     tau_functions,
     wronskian,
 )
+from todalab.weyl import WeylGroup
 
 
 def T(name):
@@ -257,30 +259,15 @@ class TestDegrees:
         nus = nu_degrees(tau_functions(LieType("A", l)))
         assert nus == tuple(k * (l - k + 1) for k in range(1, l + 1))
 
-    @pytest.mark.parametrize("l", [2, 3, 4, 5])
-    def test_a_type_pairs_give_dual_degrees(self, l):
-        # min deg tau_k + min deg tau_{l+1-k} = d_k; an odd middle stands alone
-        from todalab.rootdata import compact_dual_info
-
-        mins = minimal_degrees(tau_functions(LieType("A", l)))
-        degrees = compact_dual_info(LieType("A", l)).degrees
-        g = len(degrees)
-        for k in range(1, g + 1):
-            if l % 2 == 1 and k == g:
-                assert mins[k - 1] == degrees[k - 1]
-            else:
-                assert mins[k - 1] + mins[l - k] == degrees[k - 1]
-
-    @pytest.mark.parametrize("name", ["B2", "B3", "B4", "C2", "C3", "C4", "D4", "G2"])
+    @pytest.mark.parametrize("name", [f"A{l}" for l in range(1, 7)]
+                             + [f"{s}{l}" for s in "BC" for l in range(2, 6)]
+                             + [f"D{l}" for l in range(3, 7)] + ["G2"])
     def test_min_degrees_are_dual_chevalley_degrees(self, name):
-        # for B/C (and D, G2 with even rank) the k-th minimal degree equals
-        # the k-th invariant degree of the Langlands-dual compact group
-        from todalab.rootdata import compact_dual_info, langlands_dual
-
+        # node by node, the degrees of K for the Langlands dual; a pair of
+        # nodes that -w0 swaps shares one degree in halves (A, odd D)
         t = T(name)
         mins = minimal_degrees(tau_functions(t))
-        dual_degrees = compact_dual_info(langlands_dual(t)).degrees
-        assert mins == dual_degrees
+        assert mins == verify.expected_min_degrees(t, WeylGroup.generate(t))
 
 
 class TestTangentCone:
