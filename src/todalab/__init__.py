@@ -15,8 +15,8 @@ import importlib
 __version__ = "0.1.0"
 
 _EXPORTS = {
-    "rootdata": ("LieType", "CompactDual", "RootSystem", "cartan_matrix", "extended_cartan",
-                 "langlands_dual", "inverse_cartan", "tau_multiplicities", "dual_root_counts",
+    "rootdata": ("LieType", "CompactDual", "cartan_matrix", "extended_cartan",
+                 "langlands_dual", "tau_multiplicities", "dual_root_counts",
                  "two_rho_height", "compact_dual_info", "positive_roots"),
     "exact": ("UniPoly",),
     "weyl": ("WeylGroup",),

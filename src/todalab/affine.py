@@ -145,20 +145,21 @@ class RationalFunction(NamedTuple):
 
 
 MIN_STABLE_FOR_GUESS = 6
+MAX_GUESS_DEGREE = 4  # the largest total degree deg num + deg den tried
 
 
-def rational_guess(series: TruncatedSeries, max_degree: int = 4):
+def rational_guess(series: TruncatedSeries):
     """Pade-style reconstruction of the stable prefix as a small rational function.
 
     Returns a RationalFunction verified against every stable coefficient, or
-    None when no fit of total degree <= max_degree matches.
+    None when no fit of total degree <= MAX_GUESS_DEGREE matches.
     """
     stable = series.stable_coeffs()
     if len(stable) < MIN_STABLE_FOR_GUESS:
         raise InsufficientDataError(
             f"need {MIN_STABLE_FOR_GUESS} stable coefficients, have {len(stable)}"
         )
-    for total in range(max_degree + 1):
+    for total in range(MAX_GUESS_DEGREE + 1):
         for dq in range(total + 1):
             dp = total - dq
             if dp + dq + 2 > len(stable):

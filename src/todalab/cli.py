@@ -37,6 +37,15 @@ class _Parser(argparse.ArgumentParser):
         self.print_usage(sys.stderr)
         raise ValidationError(message)
 
+    def _get_values(self, action, arg_strings):
+        # argparse strips an explicit "--" value (--t1=--) to an empty list,
+        # which no type or choice check sees; read it as the string "--"
+        if action.option_strings and action.nargs is None and arg_strings == ["--"]:
+            value = self._get_value(action, "--")
+            self._check_value(action, value)
+            return value
+        return super()._get_values(action, arg_strings)
+
 
 def _type_and_sign(args):
     """The finite type of ``--type`` and the sign vector of ``--sign`` (default

@@ -15,7 +15,8 @@ Conventions (they matter: eta values and tau labels depend on the node order):
   Their extended Cartan matrix puts node 0 first, alpha_0 = delta - theta
   with theta the highest root; the other nodes keep the finite numbering.
 
-Everything in this module is exact: integer matrices, Fraction inverses.
+Everything in this module is exact: integer matrices and integer root
+coordinates.
 """
 
 from __future__ import annotations
@@ -25,7 +26,6 @@ import operator
 from typing import NamedTuple
 
 from .errors import CapExceededError, UnsupportedTypeError, ValidationError
-from .exact import inverse
 
 SERIES_MIN_RANK = {"A": 1, "B": 2, "C": 2, "D": 3, "E": 6, "F": 4, "G": 2}
 SERIES_MAX_RANK = {"E": 8, "F": 4, "G": 2}
@@ -149,7 +149,7 @@ def extended_cartan(t: LieType) -> tuple[tuple[int, ...], ...]:
     if not t.affine:
         raise UnsupportedTypeError(f"expected an untwisted affine type, got {t}")
     finite = LieType(t.series, t.rank)
-    C, d, theta = cartan_matrix(finite), symmetrizer(finite), positive_roots(finite).positive[-1]
+    C, d, theta = cartan_matrix(finite), symmetrizer(finite), positive_roots(finite)[-1]
     row0 = (2,) + tuple(-sum(th * row[j] for th, row in zip(theta, C)) for j in range(t.rank))
     col0 = (-sum(c * dj * th for c, dj, th in zip(row, d, theta)) // max(d) for row in C)
     return (row0,) + tuple((c0,) + row for c0, row in zip(col0, C))
@@ -165,39 +165,25 @@ def langlands_dual(t: LieType) -> LieType:
     return t
 
 
-def inverse_cartan(t: LieType) -> tuple[tuple[Fraction, ...], ...]:
-    return inverse(cartan_matrix(t))
-
-
 def tau_multiplicities(t: LieType) -> tuple[int, ...]:
-    """nu_k = 2 * (k-th row sum of the inverse Cartan matrix); always integral."""
-    inv = inverse_cartan(t)
-    out = []
-    for k, row in enumerate(inv):
-        v = 2 * sum(row)
-        if v.denominator != 1 or v <= 0:
-            raise ValidationError(f"non-integer tau multiplicity nu_{k+1}={v} for {t}")
-        out.append(int(v))
-    return tuple(out)
+    """nu_k, the order to which tau_k vanishes on the t1 axis: the k-th
+    coefficient of 2 rho^vee, the sum of the positive coroots.  The positive
+    roots of the transposed Cartan matrix are the coroots in simple-coroot
+    coordinates, so nu_k is their k-th column sum."""
+    C = cartan_matrix(t)
+    return tuple(map(sum, zip(*_positive(tuple(zip(*C))))))
 
 
 def dual_root_counts(t: LieType) -> tuple[int, ...]:
-    """n_k = 2 * (k-th column sum of the inverse Cartan matrix)."""
-    inv = inverse_cartan(t)
-    l = t.rank
-    out = []
-    for k in range(l):
-        v = 2 * sum(inv[j][k] for j in range(l))
-        if v.denominator != 1 or v <= 0:
-            raise ValidationError(f"non-integer root count n_{k+1}={v} for {t}")
-        out.append(int(v))
-    return tuple(out)
+    """n_k, the k-th coefficient of 2 rho, the sum of the positive roots: the
+    k-th column sum of ``positive_roots``."""
+    return tuple(map(sum, zip(*positive_roots(t))))
 
 
 def two_rho_height(t: LieType) -> int:
     """Height of the sum of all positive roots, sum d_i (d_i - 1) / 2 over the
     degrees d_i of W (Kostant); it equals sum(nu_k) = sum(n_k), but needs no
-    Cartan inverse."""
+    root closure."""
     d = weyl_degrees(t)
     return (sum(map(operator.mul, d, d)) - sum(d)) // 2
 
@@ -206,25 +192,21 @@ def symmetrizer(t: LieType) -> tuple[int, ...]:
     """Positive integers d_i = (alpha_i, alpha_i)/2 up to overall scale.
 
     Characterized by d_j * C[i][j] = d_i * C[j][i], which makes the matrix
-    (alpha_i, alpha_j) = C[i][j] * d_j symmetric.
+    (alpha_i, alpha_j) = C[i][j] * d_j symmetric.  Walked in integers from
+    d_0 = 6, then divided by the gcd: a connected finite diagram has at most
+    one multiple edge, of ratio 2 or 3, so every division is exact.
     """
-    from fractions import Fraction
-
     C = cartan_matrix(t)
-    l = t.rank
-    d = [None] * l
-    d[0] = Fraction(1)
+    d = [6] + [0] * (t.rank - 1)
     todo = [0]
     while todo:
         i = todo.pop()
-        for j in range(l):
-            if C[i][j] != 0 and i != j and d[j] is None:
-                d[j] = d[i] * Fraction(C[j][i], C[i][j])
+        for j, cij in enumerate(C[i]):
+            if cij and not d[j]:
+                d[j] = d[i] * C[j][i] // cij
                 todo.append(j)
-    denom = math.lcm(*(x.denominator for x in d))
-    scaled = [int(x * denom) for x in d]
-    g = math.gcd(*scaled)
-    return tuple(x // g for x in scaled)
+    g = math.gcd(*d)
+    return tuple(x // g for x in d)
 
 
 class CompactDual(NamedTuple):
@@ -325,20 +307,6 @@ def weyl_order_log10(t: LieType) -> float:
     return math.log10(weyl_order(t))
 
 
-class RootSystem:
-    """Positive roots (coordinates in the simple-root basis), simples first."""
-
-    __slots__ = ("simple", "positive")
-
-    def __init__(self, simple: tuple[tuple[int, ...], ...],
-                 positive: tuple[tuple[int, ...], ...]):
-        self.simple = simple
-        self.positive = positive
-
-    def __len__(self):
-        return len(self.positive)
-
-
 def reflect_root(C, beta, i: int) -> tuple[int, ...]:
     """s_i(beta) in simple-root coordinates: beta - (sum_j beta_j C[j][i]) alpha_i."""
     out = list(beta)
@@ -346,11 +314,11 @@ def reflect_root(C, beta, i: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def positive_roots(t: LieType) -> RootSystem:
-    """All positive roots by closure of the simples under simple reflections."""
-    require_finite(t)
-    C = cartan_matrix(t)
-    l = t.rank
+def _positive(C) -> tuple[tuple[int, ...], ...]:
+    """The positive roots of the Cartan matrix C in simple-root coordinates,
+    by closure of the simples under simple reflections: the simple roots in
+    node order, then the rest by (height, coordinates)."""
+    l = len(C)
     simple = tuple(tuple(int(i == j) for j in range(l)) for i in range(l))
     seen = set(simple)
     frontier = list(simple)
@@ -365,7 +333,14 @@ def positive_roots(t: LieType) -> RootSystem:
         frontier = nxt
     rest = sorted((b for b in seen if all(c >= 0 for c in b) and sum(b) > 1),
                   key=lambda b: (sum(b), b))
-    return RootSystem(simple, simple + tuple(rest))
+    return simple + tuple(rest)
+
+
+def positive_roots(t: LieType) -> tuple[tuple[int, ...], ...]:
+    """The positive roots of t in simple-root coordinates, the simple roots
+    first in node order, then the rest by (height, coordinates)."""
+    require_finite(t)
+    return _positive(cartan_matrix(t))
 
 
 def conventions_table() -> dict:

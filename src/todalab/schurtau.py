@@ -536,8 +536,9 @@ def tau_functions(t: LieType) -> TauSystem:
     if s == "D":
         taus, notes = _tau_functions_d(ring, l)
         return TauSystem(t, ring, tuple(taus), tuple(notes))
-    # tau_k is the leading k x k block of the Hankel matrix (h_{top-i-j})
-    top = {"A": l, "B": 2 * l, "C": 2 * l - 1, "G": 6}[s]
+    # tau_k is the leading k x k block of the Hankel matrix (h_{top-i-j});
+    # tau_1 = h_top vanishes to order nu_1 on the t1 axis
+    top = tau_multiplicities(t)[0]
     h = [hk(top - n, ring) for n in range(2 * l - 1)]
     taus = [_det([h[i:i + k] for i in range(k)]) for k in range(1, l + 1)]
     notes = []
@@ -610,7 +611,7 @@ def nu_degrees(system: TauSystem) -> tuple[int, ...]:
 
 
 def nu_check(system: TauSystem) -> tuple[bool, ...]:
-    """Per-tau flags: does the t1-axis vanishing order equal 2*rowsum(C^-1)?"""
+    """Per-tau flags: is the t1-axis vanishing order nu_k, from 2 rho^vee?"""
     return tuple(a == b for a, b in
                  zip(nu_degrees(system), tau_multiplicities(system.lie_type)))
 

@@ -292,11 +292,10 @@ class WeylGroup(WordTree):
         permutation under a 7-byte index key, take about 10 s and 1.1 GB.
         """
         order = check_order(lie_type, cap)
-        rs = positive_roots(lie_type)
         l = lie_type.rank
         C = cartan_matrix(lie_type)
-        pos = list(rs.positive)
-        roots = pos + [tuple(-c for c in b) for b in pos]
+        pos = positive_roots(lie_type)  # simple root alpha_i at index i
+        roots = pos + tuple(tuple(-c for c in b) for b in pos)
         if len(roots) > 255:
             raise CapExceededError(f"{lie_type}: root system too large for byte keys")
         if order > MAX_ELEMENTS:
@@ -307,10 +306,7 @@ class WeylGroup(WordTree):
         simple_perms = [
             pad_table(bytes(where[reflect_root(C, b, i)] for b in roots)) for i in range(l)
         ]
-        # simple root alpha_i sits at index i (positives sorted by height).
-        assert all(roots[i] == rs.simple[i] for i in range(l))
-
-        group = cls(lie_type, tuple(roots), simple_perms)
+        group = cls(lie_type, roots, simple_perms)
         while group.grow(cap):
             pass
         return group

@@ -123,7 +123,7 @@ class TestCosetChain:
         t = T(name)
         chain = CosetChain(t)
         assert math.prod(len(step) for step in chain.steps) == weyl_order(t)
-        assert chain.longest_length == len(positive_roots(t).positive)  # l(w*)
+        assert chain.longest_length == len(positive_roots(t))  # l(w*)
 
 
 class TestClosedForms:

@@ -1,3 +1,4 @@
+import argparse
 import csv
 import hashlib
 import importlib
@@ -20,7 +21,7 @@ from hypothesis import given, settings, strategies as st
 import todalab
 from conftest import word_str
 from todalab.blowup_poly import closed_form_p
-from todalab.cli import _json_slices, _template_rows, main
+from todalab.cli import _json_slices, _template_rows, build_parser, main
 from todalab.rootdata import LieType
 from todalab.signflow import Records, all_minus, eta_table, format_signs
 from todalab.todagraph import build_graph, graph_to_dict, matching_report
@@ -304,7 +305,48 @@ class TestChevalley:
                        "1020099 products, over the cap 1000000\n")
 
 
+# The least argv each subcommand answers, for swapping in one bad option value.
+MINIMAL_ARGV = {
+    "pq": ("--type", "A2"), "eta": ("--type", "A2"), "graph": ("--type", "A2"),
+    "schur": ("--type", "A2"), "affine": ("--rank", "1", "--lmax", "6"),
+    "ode": ("--type", "A1", "--a", "1", "--b", "0"), "chevalley": ("--type", "A2"),
+    "verify": (), "conventions": (),
+}
+
+
+def long_options():
+    """(subcommand, option) for every long option of every subcommand."""
+    sub = next(a for a in build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    return [(command, option) for command, parser in sub.choices.items()
+            for action in parser._actions for option in action.option_strings
+            if option.startswith("--")]
+
+
 class TestErrorsAndPlumbing:
+    def test_minimal_argv_covers_every_subcommand(self):
+        assert {command for command, _ in long_options()} == set(MINIMAL_ARGV)
+
+    @pytest.mark.parametrize("command, option", long_options())
+    def test_explicit_double_dash_value(self, tmp_path, monkeypatch, capsys, command, option):
+        # argparse strips the value of --opt=-- to an empty list; it must read
+        # as the string "--", which every option answers as any other value
+        monkeypatch.chdir(tmp_path)
+        argv = list(MINIMAL_ARGV[command])
+        if option in argv:
+            del argv[argv.index(option):argv.index(option) + 2]
+        code, out, err = run(capsys, command, *argv, f"{option}=--")
+        if option in ("--sign", "--a", "--b", "--t0", "--t1"):  # the glued spellings
+            assert run(capsys, command, *argv, option, "--") == (code, out, err)
+        if option == "--out":  # a file named "--"
+            assert (code, out, err) == (0, "", "")
+            assert (tmp_path / "--").stat().st_size > 0
+        elif option != "--sign":
+            assert code == 1
+            assert out == ""
+            last = err.splitlines()[-1]
+            assert last.startswith("error [validation]: ")
+            assert option in last or "'--'" in last
     def test_unknown_type_exit_1(self, capsys):
         code, _, err = run(capsys, "pq", "--type", "Q9")
         assert code == 1
@@ -607,17 +649,19 @@ def cold_imports(script, *argv):
     return set(proc.stderr.splitlines())
 
 
-# The exact core every command needs: the parser reads weyl's default cap and
+# The core every command needs: the parser reads weyl's default cap and
 # parses types and signs (cli itself runs as __main__).
-CLI_CORE = {"todalab", "todalab.errors", "todalab.exact", "todalab.rootdata",
-            "todalab.weyl", "todalab.signflow"}
+CLI_CORE = {"todalab", "todalab.errors", "todalab.rootdata", "todalab.weyl",
+            "todalab.signflow"}
 
 
 @pytest.mark.parametrize("argv, runs", [
-    ("pq --type A2", {"todalab.blowup_poly"}),
-    ("eta --type G2 --format csv", {"todalab.todagraph"}),  # its row filler
-    ("graph --type A3 --format dot", {"todalab.todagraph"}),
-    ("chevalley --type A2 --q 5 --brute", {"todalab.blowup_poly"}),
+    ("pq --type A2", {"todalab.blowup_poly", "todalab.exact"}),
+    ("eta --type G2 --format csv", {"todalab.todagraph", "todalab.exact"}),  # its row filler
+    ("graph --type A3 --format dot", {"todalab.todagraph", "todalab.exact"}),
+    ("chevalley --type A2 --q 5 --brute", {"todalab.blowup_poly", "todalab.exact"}),
+    ("conventions", set()),
+    ("affine --rank 16 --lmax 5", {"todalab.affine", "todalab.exact"}),
 ])
 def test_cold_commands_load_only_the_modules_they_run(argv, runs):
     loaded = cold_imports(COLD_RUN, *argv.split())
@@ -633,8 +677,8 @@ def test_import_todalab_loads_no_submodule():
 
 # What ``import todalab`` re-exported eagerly before its names turned lazy.
 PACKAGE_EXPORTS = {
-    "rootdata": ["LieType", "CompactDual", "RootSystem", "cartan_matrix", "extended_cartan",
-                 "langlands_dual", "inverse_cartan", "tau_multiplicities", "dual_root_counts",
+    "rootdata": ["LieType", "CompactDual", "cartan_matrix", "extended_cartan",
+                 "langlands_dual", "tau_multiplicities", "dual_root_counts",
                  "two_rho_height", "compact_dual_info", "positive_roots"],
     "exact": ["UniPoly"],
     "weyl": ["WeylGroup"],

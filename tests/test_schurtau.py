@@ -227,6 +227,13 @@ class TestDegrees:
         assert nu_degrees(S(name)) == tau_multiplicities(T(name))
         assert all(nu_check(S(name)))
 
+    @pytest.mark.parametrize("name", [f"A{l}" for l in range(1, 10)]
+                             + [f"{s}{l}" for s in "BC" for l in range(2, 7)] + ["G2"])
+    def test_tau_1_is_h_nu_1(self, name):
+        # tau_1 = h_top vanishes to order nu_1 on the t1 axis, so top = nu_1
+        system = S(name)
+        assert system.taus[0] == hk(tau_multiplicities(T(name))[0], system.ring)
+
     def test_nu_pinned_coefficients(self):
         taus = tau_functions(T("B2")).taus
         assert on_t1_axis(taus[0]).coeffs == (0, 0, 0, 0, Fraction(1, 24))

@@ -356,7 +356,7 @@ def padded_bfs(name):
     and sorted by the whole table: (keys, lengths, parents, letters, simple)."""
     t = LieType.parse(name)
     C = cartan_matrix(t)
-    pos = list(positive_roots(t).positive)
+    pos = list(positive_roots(t))
     roots = pos + [tuple(-c for c in b) for b in pos]
     where = {b: i for i, b in enumerate(roots)}
     simple = [pad_table(bytes(where[reflect_root(C, b, i)] for b in roots))
@@ -438,7 +438,7 @@ def unexpanded_group(name):
     """W(name) before its first level, built as ``WeylGroup.generate`` builds it."""
     t = LieType.parse(name)
     C = cartan_matrix(t)
-    pos = list(positive_roots(t).positive)
+    pos = list(positive_roots(t))
     roots = pos + [tuple(-c for c in b) for b in pos]
     where = {b: i for i, b in enumerate(roots)}
     simple = [pad_table(bytes(where[reflect_root(C, b, i)] for b in roots))
