@@ -1,18 +1,24 @@
 """Exact polynomial engine for the nilpotent-Toda tau functions.
 
-Everything here is exact rational arithmetic.  The complete homogeneous
-polynomials h_k live in weighted times: one time t_m per exponent m of W,
-and D's exponent l - 1 of degree l is the parameter s.  The Schur
-polynomial S_(i1<...<ik) is the Jacobi-Trudi determinant
-det(h_{i_a - b}).  Because dh_n/dt1 = h_{n-1}, the t1-Wronskian of h_top,
-h_{top-1}, ..., h_{top-k+1} is the leading k x k block of the Hankel matrix
-(h_{top-i-j}), so every tau system reads its tau_k as leading blocks of one
-matrix and never differentiates.
+Everything here is exact arithmetic in integers.  A polynomial is a dict of
+integer numerators over one positive common denominator, keyed by packed
+monomials: the total degree in the top 16-bit field, then the exponents
+e_0 down to e_(n-1), so a monomial product is one int addition and int
+order is graded-lex order.  Fractions appear only at the boundary: leading
+and trailing coefficients, the ``terms`` view, JSON and pretty strings.
+
+The complete homogeneous polynomials h_k live in weighted times: one time
+t_m per exponent m of W, and D's exponent l - 1 of degree l is the
+parameter s.  The Schur polynomial S_(i1<...<ik) is the Jacobi-Trudi
+determinant det(h_{i_a - b}).  Because dh_n/dt1 = h_{n-1}, the
+t1-Wronskian of h_top, h_{top-1}, ..., h_{top-k+1} is the leading k x k
+block of the Hankel matrix (h_{top-i-j}), so every tau system reads its
+tau_k as leading blocks of one matrix and never differentiates.
 
 The per-type tau lists, their minimal degrees, tangent cones, the Hirota
 bilinear check, and the real-root experiment all sit on top.  The experiment
-runs one Sturm chain per tau factor, in plain integers, as a primitive
-remainder sequence.
+slices each tau factor to integer coefficients in t1 and runs one Sturm
+chain per factor, in plain integers, as a primitive remainder sequence.
 """
 
 from __future__ import annotations
@@ -20,6 +26,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from math import gcd, isqrt, lcm, prod
+from types import MappingProxyType
 from typing import NamedTuple
 
 from .errors import (
@@ -40,24 +47,28 @@ from .rootdata import (
     weyl_degrees,
 )
 
-ZERO = Fraction(0)
-ONE = Fraction(1)
-
 # Refusal threshold on the height of 2rho.  Measured cold `schur --type X`
-# runs on 2 vCPUs (median of 3): A9 (165) 1.2 s, D7 (182) 1.5 s; with the
-# cap lifted, one run each, A10 (220) 5.4 s and B7 (252) 5.8 s.  The
-# real-root experiment counts per tau factor, so the tau build bounds it:
-# the worst admitted run, D7 at MAX_SAMPLES, took 3.9 s and 20 MB cold.
+# runs on 2 vCPUs, byte-compiled (median of 3): A9 (165) 0.19 s, D7 (182)
+# 0.14 s; with the cap lifted, one run each, A10 (220) 0.53 s and B7 (252)
+# 0.39 s.  The real-root experiment counts per tau factor, so the Sturm
+# chains on the tau slices bound it: the worst admitted run, D7 at
+# MAX_SAMPLES, took 1.6 s and 17 MB cold.
 MAX_TAU_HEIGHT = 200
 MAX_SAMPLES = 50
 
+# Width of one packed exponent field.  A total degree must stay below
+# 2**FIELD_BITS; admitted tau systems peak at 40 per tau (B6, D7).
+FIELD_BITS = 16
+FIELD_MASK = (1 << FIELD_BITS) - 1
+
 
 class PolyRing:
-    """Variable names and weights for one Lie type's tau functions.
+    """Variable names, weights and packed-monomial layout for one Lie type.
 
     ``times`` lists the (weight, position) pairs of the flow variables that
     feed the h_k recursion; the D-series parameter s is a ring variable but
-    not a time.
+    not a time.  A monomial with exponents e is the int key
+    deg << deg_shift | e_0 << shifts[0] | ... | e_(n-1) << shifts[n-1].
     """
 
     def __init__(self, names, weights, time_positions=None):
@@ -66,99 +77,161 @@ class PolyRing:
         if time_positions is None:
             time_positions = tuple(range(len(names)))
         self.times = tuple((self.weights[p], p) for p in time_positions)
+        n = len(self.names)
+        self.shifts = tuple(FIELD_BITS * (n - 1 - j) for j in range(n))
+        self.deg_shift = FIELD_BITS * n
+        self.units = tuple((1 << self.deg_shift) | (1 << s) for s in self.shifts)
         self._h_cache = [self.one()]
+
+    def position(self, name) -> int:
+        if name not in self.names:
+            raise ValidationError(
+                f"unknown variable {name!r}; the ring's variables are {', '.join(self.names)}")
+        return self.names.index(name)
+
+    def check_degree(self, degree: int) -> None:
+        """Refuse a total degree that would overflow the packed degree field."""
+        if degree > FIELD_MASK:
+            raise CapExceededError(
+                f"total degree {degree} exceeds the packed exponent limit {FIELD_MASK}")
+
+    def pack(self, exps) -> int:
+        exps = tuple(exps)
+        if len(exps) != len(self.names) or any(e < 0 for e in exps):
+            raise ValidationError(f"exponents {exps} do not fit the ring {self.names}")
+        degree = sum(exps)
+        self.check_degree(degree)
+        return sum(e << s for e, s in zip(exps, self.shifts)) | degree << self.deg_shift
+
+    def unpack(self, key: int) -> tuple[int, ...]:
+        return tuple(key >> s & FIELD_MASK for s in self.shifts)
+
+    def divide_key(self, key: int, by: int):
+        """The key of monomial key / by, or None when by does not divide it."""
+        if any(key >> s & FIELD_MASK < by >> s & FIELD_MASK for s in self.shifts):
+            return None
+        return key - by
 
     def zero(self) -> "ExactPoly":
         return ExactPoly(self, {})
 
     def one(self) -> "ExactPoly":
-        return self.const(ONE)
+        return ExactPoly(self, {0: 1})
 
     def const(self, c) -> "ExactPoly":
-        c = Fraction(c)
-        return ExactPoly(self, {} if c == 0 else {(0,) * len(self.names): c})
+        return self.monomial((0,) * len(self.names), c)
 
-    def monomial(self, exps, coeff=ONE) -> "ExactPoly":
-        coeff = Fraction(coeff)
-        return ExactPoly(self, {} if coeff == 0 else {tuple(exps): coeff})
+    def monomial(self, exps, coeff=1) -> "ExactPoly":
+        c = Fraction(coeff)
+        return ExactPoly(self, {self.pack(exps): c.numerator}, c.denominator)
 
     def var(self, name) -> "ExactPoly":
-        pos = self.names.index(name)
-        exps = [0] * len(self.names)
-        exps[pos] = 1
-        return self.monomial(exps)
+        return ExactPoly(self, {self.units[self.position(name)]: 1})
 
     def __repr__(self):
         return f"PolyRing({self.names}, weights={self.weights})"
 
 
 class ExactPoly:
-    """Multivariate polynomial with exact Fraction coefficients."""
+    """Multivariate rational polynomial: integer numerators over one denominator.
 
-    __slots__ = ("ring", "terms")
+    ``num`` maps packed monomial keys to nonzero ints and ``den`` is positive
+    with gcd(den, *num) == 1, so equal polynomials have equal fields.
+    """
 
-    def __init__(self, ring: PolyRing, terms: dict):
+    __slots__ = ("ring", "num", "den")
+
+    def __init__(self, ring: PolyRing, num: dict, den: int = 1):
+        num = {k: c for k, c in num.items() if c}
+        g = gcd(den, *num.values())
+        if den < 0:
+            g = -g
+        if g != 1:
+            num = {k: c // g for k, c in num.items()}
+            den //= g
         self.ring = ring
-        self.terms = terms  # exponent tuple -> nonzero Fraction
+        self.num = num
+        self.den = den
+
+    @classmethod
+    def from_terms(cls, ring: PolyRing, terms: dict) -> "ExactPoly":
+        """Build from {exponent tuple: int or Fraction}."""
+        coeffs = {ring.pack(e): Fraction(c) for e, c in terms.items()}
+        den = lcm(*(c.denominator for c in coeffs.values()))
+        return cls(ring, {k: c.numerator * (den // c.denominator)
+                          for k, c in coeffs.items()}, den)
+
+    @property
+    def terms(self):
+        """Read-only {exponent tuple: Fraction} view."""
+        unpack, den = self.ring.unpack, self.den
+        return MappingProxyType({unpack(k): Fraction(c, den) for k, c in self.num.items()})
 
     # -- basics ---------------------------------------------------------
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.num
 
     def __eq__(self, other):
         return (
             isinstance(other, ExactPoly)
             and self.ring.names == other.ring.names
-            and self.terms == other.terms
+            and self.den == other.den
+            and self.num == other.num
         )
 
     def __hash__(self):
-        return hash((self.ring.names, frozenset(self.terms.items())))
+        return hash((self.ring.names, self.den, frozenset(self.num.items())))
+
+    def _combine(self, other, sign: int) -> "ExactPoly":
+        """self + sign * other over the lcm of the two denominators."""
+        other = self._coerce(other)
+        if self.den == other.den:
+            den, fa, fb = self.den, 1, sign
+        else:
+            den = lcm(self.den, other.den)
+            fa, fb = den // self.den, sign * (den // other.den)
+        out = dict(self.num) if fa == 1 else {k: c * fa for k, c in self.num.items()}
+        get = out.get
+        for k, c in other.num.items():
+            out[k] = get(k, 0) + c * fb
+        return ExactPoly(self.ring, out, den)
 
     def __add__(self, other):
-        other = self._coerce(other)
-        if other.ring.names != self.ring.names:
-            raise ValidationError("polynomials live in different rings")
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            v = out.get(e, ZERO) + c
-            if v:
-                out[e] = v
-            else:
-                out.pop(e, None)
-        return ExactPoly(self.ring, out)
-
-    def __neg__(self):
-        return ExactPoly(self.ring, {e: -c for e, c in self.terms.items()})
+        return self._combine(other, 1)
 
     def __sub__(self, other):
-        return self + (-self._coerce(other))
+        return self._combine(other, -1)
+
+    def __neg__(self):
+        return ExactPoly(self.ring, {k: -c for k, c in self.num.items()}, self.den)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             f = Fraction(other)
-            if f == 0:
-                return self.ring.zero()
-            return ExactPoly(self.ring, {e: c * f for e, c in self.terms.items()})
-        if other.ring.names != self.ring.names:
-            raise ValidationError("polynomials live in different rings")
+            return ExactPoly(self.ring, {k: c * f.numerator for k, c in self.num.items()},
+                             self.den * f.denominator)
+        other = self._coerce(other)
+        a, b = self.num, other.num
+        if not a or not b:
+            return self.ring.zero()
+        ring = self.ring
+        ring.check_degree((max(a) >> ring.deg_shift) + (max(b) >> ring.deg_shift))
         out = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                v = out.get(e, ZERO) + c1 * c2
-                if v:
-                    out[e] = v
-                else:
-                    out.pop(e, None)
-        return ExactPoly(self.ring, out)
+        get = out.get
+        for k1, c1 in a.items():
+            for k2, c2 in b.items():
+                k = k1 + k2
+                out[k] = get(k, 0) + c1 * c2
+        return ExactPoly(ring, out, self.den * other.den)
 
     __rmul__ = __mul__
 
     def __pow__(self, n: int):
         if n < 0:
             raise ValidationError("negative polynomial power")
+        if n and self.num:
+            self.ring.check_degree((max(self.num) >> self.ring.deg_shift) * n)
         acc = self.ring.one()
         base = self
         while n:
@@ -169,90 +242,98 @@ class ExactPoly:
         return acc
 
     def _coerce(self, other):
-        if isinstance(other, ExactPoly):
-            return other
-        return self.ring.const(other)
+        if not isinstance(other, ExactPoly):
+            return self.ring.const(other)
+        if other.ring.names != self.ring.names:
+            raise ValidationError("polynomials live in different rings")
+        return other
 
     # -- calculus and structure -------------------------------------------
 
     def diff(self, name="t1") -> "ExactPoly":
-        pos = self.ring.names.index(name)
-        out = {}
-        for e, c in self.terms.items():
-            if e[pos]:
-                ne = list(e)
-                ne[pos] -= 1
-                out[tuple(ne)] = c * e[pos]
-        return ExactPoly(self.ring, out)
+        pos = self.ring.position(name)
+        shift, unit = self.ring.shifts[pos], self.ring.units[pos]
+        return ExactPoly(self.ring, {k - unit: c * e for k, c in self.num.items()
+                                     if (e := k >> shift & FIELD_MASK)}, self.den)
 
     def min_degree(self) -> int:
-        if not self.terms:
+        if not self.num:
             raise ZeroPolynomialError("minimal degree of the zero polynomial")
-        return min(sum(e) for e in self.terms)
+        return min(self.num) >> self.ring.deg_shift
 
     def lowest_part(self) -> "ExactPoly":
-        d = self.min_degree()
-        return ExactPoly(self.ring, {e: c for e, c in self.terms.items() if sum(e) == d})
+        above = self.min_degree() + 1 << self.ring.deg_shift
+        return ExactPoly(self.ring, {k: c for k, c in self.num.items() if k < above}, self.den)
 
     def leading(self):
         """(exponents, coefficient) maximal in graded-lex order."""
-        if not self.terms:
+        if not self.num:
             raise ZeroPolynomialError("leading term of the zero polynomial")
-        e = max(self.terms, key=lambda e: (sum(e), e))
-        return e, self.terms[e]
+        k = max(self.num)
+        return self.ring.unpack(k), Fraction(self.num[k], self.den)
 
     def trailing(self):
         """(exponents, coefficient) minimal in graded-lex order."""
-        if not self.terms:
+        if not self.num:
             raise ZeroPolynomialError("trailing term of the zero polynomial")
-        e = min(self.terms, key=lambda e: (sum(e), e))
-        return e, self.terms[e]
+        k = min(self.num)
+        return self.ring.unpack(k), Fraction(self.num[k], self.den)
+
+    def _slice_ints(self, values: dict):
+        """(integer coefficients in t1, low to high, positive denominator) of
+        the slice that substitutes rationals for every other variable."""
+        ring = self.ring
+        t1_shift = ring.shifts[ring.position("t1")]
+        # over one common denominator: with v = p/q and E the top exponent of
+        # its variable, a term takes p^e q^(E - e), and den takes q^E
+        den = self.den
+        powers = []
+        for name, shift in zip(ring.names, ring.shifts):
+            if shift == t1_shift:
+                continue
+            if name not in values:
+                raise ValidationError(f"missing substitution for {name}")
+            v = Fraction(values[name])
+            top = max((k >> shift & FIELD_MASK for k in self.num), default=0)
+            if top:
+                p, q = v.numerator, v.denominator
+                powers.append((shift, [p ** e * q ** (top - e) for e in range(top + 1)]))
+                den *= q ** top
+        ints = [0] * (max((k >> t1_shift & FIELD_MASK for k in self.num), default=-1) + 1)
+        for k, c in self.num.items():
+            for shift, pw in powers:
+                c *= pw[k >> shift & FIELD_MASK]
+            ints[k >> t1_shift & FIELD_MASK] += c
+        while ints and not ints[-1]:
+            ints.pop()
+        return ints, den
 
     def slice_t1(self, values: dict) -> "UniPoly":
         """Substitute rationals for every variable except t1 (zeros restrict
         to the t1 axis)."""
-        names = self.ring.names
-        pos = names.index("t1")
-        vals = {}
-        for j, name in enumerate(names):
-            if j == pos:
-                continue
-            if name not in values:
-                raise ValidationError(f"missing substitution for {name}")
-            vals[j] = Fraction(values[name])
-        # integers over one common denominator: lcm of the coefficient
-        # denominators times q_j^E_j per variable (v_j = p_j/q_j, E_j its top
-        # exponent), so a term is c * prod p_j^e_j * q_j^(E_j - e_j)
-        top = {j: max((e[j] for e in self.terms), default=0) for j in vals}
-        powers = {j: [v.numerator ** k * v.denominator ** (top[j] - k)
-                      for k in range(top[j] + 1)]
-                  for j, v in vals.items() if top[j]}
-        den = lcm(*(c.denominator for c in self.terms.values()))
-        nums = {}
-        for e, c in self.terms.items():
-            f = c.numerator * (den // c.denominator)
-            for j, pw in powers.items():
-                f *= pw[e[j]]
-            nums[e[pos]] = nums.get(e[pos], 0) + f
-        den *= prod(v.denominator ** top[j] for j, v in vals.items())
-        return UniPoly.from_dict({k: Fraction(n, den) for k, n in nums.items()})
+        ints, den = self._slice_ints(values)
+        return UniPoly([Fraction(c, den) for c in ints])
+
+    def _sorted_terms(self):
+        """(exponents, Fraction) pairs in graded-lex order."""
+        unpack, num, den = self.ring.unpack, self.num, self.den
+        return [(unpack(k), Fraction(num[k], den)) for k in sorted(num)]
 
     def to_json(self) -> dict:
-        monos = sorted(self.terms.items(), key=lambda ec: (sum(ec[0]), ec[0]))
         return {
             "variables": list(self.ring.names),
             "weights": list(self.ring.weights),
             "monomials": [
                 {"exponents": list(e), "numerator": c.numerator, "denominator": c.denominator}
-                for e, c in monos
+                for e, c in self._sorted_terms()
             ],
         }
 
     def __str__(self):
-        if not self.terms:
+        if not self.num:
             return "0"
         parts = []
-        for e, c in sorted(self.terms.items(), key=lambda ec: (sum(ec[0]), ec[0])):
+        for e, c in self._sorted_terms():
             factors = [
                 self.ring.names[j] + (f"^{x}" if x > 1 else "")
                 for j, x in enumerate(e)
@@ -283,17 +364,15 @@ def _pseudo_remainder(a: list[int], b: list[int]) -> list[int]:
     return r
 
 
-def _primitive_part(p: UniPoly) -> list[int]:
-    """The primitive integer polynomial that is a positive multiple of ``p``."""
-    q = [Fraction(c) for c in p.coeffs]
-    den = lcm(*(c.denominator for c in q))
-    ints = [c.numerator * (den // c.denominator) for c in q]
-    g = gcd(*ints)
-    return [c // g for c in ints]
+def _primitive(a: list[int]) -> list[int]:
+    """The primitive integer polynomial that is a positive multiple of ``a``."""
+    g = gcd(*a)
+    return [c // g for c in a]
 
 
-def sturm_real_roots(f: UniPoly) -> int:
-    """Exact count of distinct real roots via a Sturm chain.
+def _sturm_count(a: list[int]) -> int:
+    """Exact count of the distinct real roots of an integer polynomial (low to
+    high, no trailing zero) via a Sturm chain.
 
     The chain is the signed remainder sequence of f and f', which ends at
     gcd(f, f'), so multiple roots count once without taking the square-free
@@ -301,11 +380,12 @@ def sturm_real_roots(f: UniPoly) -> int:
     integer polynomial, a positive multiple of the rational one
     (Basu-Pollack-Roy, Algorithms in Real Algebraic Geometry, ch. 2 and 8).
     """
-    if f.is_zero():
+    if not a:
         raise ZeroPolynomialError("root count of the zero polynomial")
-    if f.degree < 1:
+    if len(a) < 2:
         return 0
-    a, b = _primitive_part(f), _primitive_part(f.derivative())
+    a = _primitive(a)
+    b = _primitive([k * c for k, c in enumerate(a)][1:])
     chain = [a, b]
     while len(b) > 1:
         r = _pseudo_remainder(a, b)
@@ -321,6 +401,14 @@ def sturm_real_roots(f: UniPoly) -> int:
     at_plus = [p[-1] > 0 for p in chain]
     at_minus = [pos == (len(p) % 2 == 1) for pos, p in zip(at_plus, chain)]
     return variations(at_minus) - variations(at_plus)
+
+
+def sturm_real_roots(f: UniPoly) -> int:
+    """Exact count of the distinct real roots of ``f`` (``_sturm_count`` on
+    its integer numerators over their common denominator)."""
+    q = [Fraction(c) for c in f.coeffs]
+    den = lcm(*(c.denominator for c in q))
+    return _sturm_count([c.numerator * (den // c.denominator) for c in q])
 
 
 # -- complete homogeneous polynomials and Schur determinants ------------------
@@ -353,15 +441,14 @@ def hk(n: int, ring: PolyRing) -> ExactPoly:
     """
     if n < 0:
         return ring.zero()
+    ring.check_degree(n)  # weights are positive, so no monomial of h_n exceeds degree n
     cache = ring._h_cache
     while len(cache) <= n:
         m = len(cache)
         acc = ring.zero()
         for wt, pos in ring.times:
             if wt <= m:
-                exps = [0] * len(ring.names)
-                exps[pos] = 1
-                acc = acc + ring.monomial(exps, Fraction(wt, m)) * cache[m - wt]
+                acc = acc + ExactPoly(ring, {ring.units[pos]: wt}, m) * cache[m - wt]
         cache.append(acc)
     return cache[n]
 
@@ -417,56 +504,70 @@ def wronskian(fns) -> ExactPoly:
 # -- perfect squares and exact division --------------------------------------
 
 
-def _sqrt_fraction(c: Fraction) -> Fraction:
-    if c < 0:
-        raise NotAPerfectSquareError(f"negative leading coefficient {c}")
-    n, d = c.numerator, c.denominator
-    rn, rd = isqrt(n), isqrt(d)
-    if rn * rn != n or rd * rd != d:
-        raise NotAPerfectSquareError(f"{c} is not a rational square")
-    return Fraction(rn, rd)
+def _long_divide(ring: PolyRing, rem: dict, lead, q: dict, step):
+    """Graded-lex long division in integers: extend ``q`` until ``rem`` is zero.
 
-
-def _long_divide(rem: ExactPoly, lead, step):
-    """Graded-lex long division: the quotient q that reduces ``rem`` to zero.
-
-    Each step picks the monomial m with m * lead equal to the leading term of
-    ``rem`` (``lead`` is an (exponents, coefficient) pair) and subtracts
-    ``step(q, m)``, whose leading term is m * lead.  The leading monomial of
+    ``rem`` is a numerator dict, reduced in place.  Each step takes the
+    monomial c * x^k whose product with ``lead`` (a (key, int) pair) is the
+    leading term of ``rem``, calls ``step(k, c)`` to subtract a polynomial
+    with that leading term, and records q[k] = c.  The leading monomial of
     ``rem`` falls at every step, so the division ends.  None means that a
-    leading monomial of ``rem`` is not a multiple of lead's.
+    leading term of ``rem`` is not an integer multiple of lead.
     """
-    lead_e, lead_c = lead
-    q = rem.ring.zero()
-    while not rem.is_zero():
-        e, c = rem.leading()
-        t = tuple(a - b for a, b in zip(e, lead_e))
-        if any(x < 0 for x in t):
+    lead_k, lead_c = lead
+    while rem:
+        k = max(rem)
+        mk = ring.divide_key(k, lead_k)
+        mc, r = divmod(rem[k], lead_c)
+        if mk is None or r:
             return None
-        m = rem.ring.monomial(t, c / lead_c)
-        rem = rem - step(q, m)
-        q = q + m
+        step(mk, mc)
+        q[mk] = mc
     return q
+
+
+def _subtract_shifted(rem: dict, key: int, c: int, num: dict) -> None:
+    """rem -= c * x^key * num, dropping the terms that cancel."""
+    for k2, c2 in num.items():
+        k = key + k2
+        v = rem.get(k, 0) - c * c2
+        if v:
+            rem[k] = v
+        else:
+            del rem[k]
 
 
 def poly_sqrt(p: ExactPoly) -> ExactPoly:
     """Exact square root of a perfect-square polynomial.
 
-    With r the root's leading term and q the terms found after it, each new
-    term m takes m * (2(r + q) + m) off the residual p - (r + q)^2.
+    A square's normalized form is R^2 / r^2 with R integral (Gauss's lemma),
+    so the root is found in integers: with R its terms so far, each new
+    term m takes m * (2R + m) off the residual.
     """
     if p.is_zero():
         return p
-    lead_e, lead_c = p.leading()
-    if any(x % 2 for x in lead_e):
+    ring = p.ring
+    lead_k = max(p.num)
+    if any(x % 2 for x in ring.unpack(lead_k)):
         raise NotAPerfectSquareError("leading monomial has odd exponents")
-    half = tuple(x // 2 for x in lead_e)
-    c = _sqrt_fraction(lead_c)
-    r = p.ring.monomial(half, c)
-    q = _long_divide(p - r * r, (half, 2 * c), lambda q, m: m * (2 * (r + q) + m))
-    if q is None:
+    c = Fraction(p.num[lead_k], p.den)
+    if c < 0:
+        raise NotAPerfectSquareError(f"negative leading coefficient {c}")
+    if any(isqrt(x) ** 2 != x for x in (c.numerator, c.denominator)):
+        raise NotAPerfectSquareError(f"{c} is not a rational square")
+    half, root_c, root_d = lead_k >> 1, isqrt(p.num[lead_k]), isqrt(p.den)
+    root = {half: root_c}
+
+    def step(k, c):
+        _subtract_shifted(rem, k, 2 * c, root)
+        _subtract_shifted(rem, k, c, {k: c})
+
+    rem = dict(p.num)
+    del rem[lead_k]
+    if (root_c ** 2 != p.num[lead_k] or root_d ** 2 != p.den
+            or _long_divide(ring, rem, (half, 2 * root_c), root, step) is None):
         raise NotAPerfectSquareError("stray monomial below the square root")
-    return r + q
+    return ExactPoly(ring, root, root_d)
 
 
 def _squarefree_part(n: int) -> int:
@@ -500,17 +601,30 @@ def poly_sqrt_content(p: ExactPoly):
         content = -content
     root = poly_sqrt(p * (1 / content))
     # flip the overall sign so the graded-lex minimal monomial is positive
-    return (-root if root.trailing()[1] < 0 else root), content
+    return (-root if root.num[min(root.num)] < 0 else root), content
 
 
 def exact_divide(p: ExactPoly, d: ExactPoly) -> ExactPoly:
-    """Quotient p/d when the division is exact; raises ValidationError else."""
+    """Quotient p/d when the division is exact; raises ValidationError else.
+
+    With d's numerators made primitive, an exact quotient of p's integer
+    numerators is integral (Gauss's lemma), so the division runs in integers.
+    """
     if d.is_zero():
         raise ZeroDivisionError("division by the zero polynomial")
-    q = _long_divide(p, d.leading(), lambda q, m: m * d)
+    content = gcd(*d.num.values())
+    divisor = {k: c // content for k, c in d.num.items()}
+    lead_k = max(divisor)
+
+    def step(k, c):
+        _subtract_shifted(rem, k, c, divisor)
+
+    rem = dict(p.num)
+    q = _long_divide(p.ring, rem, (lead_k, divisor[lead_k]), {}, step)
     if q is None:
         raise ValidationError("inexact polynomial division")
-    return q
+    # p / d = (P / D') * d.den / (p.den * content) with D' the primitive divisor
+    return ExactPoly(p.ring, {k: c * d.den for k, c in q.items()}, p.den * content)
 
 
 # -- tau systems --------------------------------------------------------------
@@ -634,8 +748,8 @@ def hirota_residual(system: TauSystem, k: int):
     for j in range(1, l + 1):
         if j != k and C[k - 1][j - 1]:  # off-diagonal Cartan entries are <= 0
             rhs = rhs * system.taus[j - 1] ** -C[k - 1][j - 1]
-    e, c = rhs.leading()
-    a0 = lhs.terms.get(e, 0) / c
+    key = max(rhs.num)
+    a0 = Fraction(lhs.num.get(key, 0) * rhs.den, lhs.den * rhs.num[key])
     residual = lhs - a0 * rhs
     if not residual.is_zero():
         err = NoConstantFitsError(f"no constant matches tau_{k} bilinear form")
@@ -695,7 +809,7 @@ def real_root_count_experiment(t: LieType, samples: int = 20, seed: int = 0) -> 
     assignments = []
     for _ in range(samples):
         values = {n: random_nonzero_rational(rng) for n in others}
-        counts.append(sum(sturm_real_roots(tau.slice_t1(values)) for tau in system.taus))
+        counts.append(sum(_sturm_count(tau._slice_ints(values)[0]) for tau in system.taus))
         assignments.append({n: str(v) for n, v in values.items()})
     modal = max(set(counts), key=lambda c: (counts.count(c), -c))
     frac = counts.count(modal) / len(counts)

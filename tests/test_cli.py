@@ -135,6 +135,9 @@ class TestGraph:
         assert "betti" not in doc3
 
 
+SCHUR_EXPERIMENT = "--experiment real-roots --samples 5 --seed 3"
+
+
 class TestSchur:
     def test_experiment(self, capsys):
         doc = run_json(capsys, "schur", "--type", "G2", "--experiment",
@@ -161,6 +164,36 @@ class TestSchur:
             {"a0": "-1", "k": 1, "residual_zero": True},
             {"a0": "-1/2", "k": 2, "residual_zero": True},
         ]
+
+    @pytest.mark.parametrize("argv, size, sha256", [
+        ("A4", 5031, "158b5eac405b3cb7a6e1f4ab979e1007a7ff96cedfe9f2286cc53b5b13b19b44"),
+        ("A4 --hirota", 5337, "776b1fdb3caa57aa8550d27eeda90ec5a854e35b31e342ba90127ae968397af1"),
+        ("A4 " + SCHUR_EXPERIMENT, 249,
+         "40d52b337c00b9b3f57ffa7b2d1c3cbfd4e9027bed08efdb4dbbc09f59385cd1"),
+        ("B4", 9628, "558f0a00d18e8b4b86e5f5e842a8f3f2d6c59b7547a0ba5a361385b9aea7b1b7"),
+        ("B4 --hirota", 9936, "5c25a740b3887d1f241a55655db0bf2ea1dd2caeca05de7f80362eb50ac3fece"),
+        ("B4 " + SCHUR_EXPERIMENT, 256,
+         "433a4d9df556b241e6540879458752771b42af8449159c0c7bdef4feed4e1180"),
+        ("C4", 9355, "833ca7e238c1eb9586de0a4144994a4a22f0bcdc8e2527e5f9aa284c8b2675cc"),
+        ("C4 --hirota", 9662, "10566aca4414024e9752f8254683975129420db02a44e7558e01f9440a722f6f"),
+        ("C4 " + SCHUR_EXPERIMENT, 256,
+         "94969b71fd02550f21e6284064a8768b2fc32f0192dc32c2aa2c59f72b9fdbaf"),
+        ("D5", 15070, "da4aa83f6cc40ab85030528a5e3089a6a324a9ecd7884bd99089a7785c7665e2"),
+        ("D5 --hirota", 15448, "118232d23b8fa4b1353e78695f99625bfd79f096638bb65d113a8bb91bcc67e0"),
+        ("D5 " + SCHUR_EXPERIMENT, 256,
+         "2e7448d5b661cdd4c28a52534d62a54dc65055f59d70d3907229e146e5ea032f"),
+        ("G2", 1086, "58367be40ea5cfce154e9963274caccebb9eb358757ea9b45b47a8d76110a7c3"),
+        ("G2 --hirota", 1252, "ac5ab0202f05f42215ad0daf14e8de33217944e7fcbc242a09841fc20bf00a16"),
+        ("G2 " + SCHUR_EXPERIMENT, 249,
+         "62564f891cf221a65825868639ae5cea2b678f9d57d541b35d3d025178b2bdb4"),
+    ])
+    def test_pinned_schur_bytes(self, argv, size, sha256):
+        # stdout of `schur --type <argv>` as the Fraction-per-term kernel wrote it
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            assert main(["schur", "--type", *argv.split()]) == 0
+        data = out.getvalue().encode("utf-8")
+        assert (len(data), hashlib.sha256(data).hexdigest(), err.getvalue()) == (size, sha256, "")
 
 
 class TestAffine:

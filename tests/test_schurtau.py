@@ -19,6 +19,7 @@ from todalab.exact import UniPoly
 from todalab.rootdata import LieType, tau_multiplicities, two_rho_height
 from todalab.schurtau import (
     ExactPoly,
+    PolyRing,
     TauSystem,
     exact_divide,
     hirota_residual,
@@ -366,7 +367,7 @@ class TestSqrtAndDivision:
         # the l=2 instance of the Schur Q-polynomial realization
         r = ring_for(T("B2"))
         s13 = schur_wronskian([1, 3], r)
-        halved = ExactPoly(
+        halved = ExactPoly.from_terms(
             r, {e: c * Fraction(1, 2 ** sum(e)) for e, c in s13.terms.items()})
         assert Fraction(-2) * halved == tau_functions(T("B2")).taus[1]
 
@@ -706,3 +707,340 @@ class TestExactPolyAlgebra:
         assert doc["monomials"][0] == {"exponents": [0, 1], "numerator": 1,
                                        "denominator": 1}
         assert doc["weights"] == [1, 2]
+
+
+
+# -- the Fraction-per-term reference -------------------------------------------
+#
+# The kernel before packed keys: {exponent tuple: nonzero Fraction}, one
+# Fraction multiply-add per pair of terms, graded-lex order by (sum(e), e).
+# Every integer-kernel operation and every tau system is checked against it.
+
+
+def _glex(e):
+    return sum(e), e
+
+
+class RefPoly:
+    def __init__(self, n, terms=()):
+        self.n = n
+        self.terms = {e: Fraction(c) for e, c in dict(terms).items() if c}
+
+    @classmethod
+    def of(cls, p):
+        return cls(len(p.ring.names), p.terms)
+
+    def const(self, c):
+        return RefPoly(self.n, {(0,) * self.n: c})
+
+    def __add__(self, other):
+        out = dict(self.terms)
+        for e, c in other.terms.items():
+            out[e] = out.get(e, 0) + c
+        return RefPoly(self.n, out)
+
+    def __neg__(self):
+        return self * -1
+
+    def __sub__(self, other):
+        return self + -other
+
+    def __mul__(self, other):
+        if isinstance(other, (int, Fraction)):
+            return RefPoly(self.n, {e: c * other for e, c in self.terms.items()})
+        out = {}
+        for e1, c1 in self.terms.items():
+            for e2, c2 in other.terms.items():
+                e = tuple(a + b for a, b in zip(e1, e2))
+                out[e] = out.get(e, 0) + c1 * c2
+        return RefPoly(self.n, out)
+
+    __rmul__ = __mul__
+
+    def __pow__(self, k):
+        acc = self.const(1)
+        for _ in range(k):
+            acc = acc * self
+        return acc
+
+    def diff(self, pos):
+        out = {}
+        for e, c in self.terms.items():
+            if e[pos]:
+                out[e[:pos] + (e[pos] - 1,) + e[pos + 1:]] = c * e[pos]
+        return RefPoly(self.n, out)
+
+    def min_degree(self):
+        return min(sum(e) for e in self.terms)
+
+    def lowest_part(self):
+        d = self.min_degree()
+        return RefPoly(self.n, {e: c for e, c in self.terms.items() if sum(e) == d})
+
+    def leading(self):
+        e = max(self.terms, key=_glex)
+        return e, self.terms[e]
+
+    def trailing(self):
+        e = min(self.terms, key=_glex)
+        return e, self.terms[e]
+
+    def slice_t1(self, values):
+        """t1 is variable 0; ``values`` lists the other variables' values."""
+        out = {}
+        for e, c in self.terms.items():
+            for x, v in zip(e[1:], values):
+                c *= Fraction(v) ** x
+            out[e[0]] = out.get(e[0], 0) + c
+        return UniPoly.from_dict(out)
+
+    def pretty(self, names):
+        if not self.terms:
+            return "0"
+        parts = []
+        for e, c in sorted(self.terms.items(), key=lambda ec: _glex(ec[0])):
+            factors = [names[j] + (f"^{x}" if x > 1 else "") for j, x in enumerate(e) if x]
+            parts.append(f"({c})*{'*'.join(factors) if factors else '1'}")
+        return " + ".join(parts)
+
+
+def ref_long_divide(rem, lead, step):
+    """Graded-lex long division over Fraction; None on a stray monomial."""
+    lead_e, lead_c = lead
+    q = RefPoly(rem.n)
+    while rem.terms:
+        e, c = rem.leading()
+        t = tuple(a - b for a, b in zip(e, lead_e))
+        if any(x < 0 for x in t):
+            return None
+        m = RefPoly(rem.n, {t: c / lead_c})
+        rem = rem - step(q, m)
+        q = q + m
+    return q
+
+
+def ref_divide(p, d):
+    return ref_long_divide(p, d.leading(), lambda q, m: m * d)
+
+
+def squarefree(n):
+    """The squarefree s with n = s * r**2, by trial division (n > 0)."""
+    s, f = 1, 2
+    while f * f <= n:
+        while n % (f * f) == 0:
+            n //= f * f
+        if n % f == 0:
+            n //= f
+            s *= f
+        f += 1
+    return s * n
+
+
+def ref_sqrt_content(p):
+    """(root, content) with p = content * root**2, or None when p is no such product."""
+    _, c = p.leading()
+    content = Fraction(squarefree(abs(c.numerator)), squarefree(c.denominator))
+    content = content if c > 0 else -content
+    p = p * (1 / content)
+    lead_e, lead_c = p.leading()
+    if any(x % 2 for x in lead_e):
+        return None
+    half = tuple(x // 2 for x in lead_e)
+    r = RefPoly(p.n, {half: Fraction(math.isqrt(lead_c.numerator),
+                                     math.isqrt(lead_c.denominator))})
+    q = ref_long_divide(p - r * r, (half, 2 * r.terms[half]),
+                        lambda q, m: m * (2 * (r + q) + m))
+    if q is None:
+        return None
+    root = r + q
+    return (-root if root.trailing()[1] < 0 else root), content
+
+
+def ref_det(m):
+    """Cofactor expansion along the first row, memoized over column subsets."""
+    k = len(m)
+    memo = {(): m[0][0].const(1)}
+
+    def rec(cols):
+        if cols not in memo:
+            row = k - len(cols)
+            acc = m[0][0].const(0)
+            for idx, c in enumerate(cols):
+                if m[row][c].terms:
+                    term = m[row][c] * rec(cols[:idx] + cols[idx + 1:])
+                    acc = acc + term if idx % 2 == 0 else acc - term
+            memo[cols] = acc
+        return memo[cols]
+
+    return rec(tuple(range(k)))
+
+
+def ref_h(ring, top):
+    """h_0, ..., h_top over Fraction, from n h_n = sum_j j t_j h_{n-j}."""
+    n = len(ring.names)
+    h = [RefPoly(n, {(0,) * n: 1})]
+    for m in range(1, top + 1):
+        acc = RefPoly(n)
+        for wt, pos in ring.times:
+            if wt <= m:
+                unit = tuple(int(j == pos) for j in range(n))
+                acc = acc + RefPoly(n, {unit: Fraction(wt, m)}) * h[m - wt]
+        h.append(acc)
+    return h + [RefPoly(n)] * (top + 1)  # h_{<0} = 0 read as h[-k]
+
+
+def reference_taus(t):
+    """The tau list of ``tau_functions(t)``, built in the Fraction reference."""
+    ring = ring_for(t)
+    l, n = t.rank, len(ring.names)
+    if t.series == "D":
+        h = ref_h(ring, 2 * l)
+        s = RefPoly(n, {(0,) * (n - 1) + (1,): 1})
+        if l % 2 == 0:
+            f = [s * h[l - j] + 2 * h[2 * l - 1 - j] for j in range(1, 2 * l - 2)]
+        else:
+            f = [s * s + 2 * h[2 * l - 2]] + [2 * h[2 * l - 1 - j] for j in range(2, 2 * l - 2)]
+        border = [s + h[l - 1]] + [h[l - a] for a in range(2, l)]
+        corner = s.const(l % 2)
+        m = [f[a:a + l - 1] + [border[a]] for a in range(l - 1)] + [border + [corner]]
+        taus = [ref_det([row[:k] for row in m[:k]]) for k in range(1, l)]
+        tau_l, _ = ref_sqrt_content(ref_det(m))
+        return taus[:-1] + [ref_divide(taus[-1], tau_l), tau_l]
+    top = tau_multiplicities(t)[0]
+    h = ref_h(ring, top)
+    row = [h[top - k] for k in range(2 * l - 1)]
+    taus = [ref_det([row[i:i + k] for i in range(k)]) for k in range(1, l + 1)]
+    if t.series == "B":
+        taus[-1] = ref_sqrt_content(taus[-1])[0]
+    if t.series == "G":
+        taus[1] = -taus[1]
+    return taus
+
+
+_COEFFS = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4))
+
+
+@st.composite
+def polys(draw, count):
+    """A ring of 1 to 6 variables (t1 first) and ``count`` (ExactPoly,
+    RefPoly) pairs, each a sum of drawn monomials, some added back negated
+    so that terms cancel."""
+    n = draw(st.integers(1, 6))
+    ring = PolyRing([f"t{j + 1}" for j in range(n)], range(1, n + 1))
+    pairs = []
+    for _ in range(count):
+        monos = draw(st.lists(st.tuples(st.tuples(*[st.integers(0, 3)] * n), _COEFFS),
+                              max_size=6))
+        back = draw(st.lists(st.sampled_from(monos), max_size=3)) if monos else []
+        p, ref = ring.zero(), RefPoly(n)
+        for e, c in monos + [(e, -c) for e, c in back]:
+            p, ref = p + ring.monomial(e, c), ref + RefPoly(n, {e: c})
+        pairs.append((p, ref))
+    return ring, pairs
+
+
+class TestIntegerKernelOracle:
+    @given(polys(3))
+    @settings(max_examples=80, deadline=None)
+    def test_arithmetic(self, drawn):
+        ring, [(f, rf), (g, rg), (h, rh)] = drawn
+        pairs = [(f + g, rf + rg), (f - g, rf - rg), (-f, -rf), (f * g, rf * rg),
+                 (f * g - h, rf * rg - rh), (f - Fraction(5, 6), rf - rf.const(Fraction(5, 6))),
+                 (Fraction(-3, 4) * f, Fraction(-3, 4) * rf), (0 * f, rf * 0),
+                 (f ** 0, rf ** 0), (g ** 3, rg ** 3)]
+        pairs += [(f.diff(name), rf.diff(j)) for j, name in enumerate(ring.names)]
+        for got, want in pairs:
+            assert dict(got.terms) == want.terms
+
+    @given(polys(1))
+    @settings(max_examples=80, deadline=None)
+    def test_structure_and_output(self, drawn):
+        ring, [(f, rf)] = drawn
+        assert str(f) == rf.pretty(ring.names)
+        assert [(tuple(m["exponents"]), Fraction(m["numerator"], m["denominator"]))
+                for m in f.to_json()["monomials"]] == sorted(rf.terms.items(),
+                                                             key=lambda ec: _glex(ec[0]))
+        if not rf.terms:
+            assert f.is_zero()
+            return
+        assert f.min_degree() == rf.min_degree()
+        assert dict(f.lowest_part().terms) == rf.lowest_part().terms
+        assert (f.leading(), f.trailing()) == (rf.leading(), rf.trailing())
+
+    @given(polys(1), st.lists(st.one_of(st.just(Fraction(0)), _COEFFS), min_size=5, max_size=5))
+    @settings(max_examples=80, deadline=None)
+    def test_slice_t1(self, drawn, values):
+        ring, [(f, rf)] = drawn
+        got = f.slice_t1(dict(zip(ring.names[1:], values)))
+        assert got == rf.slice_t1(values)
+
+    @given(polys(2))
+    @settings(max_examples=60, deadline=None)
+    def test_exact_divide_of_products(self, drawn):
+        _, [(f, rf), (g, rg)] = drawn
+        if not rg.terms:
+            return
+        assert dict(exact_divide(f * g, g).terms) == ref_divide(rf * rg, rg).terms == rf.terms
+
+    @given(polys(1), st.sampled_from([1, -1, 2, -3, 12, Fraction(5, 7), Fraction(-2, 9)]))
+    @settings(max_examples=60, deadline=None)
+    def test_sqrt_content_of_signed_squares(self, drawn, c):
+        _, [(f, rf)] = drawn
+        if not rf.terms:
+            return
+        root, content = poly_sqrt_content(c * f * f)
+        ref_root, ref_content = ref_sqrt_content(c * rf * rf)
+        assert (dict(root.terms), content) == (ref_root.terms, ref_content)
+
+    @given(polys(2))
+    @settings(max_examples=60, deadline=None)
+    def test_equal_routes_compare_and_hash_equal(self, drawn):
+        ring, [(f, _), (g, _)] = drawn
+        routes = [f * f, (f + g) * (f - g) + g * g, f ** 2, Fraction(1, 3) * (3 * f) * f,
+                  ExactPoly.from_terms(ring, dict((f * f).terms))]
+        assert all(p == routes[0] and hash(p) == hash(routes[0]) for p in routes)
+        zeros = [ring.zero(), f - f, 0 * g, ring.const(0), ExactPoly.from_terms(ring, {})]
+        assert all(p == ring.zero() and hash(p) == hash(ring.zero()) for p in zeros)
+        n = len(ring.names)
+        halves = [ring.const(Fraction(2, 4)), ring.monomial((0,) * n, Fraction(1, 2)),
+                  ring.one() * Fraction(1, 2), ExactPoly.from_terms(ring, {(0,) * n: 0.5})]
+        assert all(p == halves[0] and hash(p) == hash(halves[0]) for p in halves)
+
+    @pytest.mark.parametrize("name", [f"A{l}" for l in range(1, 8)]
+                             + [f"{s}{l}" for s in "BC" for l in range(2, 6)]
+                             + [f"D{l}" for l in range(3, 7)] + ["G2"])
+    def test_tau_systems_match_reference_build(self, name):
+        system = tau_functions(T(name))
+        want = [tau.pretty(system.ring.names) for tau in reference_taus(T(name))]
+        assert [str(tau) for tau in system.taus] == want
+
+
+class TestPackedKeys:
+    @pytest.mark.parametrize("call", [
+        lambda r: r.var("t7"),
+        lambda r: r.var("t1").diff("t9"),
+        lambda r: PolyRing(["x", "y"], [1, 1]).var("x").slice_t1({"y": 1}),
+    ])
+    def test_unknown_variable_is_named(self, call):
+        with pytest.raises(ValidationError,
+                           match=r"^unknown variable '(t7|t9|t1)'; the ring's variables are "
+                                 r"(t1, t2|x, y)$"):
+            call(ring_for(T("A2")))
+
+    def test_degree_past_the_field_is_refused(self):
+        r = PolyRing(["x", "y"], [1, 1])
+        x, y = r.var("x"), r.var("y")
+        assert (x ** 65535).leading() == ((65535, 0), 1)
+        big = x ** 40000
+        with pytest.raises(CapExceededError, match=r"^total degree 80000 exceeds"):
+            big * (big + y)
+        with pytest.raises(CapExceededError, match=r"^total degree 120000 exceeds"):
+            (x * y + 1) ** 60000
+        with pytest.raises(CapExceededError, match=r"^total degree 65536 exceeds"):
+            r.monomial((65535, 1))
+        with pytest.raises(CapExceededError, match=r"^total degree 70000 exceeds"):
+            hk(70000, r)
+
+    @pytest.mark.parametrize("name", ["B6", "D7"])
+    def test_admitted_taus_peak_at_total_degree_40(self, name):
+        assert max(max(tau.num) >> tau.ring.deg_shift for tau in S(name).taus) == 40
