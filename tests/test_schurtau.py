@@ -726,10 +726,6 @@ class RefPoly:
         self.n = n
         self.terms = {e: Fraction(c) for e, c in dict(terms).items() if c}
 
-    @classmethod
-    def of(cls, p):
-        return cls(len(p.ring.names), p.terms)
-
     def const(self, c):
         return RefPoly(self.n, {(0,) * self.n: c})
 
@@ -976,11 +972,17 @@ class TestIntegerKernelOracle:
 
     @given(polys(2))
     @settings(max_examples=60, deadline=None)
-    def test_exact_divide_of_products(self, drawn):
+    def test_exact_divide(self, drawn):
         _, [(f, rf), (g, rg)] = drawn
         if not rg.terms:
             return
         assert dict(exact_divide(f * g, g).terms) == ref_divide(rf * rg, rg).terms == rf.terms
+        want = ref_divide(rf, rg)  # None: a stray monomial, so f / g is inexact
+        if want is None:
+            with pytest.raises(ValidationError, match="^inexact polynomial division$"):
+                exact_divide(f, g)
+        else:
+            assert dict(exact_divide(f, g).terms) == want.terms
 
     @given(polys(1), st.sampled_from([1, -1, 2, -3, 12, Fraction(5, 7), Fraction(-2, 9)]))
     @settings(max_examples=60, deadline=None)
