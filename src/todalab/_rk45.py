@@ -4,10 +4,14 @@ A port of SciPy 1.17.1's ``solve_ivp(method="RK45")`` (``_ivp/rk.py``,
 ``common.py``, ``base.py`` and ``ivp.py``) and of its C ``brentq``, cut down
 to what the Toda flow asks of it: scalar tolerances, no maximum step, sample
 times ``t_eval``, one terminal event that fires when it crosses zero
-upwards, and an optional cap on the number of steps.  Every floating-point
-operation is the same numpy call on arrays of the same shape and layout, in
-the same order, so the results equal SciPy's bit for bit;
-``tests/test_rk45.py`` holds SciPy as the oracle.
+upwards, and an optional cap on the number of steps.  Every array operation
+and every reduction is SciPy's numpy call on arrays of the same shape and
+layout, in the same order; the scalar step arithmetic runs on Python floats,
+which IEEE 754 makes identical to numpy's float64.  So the results equal
+SciPy's bit for bit; ``tests/test_rk45.py`` holds SciPy as the oracle.  On
+the short vectors of the Toda flow the cost is in the calls, not in the
+arithmetic, so the stage rows and the views of the stage store are built
+once, not once per step.
 
 References: J. R. Dormand and P. J. Prince, J. Comput. Appl. Math. 6 (1980);
 Hairer, Norsett and Wanner, *Solving Ordinary Differential Equations I*,
@@ -17,6 +21,7 @@ II.4-II.6; R. P. Brent, *Algorithms for Minimization without Derivatives*
 
 from __future__ import annotations
 
+import math
 from typing import NamedTuple
 
 import numpy as np
@@ -52,6 +57,8 @@ P = np.array([
     [0, 127303824393/49829197408, -318862633887/49829197408, 701980252875 / 199316789632],
     [0, -282668133/205662961, 2019193451/616988883, -1453857185/822651844],
     [0, 40617522/29380423, -110615467/29380423, 69997945/29380423]])
+# (A[s, :s], C[s]) for the stages s = 1..5, as SciPy's rk_step slices them
+STAGES = tuple((A[s, :s], float(C[s])) for s in range(1, len(C)))
 
 
 class Solution(NamedTuple):
@@ -63,8 +70,9 @@ class Solution(NamedTuple):
 
 
 def _norm(x):
-    """RMS norm."""
-    return np.linalg.norm(x) / x.size ** 0.5
+    """RMS norm, by numpy.linalg.norm's own 1-D path; a numpy scalar, so that a
+    division by it or of it by zero gives inf instead of raising."""
+    return np.sqrt(x.dot(x)) / x.size ** 0.5
 
 
 def _initial_step(fun, t0, y0, t_bound, f0, direction, tol):
@@ -88,29 +96,36 @@ def _initial_step(fun, t0, y0, t_bound, f0, direction, tol):
     return min(100 * h0, h1, interval_length)
 
 
-def _rk_step(fun, t, y, f, h, K):
-    """One Dormand-Prince step; the stages are left in the rows of K."""
+def _rk_step(fun, t, y, f, h, K, KT):
+    """One Dormand-Prince step; the stages are left in the rows of K, and
+    KT[s] is the view K[:s].T."""
     K[0] = f
-    for s, (a, c) in enumerate(zip(A[1:], C[1:]), start=1):
-        dy = np.dot(K[:s].T, a[:s]) * h
+    for s, (a, c) in enumerate(STAGES, start=1):
+        dy = np.dot(KT[s], a) * h
         K[s] = fun(t + c * h, y + dy)
-    y_new = y + h * np.dot(K[:-1].T, B)
+    y_new = y + h * np.dot(KT[6], B)
     f_new = fun(t + h, y_new)
     K[-1] = f_new
     return y_new, f_new
 
 
 def _dense(t_old, t, y_old, K):
-    """The quartic interpolant over the last step, for a scalar or a 1-D t."""
+    """The quartic interpolant over the last step, for a scalar or a 1-D t.
+
+    The powers x, x^2, x^3, x^4 are multiplied in turn, as the cumulative
+    product of SciPy's tiled x does.
+    """
     h = t - t_old
     Q = K.T.dot(P)
 
     def sol(tt):
         tt = np.asarray(tt)
         x = (tt - t_old) / h
-        if tt.ndim == 0:
-            return h * np.dot(Q, np.cumprod(np.tile(x, 4))) + y_old
-        return h * np.dot(Q, np.cumprod(np.tile(x, (4, 1)), axis=0)) + y_old[:, None]
+        p = np.empty((4,) + x.shape)
+        p[0] = x
+        for k in range(1, 4):
+            p[k] = p[k - 1] * x  # no out=: p[k] is no view when x is 0-d
+        return h * np.dot(Q, p) + (y_old[:, None] if tt.ndim else y_old)
 
     return sol
 
@@ -166,10 +181,10 @@ def brentq(f, xa, xb):
     raise RuntimeError(f"Failed to converge after {BRENT_MAXITER} iterations, value is {xcur:f}")
 
 
-def _step(fun, t, y, f, h_abs, t_bound, direction, K, tol):
+def _step(fun, t, y, f, h_abs, t_bound, direction, K, KT, tol):
     """One accepted step from t under SciPy's step controller, or None when
     the step would fall below ten ulps of t."""
-    min_step = 10 * np.abs(np.nextafter(t, direction * np.inf) - t)
+    min_step = 10 * abs(math.nextafter(t, direction * math.inf) - t)
     if h_abs < min_step:
         h_abs = min_step
     step_rejected = False
@@ -181,10 +196,10 @@ def _step(fun, t, y, f, h_abs, t_bound, direction, K, tol):
         if direction * (t_new - t_bound) > 0:
             t_new = t_bound
         h = t_new - t
-        h_abs = np.abs(h)
-        y_new, f_new = _rk_step(fun, t, y, f, h, K)
+        h_abs = abs(h)
+        y_new, f_new = _rk_step(fun, t, y, f, h, K, KT)
         scale = tol + np.maximum(np.abs(y), np.abs(y_new)) * tol
-        error_norm = _norm(np.dot(K.T, E) * h / scale)
+        error_norm = float(_norm(np.dot(KT[7], E) * h / scale))
         if error_norm < 1:
             if error_norm == 0:
                 factor = MAX_FACTOR
@@ -208,11 +223,12 @@ def solve(fun, t_span, y0, t_eval, event, tol, max_steps=None) -> Solution:
     have not finished the span; counting touches no float.
     """
     t0, t_bound = map(float, t_span)
-    direction = np.sign(t_bound - t0)
+    direction = math.copysign(1.0, t_bound - t0)
     t, y = t0, y0
     f = fun(t, y)
-    h_abs = _initial_step(fun, t, y, t_bound, f, direction, tol)
+    h_abs = float(_initial_step(fun, t, y, t_bound, f, direction, tol))
     K = np.empty((7, y.size), dtype=y.dtype)
+    KT = tuple(K[:s].T for s in range(8))  # views: K is rewritten in place, step by step
     if direction > 0:
         t_eval_i = 0
     else:  # decreasing, for searchsorted
@@ -227,7 +243,7 @@ def solve(fun, t_span, y0, t_eval, event, tol, max_steps=None) -> Solution:
                 f"integration needs more than {max_steps} RK45 steps (too stiff for "
                 f"the span); stopped at t={t}")
         steps += 1
-        step = _step(fun, t, y, f, h_abs, t_bound, direction, K, tol)
+        step = _step(fun, t, y, f, h_abs, t_bound, direction, K, KT, tol)
         if step is None:
             status = -1
             break
@@ -247,10 +263,10 @@ def solve(fun, t_span, y0, t_eval, event, tol, max_steps=None) -> Solution:
         g = g_new
         # a t_eval value equal to t is included
         if direction > 0:
-            t_eval_i_new = np.searchsorted(t_eval, t, side="right")
+            t_eval_i_new = t_eval.searchsorted(t, side="right")
             t_eval_step = t_eval[t_eval_i:t_eval_i_new]
         else:
-            t_eval_i_new = np.searchsorted(t_eval, t, side="left")
+            t_eval_i_new = t_eval.searchsorted(t, side="left")
             t_eval_step = t_eval[t_eval_i_new:t_eval_i][::-1]
         if t_eval_step.size > 0:
             if sol is None:

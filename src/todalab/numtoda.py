@@ -184,10 +184,11 @@ def quadratic_invariant(t: LieType, a, b) -> np.ndarray:
 
 
 def toda_rhs(C):
+    """(t, y) -> y' for y = (b, a): db = a, da = -(C b) a."""
     Cm = np.array(C, dtype=float)
+    l = len(Cm)
 
     def rhs(_t, y):
-        l = Cm.shape[0]
         b, a = y[:l], y[l:]
         return np.concatenate([a, -(Cm @ b) * a])
 
@@ -199,7 +200,7 @@ def divergence_event(l: int):
     threshold = 1.0 / DIVERGENCE_DELTA
 
     def divergence(_t, y):
-        return np.max(np.abs(y[l:])) - threshold
+        return np.abs(y[l:]).max() - threshold
 
     return divergence
 

@@ -5,10 +5,15 @@ eps_j * eps_i^(-C[j][i]); since signs square to one this means: nothing
 moves when eps_i = +, and when eps_i = - exactly the eps_j with C[j][i]
 odd flip.  Applying a reduced word letter by letter, eta counts the steps
 taken at a node currently carrying a minus sign; those are the blow-ups.
+
+Which signs flip depends on the Cartan matrix alone, so each matrix has one
+flip table (``_flip_sets``), built on first use and read by every replay:
+``reflect_sign``, ``act_word``, ``eta`` and ``propagate``.
 """
 
 from __future__ import annotations
 
+import functools
 from typing import NamedTuple
 
 from .errors import ValidationError
@@ -39,22 +44,57 @@ def all_minus(rank: int) -> tuple[int, ...]:
     return (-1,) * rank
 
 
+@functools.lru_cache(maxsize=64)
+def _flip_table(rows):
+    n = len(rows)
+    return tuple(tuple(j for j in range(n) if rows[j][i] % 2 != 0) for i in range(n))
+
+
 def _flip_sets(C):
-    """For each node i, the j whose sign flips when s_i fires at a minus."""
-    n = len(C)
-    return [tuple(j for j in range(n) if C[j][i] % 2 != 0) for i in range(n)]
+    """For each node i, the j whose sign flips when s_i fires at a minus:
+    one table per Cartan matrix, memoized on its rows as a tuple key."""
+    try:
+        return _flip_table(C)
+    except TypeError:  # unhashable rows: lists or an array
+        return _flip_table(tuple(map(tuple, C)))
+
+
+def _check_word(n: int, word, eps) -> None:
+    """Refuse a letter outside 0..n-1, then a sign vector whose length is not n."""
+    if word and not (0 <= min(word) and max(word) < n):
+        i = next(i for i in word if not 0 <= i < n)
+        raise IndexError(f"node index {i} out of range for rank {n}")
+    if len(eps) != n:
+        raise ValidationError(f"sign vector length {len(eps)} != matrix size {n}")
+
+
+def _replay(C, word, eps):
+    """(blow-up steps, final signs as a list) of the letters of word applied
+    left to right; every letter and the sign length are checked first."""
+    word = tuple(word)
+    _check_word(len(C), word, eps)
+    flips = _flip_sets(C)
+    count = 0
+    cur = list(eps)
+    for i in word:
+        if cur[i] < 0:  # a step at eps_i = + leaves the vector unchanged
+            count += 1
+            for j in flips[i]:
+                cur[j] = -cur[j]
+    return count, cur
 
 
 def reflect_sign(C, i: int, eps) -> tuple[int, ...]:
     """Apply s_i to a sign vector (entries +1/-1) under the Cartan matrix C."""
     n = len(C)
-    if not 0 <= i < n:
-        raise IndexError(f"node index {i} out of range for rank {n}")
-    if len(eps) != n:
-        raise ValidationError(f"sign vector length {len(eps)} != matrix size {n}")
+    if not 0 <= i < n or len(eps) != n:
+        _check_word(n, (i,), eps)
     if eps[i] > 0:
         return tuple(eps)
-    return tuple(-e if C[j][i] % 2 != 0 else e for j, e in enumerate(eps))
+    new = list(eps)
+    for j in _flip_sets(C)[i]:
+        new[j] = -new[j]
+    return tuple(new)
 
 
 def reflect_sign_by_exponent(C, i: int, eps) -> tuple[int, ...]:
@@ -66,27 +106,20 @@ def act_word(C, word, eps) -> tuple[int, ...]:
     """Apply the letters left to right: eps -> s_{j1} eps -> s_{j2} s_{j1} eps -> ...
 
     The result is the transported sign that the graph conditions call w^{-1} eps.
+    A letter outside the nodes (IndexError) or a sign vector of the wrong
+    length (ValidationError) is refused before the first step.
     """
-    cur = tuple(eps)
-    for i in word:
-        cur = reflect_sign(C, i, cur)
-    return cur
+    return tuple(_replay(C, word, eps)[1])
 
 
 def eta(C, word, eps) -> int:
     """Number of blow-up steps along a reduced word starting from eps.
 
     The word rule is applied as given: eta is reduced-word independent only
-    on reduced words, which ``WordTree.is_reduced`` decides.
+    on reduced words, which ``WordTree.is_reduced`` decides.  Letters and
+    sign length are refused as by ``act_word``.
     """
-    count = 0
-    cur = tuple(eps)
-    for i in word:
-        if cur[i] < 0:
-            count += 1
-            cur = reflect_sign(C, i, cur)
-        # a step at eps_i = + leaves the vector unchanged
-    return count
+    return _replay(C, word, eps)[0]
 
 
 class Records:

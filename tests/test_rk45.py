@@ -27,6 +27,11 @@ TRAJECTORIES = {
     "E6": ("E6", [1.0] * 6, [0.0] * 6, (0.0, 5.0), False),
     # f = 0 throughout: both fallbacks of the initial step, zero error norms
     "A2 at rest": ("A2", [0.0, 0.0], [1.0, -1.0], (0.0, 5.0), False),
+    # decreasing t: the left searchsorted branch and the scalar dense output
+    # under direction -1, with the pole at t = -1
+    "A1 backward blow-up": ("A1", [-1.0 / S1 ** 2], [C1 / S1], (0.0, -4.0), True),
+    "D4": ("D4", [-1.0, 0.5, 0.5, 0.5], [0.0, 0.1, -0.1, 0.2], (0.0, 6.0), True),
+    "F4": ("F4", [-0.5, 0.4, 0.3, -0.2], [0.1, -0.2, 0.0, 0.1], (0.0, 6.0), True),
 }
 BLOWUPS = [name for name, case in TRAJECTORIES.items() if case[-1]]
 
@@ -88,7 +93,7 @@ def test_event_root_equals_scipy_brentq(monkeypatch, case):
     rhs, y0, t_eval, event = problem(name, a0, b0, t_span)
     _rk45.solve(rhs, t_span, y0, t_eval, event, numtoda.ODE_TOL)
     [(f, xa, xb, root)] = calls
-    assert xa < root < xb
+    assert min(xa, xb) < root < max(xa, xb)  # (t_old, t) decreases on a backward span
     assert root == brentq(f, xa, xb, xtol=_rk45.BRENT_TOL, rtol=_rk45.BRENT_TOL)
 
 

@@ -1,12 +1,14 @@
 from itertools import product
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import FINITE_TYPES
 from todalab.blowup_poly import CosetChain
 from todalab.errors import ValidationError
-from todalab.rootdata import LieType, cartan_matrix, compact_dual_info
+from todalab.rootdata import LieType, cartan_matrix, compact_dual_info, extended_cartan
 from todalab.signflow import (
+    _flip_sets,
     act_word,
     all_minus,
     eta,
@@ -22,9 +24,51 @@ A2 = cartan_matrix(LieType.parse("A2"))
 B2 = cartan_matrix(LieType.parse("B2"))
 G2 = cartan_matrix(LieType.parse("G2"))
 
+# every finite matrix and a few extended ones: an even entry -2 next to node 0
+# (C2(1)), an entry -3 (G2(1)) and a middle node with four neighbours (D4(1))
+MATRICES = {name: cartan_matrix(LieType.parse(name)) for name in FINITE_TYPES}
+MATRICES.update({name: extended_cartan(LieType.parse(name)) for name in
+                 ("A1(1)", "A2(1)", "A4(1)", "B3(1)", "C2(1)", "D4(1)", "F4(1)", "G2(1)")})
+
 
 def signs(rank):
     return [tuple(e) for e in product((1, -1), repeat=rank)]
+
+
+def reference_reflect(C, i, eps):
+    """s_i on a sign vector, read straight from the matrix entries with no
+    flip table: the oracle for ``reflect_sign``."""
+    n = len(C)
+    if not 0 <= i < n:
+        raise IndexError(f"node index {i} out of range for rank {n}")
+    if len(eps) != n:
+        raise ValidationError(f"sign vector length {len(eps)} != matrix size {n}")
+    if eps[i] > 0:
+        return tuple(eps)
+    return tuple(-e if C[j][i] % 2 != 0 else e for j, e in enumerate(eps))
+
+
+def reference_replay(C, word, eps):
+    """(eta, transported sign) of a word, one ``reference_reflect`` per letter:
+    the oracle for ``eta``, ``act_word`` and ``propagate``."""
+    count, cur = 0, tuple(eps)
+    for i in word:
+        count += cur[i] < 0
+        cur = reference_reflect(C, i, cur)
+    return count, cur
+
+
+@st.composite
+def replays(draw):
+    """(C, word, eps): any letters, reduced or not, of length 0-30; C is
+    sometimes given as lists, which the flip table keys by their rows."""
+    C = MATRICES[draw(st.sampled_from(sorted(MATRICES)))]
+    n = len(C)
+    eps = tuple(draw(st.lists(st.sampled_from((1, -1)), min_size=n, max_size=n)))
+    word = tuple(draw(st.lists(st.integers(0, n - 1), max_size=30)))
+    if draw(st.booleans()):
+        C = [list(row) for row in C]
+    return C, word, eps
 
 
 class TestParsing:
@@ -84,6 +128,69 @@ class TestReflect:
                     for step in range(2 * m):
                         cur = reflect_sign(C, (i, j)[step % 2], cur)
                     assert cur == eps
+
+
+class TestReplayOracle:
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(replays())
+    def test_eta_act_word_and_reflect_sign(self, case):
+        C, word, eps = case
+        count, sig = reference_replay(C, word, eps)
+        assert eta(C, word, eps) == count
+        assert act_word(C, word, eps) == sig
+        cur = eps
+        for i in word:
+            nxt = reflect_sign(C, i, cur)
+            assert nxt == reference_reflect(C, i, cur) == reflect_sign_by_exponent(C, i, cur)
+            cur = nxt
+        assert cur == sig
+
+    @settings(derandomize=True, max_examples=150, deadline=None)
+    @given(replays())
+    def test_propagate_along_the_word(self, case):
+        # the word as a path tree: node k is its prefix of length k
+        C, word, eps = case
+        values, transported = propagate(C, [0, *range(len(word))], [0, *word], eps)
+        for k in range(len(word) + 1):
+            assert (values[k], transported[k]) == reference_replay(C, word[:k], eps)
+
+    def test_one_flip_table_per_matrix(self):
+        C = MATRICES["D4(1)"]
+        assert _flip_sets(C) is _flip_sets([list(row) for row in C])
+        assert _flip_sets(C) == ((2,), (2,), (0, 1, 3, 4), (2,), (2,))
+
+
+class TestWordValidation:
+    """Every letter and the sign length are checked before the first step,
+    with reflect_sign's errors: a bad letter first, then a bad length."""
+
+    @pytest.mark.parametrize("replay", [eta, act_word])
+    @pytest.mark.parametrize("word, eps, node", [
+        ((-1,), (-1, 1), -1),     # a negative letter no longer wraps
+        ((5,), (1, 1), 5),        # at a plus sign, where no step fires
+        ((0, 1, 2), (-1, -1), 2),  # after good letters: refused before any step
+        ((3,), (1,), 3),          # a bad letter wins over a bad length
+    ])
+    def test_letter_out_of_range(self, replay, word, eps, node):
+        with pytest.raises(IndexError, match=rf"^node index {node} out of range for rank 2$"):
+            replay(A2, word, eps)
+
+    @pytest.mark.parametrize("replay", [eta, act_word])
+    @pytest.mark.parametrize("word, eps", [
+        ((0,), (1,)),             # no minus step fires
+        ((), (-1, -1, -1)),       # the empty word
+        ((0, 1), (-1, 1, 1)),
+    ])
+    def test_sign_length(self, replay, word, eps):
+        with pytest.raises(ValidationError,
+                           match=rf"^sign vector length {len(eps)} != matrix size 2$"):
+            replay(A2, word, eps)
+
+    def test_reflect_sign_messages(self):
+        with pytest.raises(IndexError, match="^node index -1 out of range for rank 2$"):
+            reflect_sign(A2, -1, (-1, -1))
+        with pytest.raises(ValidationError, match="^sign vector length 1 != matrix size 2$"):
+            reflect_sign(A2, 1, (1,))
 
 
 class TestActWord:
