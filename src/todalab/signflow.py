@@ -6,14 +6,14 @@ moves when eps_i = +, and when eps_i = - exactly the eps_j with C[j][i]
 odd flip.  Applying a reduced word letter by letter, eta counts the steps
 taken at a node currently carrying a minus sign; those are the blow-ups.
 
-Which signs flip depends on the Cartan matrix alone, so each matrix has one
-flip table (``_flip_sets``), built on first use and read by every replay:
-``reflect_sign``, ``act_word``, ``eta`` and ``propagate``.
+A word replay (``act_word``, ``eta``) checks its letters and signs once and
+then flips one list in place, scanning column i of C at each minus step.
+``propagate``, which walks a whole tree of words, keeps the flip set of each
+node it fires at for the rest of that call.
 """
 
 from __future__ import annotations
 
-import functools
 from typing import NamedTuple
 
 from .errors import ValidationError
@@ -44,21 +44,6 @@ def all_minus(rank: int) -> tuple[int, ...]:
     return (-1,) * rank
 
 
-@functools.lru_cache(maxsize=64)
-def _flip_table(rows):
-    n = len(rows)
-    return tuple(tuple(j for j in range(n) if rows[j][i] % 2 != 0) for i in range(n))
-
-
-def _flip_sets(C):
-    """For each node i, the j whose sign flips when s_i fires at a minus:
-    one table per Cartan matrix, memoized on its rows as a tuple key."""
-    try:
-        return _flip_table(C)
-    except TypeError:  # unhashable rows: lists or an array
-        return _flip_table(tuple(map(tuple, C)))
-
-
 def _check_word(n: int, word, eps) -> None:
     """Refuse a letter outside 0..n-1, then a sign vector whose length is not n."""
     if word and not (0 <= min(word) and max(word) < n):
@@ -73,28 +58,27 @@ def _replay(C, word, eps):
     left to right; every letter and the sign length are checked first."""
     word = tuple(word)
     _check_word(len(C), word, eps)
-    flips = _flip_sets(C)
     count = 0
     cur = list(eps)
     for i in word:
         if cur[i] < 0:  # a step at eps_i = + leaves the vector unchanged
             count += 1
-            for j in flips[i]:
-                cur[j] = -cur[j]
+            for j, row in enumerate(C):
+                if row[i] % 2 != 0:
+                    cur[j] = -cur[j]
     return count, cur
 
 
 def reflect_sign(C, i: int, eps) -> tuple[int, ...]:
     """Apply s_i to a sign vector (entries +1/-1) under the Cartan matrix C."""
     n = len(C)
-    if not 0 <= i < n or len(eps) != n:
-        _check_word(n, (i,), eps)
+    if not 0 <= i < n:
+        raise IndexError(f"node index {i} out of range for rank {n}")
+    if len(eps) != n:
+        raise ValidationError(f"sign vector length {len(eps)} != matrix size {n}")
     if eps[i] > 0:
         return tuple(eps)
-    new = list(eps)
-    for j in _flip_sets(C)[i]:
-        new[j] = -new[j]
-    return tuple(new)
+    return tuple(-e if C[j][i] % 2 != 0 else e for j, e in enumerate(eps))
 
 
 def reflect_sign_by_exponent(C, i: int, eps) -> tuple[int, ...]:
@@ -174,7 +158,7 @@ def propagate(C, parents, letters, eps):
     Node k > 0 is node ``parents[k]`` followed by the letter ``letters[k]``;
     parents precede their children.  Returns (values, transported) as lists.
     """
-    flips = _flip_sets(C)
+    flips = [None] * len(C)  # node i -> the j that flip when s_i fires at a minus
     n = len(parents)
     values = [0] * n
     transported = [eps] * n
@@ -185,7 +169,10 @@ def propagate(C, parents, letters, eps):
         if sig[i] < 0:
             values[eid] = values[par] + 1
             new = list(sig)
-            for j in flips[i]:
+            f = flips[i]
+            if f is None:
+                f = flips[i] = [j for j, row in enumerate(C) if row[i] % 2 != 0]
+            for j in f:
                 new[j] = -new[j]
             transported[eid] = tuple(new)
         else:

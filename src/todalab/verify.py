@@ -358,7 +358,8 @@ def check_property_suites(groups, scope):
                         cur = reflect_sign(C, (i, j)[step % 2], cur)
                     if cur != eps:
                         bad.append(f"{name}: braid ({i},{j}) broken")
-    # eta increments in {0,1} via independent word replay
+    # eta increments in {0,1}; eta's letter-by-letter replay, which reads C at
+    # every step, checks eta_table's tree walk with its own flip sets
     for name in ["A1", "A2", "A3", "B2", "B3", "C3", "G2"]:
         t = LieType.parse(name)
         g = groups(name)

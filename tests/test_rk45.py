@@ -93,7 +93,9 @@ def test_event_root_equals_scipy_brentq(monkeypatch, case):
     rhs, y0, t_eval, event = problem(name, a0, b0, t_span)
     _rk45.solve(rhs, t_span, y0, t_eval, event, numtoda.ODE_TOL)
     [(f, xa, xb, root)] = calls
-    assert min(xa, xb) < root < max(xa, xb)  # (t_old, t) decreases on a backward span
+    # brentq gets (t_old, t): increasing on a forward span, decreasing on a backward one
+    lo, hi = (xa, xb) if t_span[1] > t_span[0] else (xb, xa)
+    assert lo < root < hi
     assert root == brentq(f, xa, xb, xtol=_rk45.BRENT_TOL, rtol=_rk45.BRENT_TOL)
 
 

@@ -8,7 +8,6 @@ from todalab.blowup_poly import CosetChain
 from todalab.errors import ValidationError
 from todalab.rootdata import LieType, cartan_matrix, compact_dual_info, extended_cartan
 from todalab.signflow import (
-    _flip_sets,
     act_word,
     all_minus,
     eta,
@@ -153,11 +152,6 @@ class TestReplayOracle:
         values, transported = propagate(C, [0, *range(len(word))], [0, *word], eps)
         for k in range(len(word) + 1):
             assert (values[k], transported[k]) == reference_replay(C, word[:k], eps)
-
-    def test_one_flip_table_per_matrix(self):
-        C = MATRICES["D4(1)"]
-        assert _flip_sets(C) is _flip_sets([list(row) for row in C])
-        assert _flip_sets(C) == ((2,), (2,), (0, 1, 3, 4), (2,), (2,))
 
 
 class TestWordValidation:
