@@ -16,18 +16,17 @@ __version__ = "0.1.0"
 
 _EXPORTS = {
     "rootdata": ("LieType", "CompactDual", "cartan_matrix", "extended_cartan",
-                 "langlands_dual", "tau_multiplicities", "dual_root_counts",
-                 "two_rho_height", "compact_dual_info", "positive_roots"),
+                 "langlands_dual", "tau_multiplicities", "two_rho_height",
+                 "compact_dual_info", "positive_roots"),
     "exact": ("UniPoly",),
     "weyl": ("WeylGroup",),
-    "signflow": ("parse_signs", "format_signs", "reflect_sign", "act_word", "eta",
-                 "eta_table"),
+    "signflow": ("parse_signs", "format_signs", "reflect_sign", "eta", "eta_table"),
     "blowup_poly": ("FactoredForm", "p_epsilon", "closed_form_p", "chevalley_order",
                     "brute_force_so_order", "poincare_polynomial_k"),
     "todagraph": ("build_graph", "components", "to_dot", "graph_to_dict", "matching_report"),
-    "schurtau": ("PolyRing", "ExactPoly", "ring_for", "hk", "schur_wronskian",
-                 "tau_functions", "minimal_degrees", "tangent_cone", "hirota_residual",
-                 "nu_degrees", "nu_check", "sturm_real_roots", "real_root_count_experiment"),
+    "schurtau": ("PolyRing", "ExactPoly", "ring_for", "hk", "tau_functions",
+                 "minimal_degrees", "hirota_residual", "nu_degrees",
+                 "real_root_count_experiment"),
     "affine": ("AffineWeylGroup", "p_series", "rational_guess"),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}

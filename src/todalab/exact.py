@@ -2,7 +2,7 @@
 Fraction Gauss-Jordan inversion.
 
 Coefficients are ints or Fractions, low to high.  Integer polynomials stay
-integer under +, -, * and differentiation.  The one division is
+integer under +, - and *.  The one division is
 ``series_quotient``, which keeps ints when the denominator's constant term
 is 1 or -1 and gives Fractions otherwise, so int or Fraction inputs never
 produce a float.  Gauss-Jordan divides in Fraction.  ``fractions`` (and
@@ -25,14 +25,6 @@ class UniPoly:
         while c and c[-1] == 0:
             c.pop()
         self.coeffs = tuple(c)
-
-    @classmethod
-    def from_dict(cls, d):
-        """Build from {exponent: coefficient}."""
-        out = [0] * (max(d) + 1 if d else 0)
-        for k, v in d.items():
-            out[k] = v
-        return cls(out)
 
     @property
     def degree(self) -> int:
@@ -78,9 +70,6 @@ class UniPoly:
                 for j, y in enumerate(b, i):
                     out[j] += a * y
         return UniPoly(out)
-
-    def derivative(self) -> "UniPoly":
-        return UniPoly([c * k for k, c in enumerate(self.coeffs)][1:])
 
     def series_quotient(self, den: "UniPoly", order: int) -> list:
         """Coefficients 0..order of the power series self / den, den(0) != 0."""

@@ -103,14 +103,6 @@ class TauMinors:
         terms = np.exp(mu - shift)[:, None, :] @ self._coeffs[j - 1][:, None]
         return terms[:, 0, 0] * np.exp(np.minimum(shift[:, 0], 600.0))
 
-    def log_derivative(self, j: int, t: float) -> float:
-        """d/dt log tau_j(t), i.e. the tau-side reconstruction of b_j."""
-        mu = self._rates[j - 1] * t
-        if mu.max() > 600.0:
-            mu = mu - mu.max()  # common positive factor cancels in the ratio
-        w = self._coeffs[j - 1] * np.exp(mu)
-        return float((w @ self._rates[j - 1]) / w.sum())
-
 
 def _sign_changes(minors: TauMinors, j: int, window, grid: int) -> int:
     """Sign changes of tau_j on an even grid over the window.  Exact grid zeros

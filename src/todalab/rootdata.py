@@ -174,16 +174,10 @@ def tau_multiplicities(t: LieType) -> tuple[int, ...]:
     return tuple(map(sum, zip(*_positive(tuple(zip(*C))))))
 
 
-def dual_root_counts(t: LieType) -> tuple[int, ...]:
-    """n_k, the k-th coefficient of 2 rho, the sum of the positive roots: the
-    k-th column sum of ``positive_roots``."""
-    return tuple(map(sum, zip(*positive_roots(t))))
-
-
 def two_rho_height(t: LieType) -> int:
     """Height of the sum of all positive roots, sum d_i (d_i - 1) / 2 over the
-    degrees d_i of W (Kostant); it equals sum(nu_k) = sum(n_k), but needs no
-    root closure."""
+    degrees d_i of W (Kostant); it equals sum(nu_k), but needs no root
+    closure."""
     d = weyl_degrees(t)
     return (sum(map(operator.mul, d, d)) - sum(d)) // 2
 

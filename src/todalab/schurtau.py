@@ -5,7 +5,7 @@ integer numerators over one positive common denominator, keyed by packed
 monomials: the total degree in the top 16-bit field, then the exponents
 e_0 down to e_(n-1), so a monomial product is one int addition and int
 order is graded-lex order.  Fractions appear only at the boundary: leading
-and trailing coefficients, the ``terms`` view, JSON and pretty strings.
+coefficients, the ``terms`` view, JSON and pretty strings.
 
 The complete homogeneous polynomials h_k live in weighted times: one time
 t_m per exponent m of W, and D's exponent l - 1 of degree l is the
@@ -15,8 +15,8 @@ t1-Wronskian of h_top, h_{top-1}, ..., h_{top-k+1} is the leading k x k
 block of the Hankel matrix (h_{top-i-j}), so every tau system reads its
 tau_k as leading blocks of one matrix and never differentiates.
 
-The per-type tau lists, their minimal degrees, tangent cones, the Hirota
-bilinear check, and the real-root experiment all sit on top.  The experiment
+The per-type tau lists, their minimal degrees and t1-axis vanishing orders,
+the Hirota bilinear check, and the real-root experiment all sit on top.  The experiment
 slices each tau factor to integer coefficients in t1 and runs one Sturm
 chain per factor, in plain integers, as a primitive remainder sequence.
 """
@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from math import gcd, isqrt, lcm, prod
+from math import gcd, isqrt, lcm
 from types import MappingProxyType
 from typing import NamedTuple
 
@@ -153,14 +153,6 @@ class ExactPoly:
         self.num = num
         self.den = den
 
-    @classmethod
-    def from_terms(cls, ring: PolyRing, terms: dict) -> "ExactPoly":
-        """Build from {exponent tuple: int or Fraction}."""
-        coeffs = {ring.pack(e): Fraction(c) for e, c in terms.items()}
-        den = lcm(*(c.denominator for c in coeffs.values()))
-        return cls(ring, {k: c.numerator * (den // c.denominator)
-                          for k, c in coeffs.items()}, den)
-
     @property
     def terms(self):
         """Read-only {exponent tuple: Fraction} view."""
@@ -261,22 +253,11 @@ class ExactPoly:
             raise ZeroPolynomialError("minimal degree of the zero polynomial")
         return min(self.num) >> self.ring.deg_shift
 
-    def lowest_part(self) -> "ExactPoly":
-        above = self.min_degree() + 1 << self.ring.deg_shift
-        return ExactPoly(self.ring, {k: c for k, c in self.num.items() if k < above}, self.den)
-
     def leading(self):
         """(exponents, coefficient) maximal in graded-lex order."""
         if not self.num:
             raise ZeroPolynomialError("leading term of the zero polynomial")
         k = max(self.num)
-        return self.ring.unpack(k), Fraction(self.num[k], self.den)
-
-    def trailing(self):
-        """(exponents, coefficient) minimal in graded-lex order."""
-        if not self.num:
-            raise ZeroPolynomialError("trailing term of the zero polynomial")
-        k = min(self.num)
         return self.ring.unpack(k), Fraction(self.num[k], self.den)
 
     def _slice_ints(self, values: dict):
@@ -403,14 +384,6 @@ def _sturm_count(a: list[int]) -> int:
     return variations(at_minus) - variations(at_plus)
 
 
-def sturm_real_roots(f: UniPoly) -> int:
-    """Exact count of the distinct real roots of ``f`` (``_sturm_count`` on
-    its integer numerators over their common denominator)."""
-    q = [Fraction(c) for c in f.coeffs]
-    den = lcm(*(c.denominator for c in q))
-    return _sturm_count([c.numerator * (den // c.denominator) for c in q])
-
-
 # -- complete homogeneous polynomials and Schur determinants ------------------
 
 
@@ -477,28 +450,6 @@ def _det(entries) -> ExactPoly:
         return acc
 
     return rec(tuple(range(k)))
-
-
-def schur_wronskian(indices, ring: PolyRing) -> ExactPoly:
-    """S_(i1<...<ik) = det(h_{i_a - b}), a and b from 0, over the ring's active times.
-
-    That matrix is the transpose of the t1-Wronskian of h_{i_1}, ..., h_{i_k},
-    because dh_n/dt1 = h_{n-1}.
-    """
-    idx = list(indices)
-    if any(a >= b for a, b in zip(idx, idx[1:])) or not idx:
-        raise ValidationError(f"indices must be strictly increasing, got {indices}")
-    return _det([[hk(i - b, ring) for b in range(len(idx))] for i in idx])
-
-
-def wronskian(fns) -> ExactPoly:
-    """Wronskian in t1, rows successive t1-derivatives: the Hankel blocks' reference."""
-    fns = list(fns)
-    k = len(fns)
-    rows = [fns]
-    for _ in range(k - 1):
-        rows.append([f.diff("t1") for f in rows[-1]])
-    return _det([[rows[i][j] for j in range(k)] for i in range(k)])
 
 
 # -- perfect squares and exact division --------------------------------------
@@ -699,18 +650,6 @@ def minimal_degrees(system: TauSystem) -> tuple[int, ...]:
     return tuple(tau.min_degree() for tau in system.taus)
 
 
-def tangent_cone(system: TauSystem):
-    """(lowest homogeneous part of prod tau_j, its degree, cancellation flag).
-
-    The flag is set when the product's minimal degree exceeds the sum of the
-    factor minimal degrees, i.e. when lowest parts cancelled.
-    """
-    product = prod(system.taus)
-    d = product.min_degree()
-    expected = sum(minimal_degrees(system))
-    return product.lowest_part(), d, d != expected
-
-
 def nu_degrees(system: TauSystem) -> tuple[int, ...]:
     """Vanishing order of each tau_k along the t1 axis."""
     zeros = dict.fromkeys(system.ring.names, 0)
@@ -722,12 +661,6 @@ def nu_degrees(system: TauSystem) -> tuple[int, ...]:
         nu = next(i for i, c in enumerate(restricted.coeffs) if c != 0)
         out.append(nu)
     return tuple(out)
-
-
-def nu_check(system: TauSystem) -> tuple[bool, ...]:
-    """Per-tau flags: is the t1-axis vanishing order nu_k, from 2 rho^vee?"""
-    return tuple(a == b for a, b in
-                 zip(nu_degrees(system), tau_multiplicities(system.lie_type)))
 
 
 def hirota_residual(system: TauSystem, k: int):

@@ -6,8 +6,8 @@ moves when eps_i = +, and when eps_i = - exactly the eps_j with C[j][i]
 odd flip.  Applying a reduced word letter by letter, eta counts the steps
 taken at a node currently carrying a minus sign; those are the blow-ups.
 
-A word replay (``act_word``, ``eta``) checks its letters and signs once and
-then flips one list in place, scanning column i of C at each minus step.
+``eta`` replays one word: it checks the letters and signs once, then flips
+one list in place, scanning column i of C at each minus step.
 ``propagate``, which walks a whole tree of words, keeps the flip set of each
 node it fires at for the rest of that call.
 """
@@ -44,31 +44,6 @@ def all_minus(rank: int) -> tuple[int, ...]:
     return (-1,) * rank
 
 
-def _check_word(n: int, word, eps) -> None:
-    """Refuse a letter outside 0..n-1, then a sign vector whose length is not n."""
-    if word and not (0 <= min(word) and max(word) < n):
-        i = next(i for i in word if not 0 <= i < n)
-        raise IndexError(f"node index {i} out of range for rank {n}")
-    if len(eps) != n:
-        raise ValidationError(f"sign vector length {len(eps)} != matrix size {n}")
-
-
-def _replay(C, word, eps):
-    """(blow-up steps, final signs as a list) of the letters of word applied
-    left to right; every letter and the sign length are checked first."""
-    word = tuple(word)
-    _check_word(len(C), word, eps)
-    count = 0
-    cur = list(eps)
-    for i in word:
-        if cur[i] < 0:  # a step at eps_i = + leaves the vector unchanged
-            count += 1
-            for j, row in enumerate(C):
-                if row[i] % 2 != 0:
-                    cur[j] = -cur[j]
-    return count, cur
-
-
 def reflect_sign(C, i: int, eps) -> tuple[int, ...]:
     """Apply s_i to a sign vector (entries +1/-1) under the Cartan matrix C."""
     n = len(C)
@@ -86,24 +61,30 @@ def reflect_sign_by_exponent(C, i: int, eps) -> tuple[int, ...]:
     return tuple(e * eps[i] ** ((-C[j][i]) % 2) for j, e in enumerate(eps))
 
 
-def act_word(C, word, eps) -> tuple[int, ...]:
-    """Apply the letters left to right: eps -> s_{j1} eps -> s_{j2} s_{j1} eps -> ...
-
-    The result is the transported sign that the graph conditions call w^{-1} eps.
-    A letter outside the nodes (IndexError) or a sign vector of the wrong
-    length (ValidationError) is refused before the first step.
-    """
-    return tuple(_replay(C, word, eps)[1])
-
-
 def eta(C, word, eps) -> int:
     """Number of blow-up steps along a reduced word starting from eps.
 
-    The word rule is applied as given: eta is reduced-word independent only
-    on reduced words, which ``WordTree.is_reduced`` decides.  Letters and
-    sign length are refused as by ``act_word``.
+    The letters are applied left to right, eps -> s_{j1} eps -> s_{j2} s_{j1}
+    eps -> ..., as given: eta is reduced-word independent only on reduced
+    words.  A letter outside the nodes (IndexError) or a sign vector of the
+    wrong length (ValidationError) is refused before the first step.
     """
-    return _replay(C, word, eps)[0]
+    word = tuple(word)
+    n = len(C)
+    if word and not (0 <= min(word) and max(word) < n):
+        i = next(i for i in word if not 0 <= i < n)
+        raise IndexError(f"node index {i} out of range for rank {n}")
+    if len(eps) != n:
+        raise ValidationError(f"sign vector length {len(eps)} != matrix size {n}")
+    count = 0
+    cur = list(eps)
+    for i in word:
+        if cur[i] < 0:  # a step at eps_i = + leaves the vector unchanged
+            count += 1
+            for j, row in enumerate(C):
+                if row[i] % 2 != 0:
+                    cur[j] = -cur[j]
+    return count
 
 
 class Records:

@@ -122,8 +122,9 @@ def check_word_independence(groups, scope):
         for eps in _all_signs(t.rank):
             table = eta_table(g, eps)
             for eid in range(len(g)):
-                vals = {eta(C, w, eps) for w in g.all_reduced_words(eid)}
-                words_checked += len(g.all_reduced_words(eid))
+                words = g.all_reduced_words(eid)
+                vals = {eta(C, w, eps) for w in words}
+                words_checked += len(words)
                 if vals != {table.values[eid]}:
                     bad.append(f"{name} {format_signs(eps)} id={eid}: {vals}")
     return not bad, f"{words_checked} word evaluations constant per element" + (

@@ -1,15 +1,14 @@
 """Finite Weyl group engine.
 
 A group element is an integer id.  Ids run in (length, key) order, so the
-identity is id 0 and the longest element the last id; ``multiply``,
-``inverse``, ``act_on_word`` and ``longest_element`` all return ids.
+identity is id 0 and the longest element the last id (``longest_element``).
 Behind each id the group keeps the element's permutation of the 2N roots
 (``perms``: 2N ``bytes``, root index -> root index).  The simple roots sit
 at indices 0..rank-1 and form a basis, so the first ``rank`` bytes, the
 images of the simple roots, already fix the element: ``index`` is keyed by
 that prefix, which sorts as the whole permutation does.  Composition is
 ``bytes.translate`` at C speed, on a 256-byte table ``p + tail`` formed
-only where one is read (the BFS frontier and ``multiply``).  Generation
+only where one is read (the BFS frontier and ``all_reduced_words``).  Generation
 is a breadth-first closure over the simple reflections (``WordTree``)
 that dedupes children by their prefix and forms the whole permutation
 once, for the child it keeps; the BFS tree also hands every element a
@@ -34,7 +33,7 @@ from __future__ import annotations
 import math
 from collections.abc import Iterator
 
-from .errors import CapExceededError, ValidationError
+from .errors import CapExceededError
 from .rootdata import (
     LieType,
     cartan_matrix,
@@ -53,13 +52,6 @@ _PAD = bytes(range(256))
 def pad_table(prefix: bytes) -> bytes:
     """Extend a root permutation to the 256-byte table bytes.translate needs."""
     return prefix + _PAD[len(prefix):]
-
-
-def invert(p: bytes) -> bytes:
-    out = bytearray(len(p))
-    for i, v in enumerate(p):
-        out[v] = i
-    return bytes(out)
 
 
 def check_order(lie_type: LieType, cap: int = DEFAULT_CAP) -> int:
@@ -94,8 +86,8 @@ class WordTree:
     which each subclass writes with the two primitives inlined.  It returns
     {index key of w * s_i: (id of w, i, table of w)} over the w in ``ids``
     and the i with ``not _descent(t, i)``, walked in id x generator order;
-    the first (w, i) found for a key wins.  ``key_of_word``, ``is_reduced``
-    and ``all_reduced_words`` call the primitives.
+    the first (w, i) found for a key wins.  ``all_reduced_words`` calls the
+    primitives.
     """
 
     def __init__(self, identity, generators: int):
@@ -145,29 +137,6 @@ class WordTree:
             out.append(self.letters[eid])
             eid = self.parents[eid]
         return tuple(reversed(out))
-
-    def _check_letter(self, i):
-        if not 0 <= i < self.generators:
-            raise ValidationError(f"letter {i} out of range 0..{self.generators - 1}")
-
-    def key_of_word(self, word):
-        key = self.keys[0]
-        for i in word:
-            self._check_letter(i)
-            t = self._table(key)
-            key = self._key(self._mul(t, i), t, i)
-        return key
-
-    def is_reduced(self, word) -> bool:
-        """A word is reduced iff each letter is an ascent of the prefix before it."""
-        key = self.keys[0]
-        for i in word:
-            self._check_letter(i)
-            t = self._table(key)
-            if self._descent(t, i):
-                return False
-            key = self._key(self._mul(t, i), t, i)
-        return True
 
     def all_reduced_words(self, eid: int) -> frozenset:
         """Exhaustive set of reduced words of element ``eid`` (memoized)."""
@@ -289,7 +258,7 @@ class WeylGroup(WordTree):
         ``cap`` elements or more than ``MAX_ELEMENTS`` whatever the cap; the
         per-level check in ``grow`` stays as a backstop.  E7 is opt-in by
         raising the cap (cap=3_000_000): its 2.9e6 elements, each a 126-byte
-        permutation under a 7-byte index key, take about 10 s and 1.1 GB.
+        permutation under a 7-byte index key, take about 9 s and 1.1 GB.
         """
         order = check_order(lie_type, cap)
         l = lie_type.rank
@@ -339,17 +308,6 @@ class WeylGroup(WordTree):
     def longest_element(self) -> int:
         """Id of w0: ids run in length order and w0 alone has maximal length."""
         return len(self) - 1
-
-    def multiply(self, a: int, b: int) -> int:
-        """Id of w_a * w_b, looked up by (w_a w_b)(alpha_j) = w_a(w_b(alpha_j))."""
-        return self.index[self.perms[b][:self.generators].translate(self._table(self.perms[a]))]
-
-    def act_on_word(self, word) -> int:
-        """Id of the product of the simple reflections of ``word``."""
-        return self.index[self.key_of_word(word)[:self.generators]]
-
-    def inverse(self, a: int) -> int:
-        return self.index[invert(self.perms[a])[:self.generators]]
 
     # -- Bruhat covers ---------------------------------------------------------
 

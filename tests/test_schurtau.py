@@ -21,24 +21,79 @@ from todalab.schurtau import (
     ExactPoly,
     PolyRing,
     TauSystem,
+    _det,
+    _sturm_count,
     exact_divide,
     hirota_residual,
     hk,
     minimal_degrees,
-    nu_check,
     nu_degrees,
     poly_sqrt,
     poly_sqrt_content,
     random_nonzero_rational,
     real_root_count_experiment,
     ring_for,
-    schur_wronskian,
-    sturm_real_roots,
-    tangent_cone,
     tau_functions,
-    wronskian,
 )
 from todalab.weyl import WeylGroup
+
+
+def from_terms(ring, terms):
+    """An ExactPoly built from {exponent tuple: int or Fraction}."""
+    coeffs = {ring.pack(e): Fraction(c) for e, c in terms.items()}
+    den = math.lcm(*(c.denominator for c in coeffs.values()))
+    return ExactPoly(ring, {k: c.numerator * (den // c.denominator)
+                            for k, c in coeffs.items()}, den)
+
+
+def uni_from_dict(d):
+    """A UniPoly built from {exponent: coefficient}."""
+    out = [0] * (max(d) + 1 if d else 0)
+    for k, v in d.items():
+        out[k] = v
+    return UniPoly(out)
+
+
+def derivative(f):
+    """f' of a UniPoly, ints kept ints."""
+    return UniPoly([c * k for k, c in enumerate(f.coeffs)][1:])
+
+
+def sturm_real_roots(f):
+    """Distinct real roots of a rational UniPoly: ``_sturm_count`` on its
+    integer numerators over their common denominator."""
+    q = [Fraction(c) for c in f.coeffs]
+    den = math.lcm(*(c.denominator for c in q))
+    return _sturm_count([c.numerator * (den // c.denominator) for c in q])
+
+
+def schur_wronskian(indices, ring):
+    """S_(i1<...<ik) = det(h_{i_a - b}), a and b from 0, over the ring's active
+    times: the transpose of the t1-Wronskian of h_{i_1}, ..., h_{i_k}, because
+    dh_n/dt1 = h_{n-1}."""
+    idx = list(indices)
+    if any(a >= b for a, b in zip(idx, idx[1:])) or not idx:
+        raise ValidationError(f"indices must be strictly increasing, got {indices}")
+    return _det([[hk(i - b, ring) for b in range(len(idx))] for i in idx])
+
+
+def wronskian(fns):
+    """Wronskian in t1, rows successive t1-derivatives: the Hankel blocks' reference."""
+    rows = [list(fns)]
+    k = len(rows[0])
+    for _ in range(k - 1):
+        rows.append([f.diff("t1") for f in rows[-1]])
+    return _det(rows)
+
+
+def tangent_cone(system):
+    """(lowest homogeneous part of prod tau_j, its degree, cancellation flag):
+    the flag is set when lowest parts cancelled, i.e. when the product's
+    minimal degree exceeds the sum of the factors' minimal degrees."""
+    product = math.prod(system.taus)
+    d = product.min_degree()
+    cone = from_terms(system.ring, {e: c for e, c in product.terms.items() if sum(e) == d})
+    return cone, d, d != sum(minimal_degrees(system))
 
 
 def T(name):
@@ -226,7 +281,6 @@ class TestDegrees:
     @pytest.mark.parametrize("name", sorted(EXPECTED_MIN_DEGREES))
     def test_nu_matches_inverse_cartan(self, name):
         assert nu_degrees(S(name)) == tau_multiplicities(T(name))
-        assert all(nu_check(S(name)))
 
     @pytest.mark.parametrize("name", [f"A{l}" for l in range(1, 10)]
                              + [f"{s}{l}" for s in "BC" for l in range(2, 7)] + ["G2"])
@@ -367,7 +421,7 @@ class TestSqrtAndDivision:
         # the l=2 instance of the Schur Q-polynomial realization
         r = ring_for(T("B2"))
         s13 = schur_wronskian([1, 3], r)
-        halved = ExactPoly.from_terms(
+        halved = from_terms(
             r, {e: c * Fraction(1, 2 ** sum(e)) for e, c in s13.terms.items()})
         assert Fraction(-2) * halved == tau_functions(T("B2")).taus[1]
 
@@ -454,7 +508,7 @@ def sturm_by_fractions(f):
     signed remainder sequence of f and f' over Fraction, up to gcd(f, f')."""
     if f.degree < 1:
         return 0
-    chain = [f, f.derivative()]
+    chain = [f, derivative(f)]
     while chain[-1].degree > 0:
         r = fraction_rem(chain[-2], chain[-1])
         if r.is_zero():
@@ -485,7 +539,7 @@ def random_fraction_poly(rng):
         else:
             low = rng.randint(0, 2)
             gap = rng.choice((1, 3, 5))
-            factor = UniPoly.from_dict({low: frac(), low + gap: frac(),
+            factor = uni_from_dict({low: frac(), low + gap: frac(),
                                         low + gap + rng.choice((1, 3)): frac()})
         factor = power(factor, rng.choice((1, 1, 2, 3)))
         if f.degree + factor.degree <= 12:
@@ -566,8 +620,6 @@ class TestSturm:
 
     def test_int_inputs_never_go_float(self):
         # int / int is a float in Python; no step may divide that way
-        f = UniPoly([3, 0, -7, 2])
-        assert not any(isinstance(c, float) for c in f.derivative().coeffs)
         # roots 1 and 1 + 10^-30 collapse in floating point
         n = 10 ** 30
         assert sturm_real_roots(UniPoly([-1, 1]) * UniPoly([-n - 1, n])) == 2
@@ -686,7 +738,7 @@ class TestExactPolyAlgebra:
             if e2 == 0:
                 on_axis[e1] = c
         zeros = {"t2": Fraction(0)}
-        assert f.slice_t1(zeros) == UniPoly.from_dict(on_axis)
+        assert f.slice_t1(zeros) == uni_from_dict(on_axis)
 
     def test_cross_ring_arithmetic_rejected(self):
         a = ring_for(T("A2")).var("t1")
@@ -769,10 +821,6 @@ class RefPoly:
     def min_degree(self):
         return min(sum(e) for e in self.terms)
 
-    def lowest_part(self):
-        d = self.min_degree()
-        return RefPoly(self.n, {e: c for e, c in self.terms.items() if sum(e) == d})
-
     def leading(self):
         e = max(self.terms, key=_glex)
         return e, self.terms[e]
@@ -788,7 +836,7 @@ class RefPoly:
             for x, v in zip(e[1:], values):
                 c *= Fraction(v) ** x
             out[e[0]] = out.get(e[0], 0) + c
-        return UniPoly.from_dict(out)
+        return uni_from_dict(out)
 
     def pretty(self, names):
         if not self.terms:
@@ -960,8 +1008,7 @@ class TestIntegerKernelOracle:
             assert f.is_zero()
             return
         assert f.min_degree() == rf.min_degree()
-        assert dict(f.lowest_part().terms) == rf.lowest_part().terms
-        assert (f.leading(), f.trailing()) == (rf.leading(), rf.trailing())
+        assert f.leading() == rf.leading()
 
     @given(polys(1), st.lists(st.one_of(st.just(Fraction(0)), _COEFFS), min_size=5, max_size=5))
     @settings(max_examples=80, deadline=None)
@@ -999,13 +1046,13 @@ class TestIntegerKernelOracle:
     def test_equal_routes_compare_and_hash_equal(self, drawn):
         ring, [(f, _), (g, _)] = drawn
         routes = [f * f, (f + g) * (f - g) + g * g, f ** 2, Fraction(1, 3) * (3 * f) * f,
-                  ExactPoly.from_terms(ring, dict((f * f).terms))]
+                  from_terms(ring, dict((f * f).terms))]
         assert all(p == routes[0] and hash(p) == hash(routes[0]) for p in routes)
-        zeros = [ring.zero(), f - f, 0 * g, ring.const(0), ExactPoly.from_terms(ring, {})]
+        zeros = [ring.zero(), f - f, 0 * g, ring.const(0), from_terms(ring, {})]
         assert all(p == ring.zero() and hash(p) == hash(ring.zero()) for p in zeros)
         n = len(ring.names)
         halves = [ring.const(Fraction(2, 4)), ring.monomial((0,) * n, Fraction(1, 2)),
-                  ring.one() * Fraction(1, 2), ExactPoly.from_terms(ring, {(0,) * n: 0.5})]
+                  ring.one() * Fraction(1, 2), from_terms(ring, {(0,) * n: 0.5})]
         assert all(p == halves[0] and hash(p) == hash(halves[0]) for p in halves)
 
     @pytest.mark.parametrize("name", [f"A{l}" for l in range(1, 8)]

@@ -3,12 +3,11 @@ from itertools import product
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import FINITE_TYPES
+from conftest import FINITE_TYPES, act_word, is_reduced
 from todalab.blowup_poly import CosetChain
 from todalab.errors import ValidationError
 from todalab.rootdata import LieType, cartan_matrix, compact_dual_info, extended_cartan
 from todalab.signflow import (
-    act_word,
     all_minus,
     eta,
     eta_table,
@@ -155,8 +154,10 @@ class TestReplayOracle:
 
 
 class TestWordValidation:
-    """Every letter and the sign length are checked before the first step,
-    with reflect_sign's errors: a bad letter first, then a bad length."""
+    """eta checks every letter and the sign length before the first step,
+    with reflect_sign's errors: a bad letter first, then a bad length.
+    act_word, a fold of reflect_sign, meets the same errors at the step that
+    reads the bad letter or sign vector."""
 
     @pytest.mark.parametrize("replay", [eta, act_word])
     @pytest.mark.parametrize("word, eps, node", [
@@ -169,11 +170,14 @@ class TestWordValidation:
         with pytest.raises(IndexError, match=rf"^node index {node} out of range for rank 2$"):
             replay(A2, word, eps)
 
-    @pytest.mark.parametrize("replay", [eta, act_word])
-    @pytest.mark.parametrize("word, eps", [
-        ((0,), (1,)),             # no minus step fires
-        ((), (-1, -1, -1)),       # the empty word
-        ((0, 1), (-1, 1, 1)),
+    @pytest.mark.parametrize("word, eps, replay", [
+        pytest.param(word, eps, replay, id=f"word{k}-eps{k}-{replay.__name__}")
+        for k, (word, eps) in enumerate([
+            ((0,), (1,)),             # no minus step fires
+            ((), (-1, -1, -1)),       # the empty word: act_word takes no step
+            ((0, 1), (-1, 1, 1)),
+        ])
+        for replay in ((eta, act_word) if word else (eta,))
     ])
     def test_sign_length(self, replay, word, eps):
         with pytest.raises(ValidationError,
@@ -194,9 +198,10 @@ class TestActWord:
         assert act_word(A2, (0, 0), (-1, 1)) == (-1, 1)
 
     def test_matches_step_by_step(self):
+        # act_word folds reflect_sign; the same letters by the exponent rule
         cur = (-1, -1)
         for i in (1, 0, 1, 0):
-            cur = reflect_sign(G2, i, cur)
+            cur = reflect_sign_by_exponent(G2, i, cur)
         assert act_word(G2, (1, 0, 1, 0), (-1, -1)) == cur
 
 
@@ -214,7 +219,7 @@ class TestEta:
 
     def test_verify_reduced(self, group):
         g = group("A2")
-        assert not g.is_reduced((0, 0))
+        assert not is_reduced(g, (0, 0))
         # without verification the word rule is applied as given:
         # both s1 steps start at a minus, so both count
         assert eta(A2, (0, 0), (-1, -1)) == 2

@@ -3,11 +3,11 @@ from itertools import product
 
 import pytest
 
-from conftest import word_str
+from conftest import act_word, multiply, word_str
 from todalab.blowup_poly import alternating_eta_sum, p_epsilon, poincare_polynomial_k
 from todalab.exact import UniPoly as IntPolynomial
 from todalab.rootdata import LieType, cartan_matrix
-from todalab.signflow import act_word, all_minus, eta
+from todalab.signflow import all_minus, eta
 from todalab.todagraph import (
     build_graph,
     components,
@@ -93,7 +93,7 @@ class TestEdges:
         g = group(name)
         C = cartan_matrix(g.lie_type)
         rank = g.generators
-        left = {r: [g.multiply(r, w) for w in range(len(g))]
+        left = {r: [multiply(g, r, w) for w in range(len(g))]
                 for r in (g.index[p[:rank]] for p in g.reflections())}
         for eps in product((-1, 1), repeat=rank):
             sign = [act_word(C, g.word(w), eps) for w in range(len(g))]
